@@ -56,11 +56,9 @@ from .oracle import (
 )
 from .rectify import (
     CanonicalCycle,
-    RationalOneForm,
     RectifyingMap,
     build_rectifier,
     canonical_cycles,
-    pushforward_basis_form,
 )
 from .transform import (
     OneForm,

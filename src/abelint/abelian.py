@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .algebra import CFrac, GaussRat, UniPoly, residue
 from .errors import IdenticallyZero, NonPolynomialResidue
-from .family import MOVING_PUNCTURE, FamilyFacts, NormalForm, validate
+from .family import MOVING_PUNCTURE, FamilyFacts, NormalForm
 from .rectify import (
     CanonicalCycle,
     RectifyingMap,
@@ -39,8 +39,7 @@ def integrate_cycle(rm: RectifyingMap, coeffs: Dict[Tuple[int, int], GaussRat],
     factor = rm.puncture_factor(cycle.puncture)
     total = CFrac(UniPoly())
     for (i, j), weight in coeffs.items():
-        eta_t, _ = rm.monomial_pushforward(i, j)
-        total = total + residue(eta_t, factor) * weight
+        total = total + residue(rm.monomial_pushforward(i, j), factor) * weight
     if not total.is_polynomial():
         raise NonPolynomialResidue(
             f"cycle integral at puncture {cycle.puncture} did not cancel to a "
@@ -174,6 +173,7 @@ class IntegralReport:
     bifurcation_set_used: Tuple[GaussRat, ...]
     nonconservative: bool
     ledger: BoundLedger
+    rectifier: RectifyingMap
     basis_coeffs: Dict[Tuple[int, int], GaussRat] = field(default_factory=dict)
     exact_part_degree: Optional[int] = None
 
@@ -183,9 +183,12 @@ def full_report(nf: NormalForm, w: OneForm,
                 mu: Optional[int] = None,
                 m_original: Optional[int] = None,
                 n_original: Optional[int] = None) -> IntegralReport:
-    """Run the whole pipeline: reduce, rectify, integrate, count, check."""
-    facts = validate(nf)
+    """Run the whole pipeline: reduce, rectify, integrate, count, check.
+
+    Raises InvalidFamily when the normal form breaks a family constraint.
+    """
     rm = build_rectifier(nf)
+    facts = rm.facts
     coeffs, exact_part = reduce_to_nonexact_basis(w)
     n_form = int(w.degree) if not w.is_zero() else 0
     if m_original is None:
@@ -213,5 +216,5 @@ def full_report(nf: NormalForm, w: OneForm,
                           integrals, zero_counts, mu=mu, n_bc=n_bc)
     exact_deg = None if exact_part.is_zero() else int(exact_part.total_degree)
     return IntegralReport(facts, tuple(integrals), tuple(zero_counts), n_bc,
-                          tuple(bifurcation), nonconservative, ledger,
+                          tuple(bifurcation), nonconservative, ledger, rm,
                           dict(coeffs), exact_deg)

@@ -9,7 +9,7 @@ field of Q(i)[c].  Everything is exact; no floating point enters here.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import PoleOrderMismatch
 
@@ -19,6 +19,34 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
     Q = Fraction
 
 NEG_INF = float("-inf")
+
+
+def _pow(base, n: int, one):
+    """base ** n by square-and-multiply, for n >= 0; ``one`` is base ** 0."""
+    if n < 0:
+        raise ValueError(f"negative powers of {type(base).__name__} are not supported")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
+def power_table(base, one) -> Callable[[int], object]:
+    """n -> base ** n, memoised; each new power is one product from the last."""
+    table = [one]
+
+    def power(n: int):
+        if n < 0:
+            raise ValueError(f"negative powers of {type(base).__name__} are not supported")
+        while len(table) <= n:
+            table.append(table[-1] * base)
+        return table[n]
+
+    return power
 
 
 def _as_q(value):
@@ -96,17 +124,8 @@ class GaussRat:
 
     def __pow__(self, n: int):
         if n < 0:
-            return self.inverse() ** (-n)
-        result, base = ONE, self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def conjugate(self) -> "GaussRat":
-        return GaussRat(self.re, -self.im)
+            return _pow(self.inverse(), -n, ONE)
+        return _pow(self, n, ONE)
 
     # -- predicates / conversions -------------------------------------
     def __bool__(self):
@@ -230,13 +249,7 @@ class UniPoly:
         return UniPoly([c * factor for c in self.coeffs])
 
     def __pow__(self, n: int):
-        result, base = UniPoly.const(ONE), self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _pow(self, n, UniPoly.const(ONE))
 
     def derivative(self) -> "UniPoly":
         return UniPoly([c * GaussRat(k) for k, c in enumerate(self.coeffs)][1:])
@@ -422,13 +435,7 @@ class BiPoly:
         return _raw_bipoly({k: c * factor for k, c in self.terms.items()})
 
     def __pow__(self, n: int):
-        result, base = BiPoly.const(ONE), self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _pow(self, n, BiPoly.const(ONE))
 
     def partial(self, slot: int) -> "BiPoly":
         out = {}
@@ -445,16 +452,11 @@ class BiPoly:
 
     def compose(self, sub0: "BiPoly", sub1: "BiPoly") -> "BiPoly":
         """Substitute bivariate polynomials for both variables."""
-        pow0, pow1 = {0: BiPoly.const(ONE)}, {0: BiPoly.const(ONE)}
-
-        def power(cache, base, n):
-            if n not in cache:
-                cache[n] = power(cache, base, n - 1) * base
-            return cache[n]
-
+        pow0 = power_table(sub0, BiPoly.const(ONE))
+        pow1 = power_table(sub1, BiPoly.const(ONE))
         acc = BiPoly()
         for (i, j), c in self.terms.items():
-            acc = acc + (power(pow0, sub0, i) * power(pow1, sub1, j)).scale(c)
+            acc = acc + (pow0(i) * pow1(j)).scale(c)
         return acc
 
     def evaluate(self, v0: complex, v1: complex) -> complex:
@@ -705,10 +707,6 @@ class RatFunc:
 
     # -- construction --------------------------------------------------
     @classmethod
-    def from_bipoly(cls, poly: BiPoly) -> "RatFunc":
-        return cls(poly)
-
-    @classmethod
     def const(cls, value) -> "RatFunc":
         return cls(BiPoly.const(value))
 
@@ -740,11 +738,6 @@ class RatFunc:
 
     def is_polynomial(self) -> bool:
         return not self.fac
-
-    def as_bipoly(self) -> BiPoly:
-        if self.fac:
-            raise ValueError("rational function is not a polynomial")
-        return self.num
 
     def pole_order(self, factor: TFactor) -> int:
         return self.fac.get(factor, 0)
@@ -787,20 +780,7 @@ class RatFunc:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers of RatFunc are not supported")
-        result, base = RatFunc.const(ONE), self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def divide_by_factor(self, factor: TFactor, power: int = 1) -> "RatFunc":
-        fac = dict(self.fac)
-        fac[factor] = fac.get(factor, 0) + power
-        return RatFunc(self.num, fac)
+        return _pow(self, n, RatFunc.const(ONE))
 
     def __eq__(self, other):
         if isinstance(other, BiPoly):
@@ -870,16 +850,11 @@ def substitute(poly: BiPoly, sub0: Union[RatFunc, BiPoly], sub1: Union[RatFunc, 
         sub0 = RatFunc(sub0)
     if isinstance(sub1, BiPoly):
         sub1 = RatFunc(sub1)
-    pow0, pow1 = {0: RatFunc.const(ONE)}, {0: RatFunc.const(ONE)}
-
-    def power(cache, base, n):
-        if n not in cache:
-            cache[n] = power(cache, base, n - 1) * base
-        return cache[n]
-
+    pow0 = power_table(sub0, RatFunc.const(ONE))
+    pow1 = power_table(sub1, RatFunc.const(ONE))
     acc = RatFunc(BiPoly())
     for (i, j), coeff in poly.terms.items():
-        acc = acc + power(pow0, sub0, i) * power(pow1, sub1, j) * coeff
+        acc = acc + pow0(i) * pow1(j) * coeff
     return acc
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -23,14 +22,15 @@ from typing import Dict, List, Optional, Tuple
 from .abelian import IntegralReport, full_report
 from .algebra import BiPoly, GaussRat, UniPoly
 from .errors import (
-    AbelintError,
     GoldenMismatch,
     InvalidFamily,
     NonConvergence,
 )
-from .family import NormalForm, validate
+from .family import NormalForm
 from .oracle import contour_integral_fiber, contour_integral_t, default_contour, locate_roots
-from .rectify import build_rectifier, canonical_cycles
+# build_rectifier is unused here but stays importable: perfbench's tracer
+# rebinds it in every abelint module that holds it and checks the restore.
+from .rectify import build_rectifier, canonical_cycles  # noqa: F401
 from .transform import OneForm, PolyAutomorphism, pushforward_oneform
 
 ORACLE_REL_TOL = 1e-8
@@ -46,27 +46,54 @@ class ConfigError(ValueError):
 # Config parsing
 # ---------------------------------------------------------------------------
 
-def _parse_unipoly(obj, key: str) -> UniPoly:
-    if obj is None:
-        return UniPoly()
-    if not isinstance(obj, list):
-        raise ConfigError(f"{key}: expected a list of exact coefficient strings")
+def _read_int(value, key: str, minimum: Optional[int] = None) -> int:
+    """A JSON integer; bool, float and str are rejected."""
+    if type(value) is not int:
+        raise ConfigError(f"{key}: expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{key}: must be at least {minimum}, got {value}")
+    return value
+
+
+def _read_list(value, key: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{key}: expected a list, got {value!r}")
+    return value
+
+
+def _read_exact(value, key: str) -> GaussRat:
+    """An exact number: an integer, an "a/b" string or {"re": .., "im": ..}."""
+    if isinstance(value, dict) and not set(value) <= {"re", "im"}:
+        raise ConfigError(f"{key}: expected only the keys re and im, got {value!r}")
+    parts = value.values() if isinstance(value, dict) else [value]
+    if any(isinstance(part, (bool, float)) for part in parts):
+        raise ConfigError(f"{key}: expected an exact number, got {value!r}")
     try:
-        return UniPoly([GaussRat.parse(v) for v in obj])
+        return GaussRat.parse(value)
+    except ZeroDivisionError:
+        raise ConfigError(f"{key}: zero denominator in {value!r}") from None
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{key}: {exc}") from exc
 
 
+def _read_exacts(value, key: str) -> List[GaussRat]:
+    return [_read_exact(v, f"{key}[{pos}]")
+            for pos, v in enumerate(_read_list(value, key))]
+
+
+def _parse_unipoly(obj, key: str) -> UniPoly:
+    return UniPoly(_read_exacts([] if obj is None else obj, key))
+
+
 def _parse_bipoly(obj, key: str) -> BiPoly:
-    if not isinstance(obj, list):
-        raise ConfigError(f"{key}: expected a list of [i, j, coeff] triples")
     terms = {}
-    for entry in obj:
-        try:
-            i, j, coeff = entry
-            terms[(int(i), int(j))] = GaussRat.parse(coeff)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{key}: bad term {entry!r}: {exc}") from exc
+    for pos, entry in enumerate(_read_list(obj, key)):
+        where = f"{key}[{pos}]"
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise ConfigError(f"{where}: expected an [i, j, coeff] triple")
+        i = _read_int(entry[0], f"{where}.i", minimum=0)
+        j = _read_int(entry[1], f"{where}.j", minimum=0)
+        terms[(i, j)] = _read_exact(entry[2], f"{where}.coeff")
     return BiPoly(terms)
 
 
@@ -76,44 +103,34 @@ def parse_family(block, key: str = "family") -> NormalForm:
     tag = block.get("type")
     if tag not in ("F1", "F2", "F3"):
         raise ConfigError(f"{key}.type: must be one of F1, F2, F3")
-    try:
-        beta = tuple(GaussRat.parse(b) for b in block.get("beta", []))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}.beta: {exc}") from exc
     common = dict(
-        a=tuple(int(v) for v in block.get("a", [])),
-        beta=beta,
+        a=tuple(_read_int(v, f"{key}.a[{pos}]")
+                for pos, v in enumerate(_read_list(block.get("a", []), f"{key}.a"))),
+        beta=tuple(_read_exacts(block.get("beta", []), f"{key}.beta")),
     )
     if tag == "F3":
         return NormalForm("F3", h=_parse_unipoly(block.get("h"), f"{key}.h"),
                           **common)
-    return NormalForm(
-        tag,
-        p1=int(block.get("p1", 0)), p=int(block.get("p", 0)),
-        q1=int(block.get("q1", 0)), q=int(block.get("q", 0)),
-        k=int(block.get("k", 0)),
-        P=_parse_unipoly(block.get("P"), f"{key}.P"),
-        **common,
-    )
+    ints = {name: _read_int(block.get(name, 0), f"{key}.{name}")
+            for name in ("p1", "p", "q1", "q", "k")}
+    return NormalForm(tag, P=_parse_unipoly(block.get("P"), f"{key}.P"),
+                      **ints, **common)
 
 
 def parse_one_form(entries, key: str = "one_form") -> OneForm:
-    if not isinstance(entries, list):
-        raise ConfigError(f"{key}: expected a list of monomial terms")
     a_terms: Dict[Tuple[int, int], GaussRat] = {}
     b_terms: Dict[Tuple[int, int], GaussRat] = {}
-    for pos, entry in enumerate(entries):
+    for pos, entry in enumerate(_read_list(entries, key)):
+        where = f"{key}[{pos}]"
         if not isinstance(entry, dict):
-            raise ConfigError(f"{key}[{pos}]: expected an object")
-        try:
-            i, j = int(entry["i"]), int(entry["j"])
-            coeff = GaussRat.parse(entry["coeff"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{key}[{pos}]: {exc}") from exc
+            raise ConfigError(f"{where}: expected an object")
+        i = _read_int(entry.get("i"), f"{where}.i", minimum=0)
+        j = _read_int(entry.get("j"), f"{where}.j", minimum=0)
+        coeff = _read_exact(entry.get("coeff"), f"{where}.coeff")
         differential = entry.get("differential", "dx")
         store = {"dx": a_terms, "dy": b_terms}.get(differential)
         if store is None:
-            raise ConfigError(f"{key}[{pos}].differential: must be dx or dy")
+            raise ConfigError(f"{where}.differential: must be dx or dy")
         store[(i, j)] = store.get((i, j), GaussRat(0)) + coeff
     return OneForm(BiPoly(a_terms), BiPoly(b_terms))
 
@@ -121,17 +138,18 @@ def parse_one_form(entries, key: str = "one_form") -> OneForm:
 def parse_automorphism(block, key: str = "automorphism") -> PolyAutomorphism:
     if not isinstance(block, dict):
         raise ConfigError(f"{key}: expected an object")
+    maps = []
+    for name in ("forward", "inverse"):
+        components = _read_list(block.get(name), f"{key}.{name}")
+        if len(components) != 2:
+            raise ConfigError(f"{key}.{name}: expected two components")
+        maps.append(tuple(_parse_bipoly(poly, f"{key}.{name}[{pos}]")
+                          for pos, poly in enumerate(components)))
+    sigma = _read_exacts(block.get("sigma", ["1", "0"]), f"{key}.sigma")
+    if len(sigma) != 2:
+        raise ConfigError(f"{key}.sigma: expected [s1, s0]")
     try:
-        forward = tuple(_parse_bipoly(p, f"{key}.forward") for p in block["forward"])
-        inverse = tuple(_parse_bipoly(p, f"{key}.inverse") for p in block["inverse"])
-        sigma = block.get("sigma", ["1", "0"])
-        s1, s0 = (GaussRat.parse(v) for v in sigma)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
-    if len(forward) != 2 or len(inverse) != 2:
-        raise ConfigError(f"{key}: forward and inverse need two components each")
-    try:
-        return PolyAutomorphism(forward, inverse, s1, s0)
+        return PolyAutomorphism(*maps, *sigma)
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
 
@@ -145,24 +163,18 @@ class Problem:
         self.normal_form = parse_family(config.get("family"))
         self.one_form = parse_one_form(config.get("one_form", []))
         self.automorphism: Optional[PolyAutomorphism] = None
-        self.m_original: Optional[int] = None
-        self.n_original: Optional[int] = None
         if "automorphism" in config:
             self.automorphism = parse_automorphism(config["automorphism"])
-        try:
-            self.bifurcation_override = [
-                GaussRat.parse(v) for v in config.get("bifurcation_set", [])]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bifurcation_set: {exc}") from exc
+        self.bifurcation_override = _read_exacts(
+            config.get("bifurcation_set", []), "bifurcation_set")
         mu = config.get("mu")
-        self.mu = int(mu) if mu is not None else None
+        self.mu = None if mu is None else _read_int(mu, "mu")
         oracle_block = config.get("oracle", {})
         if not isinstance(oracle_block, dict):
             raise ConfigError("oracle: expected an object")
         self.oracle_enabled = bool(oracle_block.get("enabled", True))
-        self.oracle_c_values = [
-            GaussRat.parse(v).to_complex()
-            for v in oracle_block.get("seed_c_values", [])]
+        self.oracle_c_values = [v.to_complex() for v in _read_exacts(
+            oracle_block.get("seed_c_values", []), "oracle.seed_c_values")]
 
 
 def _original_degrees(problem: Problem) -> Tuple[Optional[int], Optional[int]]:
@@ -197,41 +209,27 @@ def _generic_c_values(report: IntegralReport, supplied: List[complex],
     return values[:count]
 
 
-def run_oracle(problem: Problem, form: OneForm, report: IntegralReport,
-               jobs: int = 1) -> dict:
+def run_oracle(problem: Problem, form: OneForm, report: IntegralReport) -> dict:
     """Compare the exact integrals against both numeric contour routes."""
-    rm = build_rectifier(problem.normal_form)
-    cycles = canonical_cycles(report.facts)
+    rm = report.rectifier
     c_values = _generic_c_values(report, problem.oracle_c_values)
-    tasks = []
-    for cycle, ai in zip(cycles, report.integrals):
+    errors_t, errors_f = [], []
+    for cycle, ai in zip(canonical_cycles(report.facts), report.integrals):
         for c_value in c_values:
-            tasks.append((cycle, ai, c_value))
-
-    def check(task):
-        cycle, ai, c_value = task
-        spec = default_contour(rm, cycle, c_value)
-        numeric = 0j
-        for (i, j), weight in report.basis_coeffs.items():
-            eta_t, _ = rm.monomial_pushforward(i, j)
-            numeric += weight.to_complex() * contour_integral_t(
-                eta_t, c_value, spec)
-        exact = ai.value.evaluate_complex(c_value)
-        err_t = abs(numeric - exact) / (1 + abs(exact))
-        fiber = contour_integral_fiber(form, rm, cycle, c_value, spec)
-        err_f = abs(fiber - numeric) / (1 + abs(numeric))
-        return err_t, err_f
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(check, tasks))
-    else:
-        results = [check(task) for task in tasks]
-    max_t = max((r[0] for r in results), default=0.0)
-    max_f = max((r[1] for r in results), default=0.0)
+            spec = default_contour(rm, cycle, c_value)
+            numeric = 0j
+            for (i, j), weight in report.basis_coeffs.items():
+                numeric += weight.to_complex() * contour_integral_t(
+                    rm.monomial_pushforward(i, j), c_value, spec)
+            exact = ai.value.evaluate_complex(c_value)
+            errors_t.append(abs(numeric - exact) / (1 + abs(exact)))
+            fiber = contour_integral_fiber(form, rm, cycle, c_value, spec)
+            errors_f.append(abs(fiber - numeric) / (1 + abs(numeric)))
+    max_t = max(errors_t, default=0.0)
+    max_f = max(errors_f, default=0.0)
     return {
         "enabled": True,
-        "checks": len(results),
+        "checks": len(errors_t),
         "max_rel_error_exact_vs_contour": max_t,
         "max_rel_error_fiber_vs_contour": max_f,
         "tolerance": ORACLE_REL_TOL,
@@ -363,6 +361,22 @@ def _rational_root_candidates(poly: UniPoly) -> List[GaussRat]:
     return sorted(candidates, key=lambda g: (abs(g.re), g.re < 0))
 
 
+def _squarefree_factors(poly: UniPoly) -> List[Tuple[UniPoly, int]]:
+    """Square-free, pairwise coprime a_k with poly = const * prod a_k^k, exactly.
+
+    The numeric root finder converges only on simple roots, so it is run on
+    each a_k, whose roots all have multiplicity k in poly.  A square-free
+    poly comes back as [(poly, 1)] with its coefficients untouched.
+    """
+    gcds = [poly]  # gcds[k] has the roots of poly of multiplicity > k
+    while gcds[-1].degree >= 1:
+        gcds.append(gcds[-1].gcd(gcds[-1].derivative()))
+    at_least = [high.divmod(low)[0] for high, low in zip(gcds, gcds[1:])]
+    at_least.append(UniPoly.const(GaussRat(1)))
+    return [(at_least[k].divmod(at_least[k + 1])[0], k + 1)
+            for k in range(len(at_least) - 1)]
+
+
 def report_to_text(report: IntegralReport, oracle_result: dict) -> str:
     lines = []
     facts = report.facts
@@ -379,10 +393,13 @@ def report_to_text(report: IntegralReport, oracle_result: dict) -> str:
             lines.append(f"{label} = 0 (identically; conservative on this cycle)")
             continue
         lines.append(f"{label} = (2*pi*i) * {_factored_string(ai.value)}")
-        roots = locate_roots(ai.value) if ai.value.degree >= 1 else []
+        roots = []
+        for factor, k in _squarefree_factors(ai.value):
+            suffix = f" (multiplicity {k})" if k > 1 else ""
+            roots += [f"{r.real:+.6g}{r.imag:+.6g}i{suffix}"
+                      for r in locate_roots(factor)]
         if roots:
-            root_text = ", ".join(f"{r.real:+.6g}{r.imag:+.6g}i" for r in roots)
-            lines.append(f"  numeric zeros: {root_text}")
+            lines.append(f"  numeric zeros: {', '.join(roots)}")
         lines.append(f"  zeros outside bifurcation set (with multiplicity): {z}")
     lines.append("")
     if report.nonconservative:
@@ -458,12 +475,14 @@ def compare_golden(report_json: dict, golden: dict, name: str) -> None:
 # Orchestration
 # ---------------------------------------------------------------------------
 
-def execute(config: dict, no_oracle: bool = False, jobs: int = 1,
+def execute(config: dict, no_oracle: bool = False,
             golden: Optional[dict] = None, example_name: str = "") -> Tuple[int, dict, str]:
-    """Run a parsed configuration; returns (exit_code, report_json, report_txt)."""
-    problem = Problem(config)
-    validate(problem.normal_form)  # raises InvalidFamily early
+    """Run a parsed configuration; returns (exit_code, report_json, report_txt).
 
+    Raises ConfigError for a malformed configuration and InvalidFamily for
+    a normal form that breaks a family constraint.
+    """
+    problem = Problem(config)
     form = problem.one_form
     if problem.automorphism is not None:
         form = pushforward_oneform(form, problem.automorphism)
@@ -477,7 +496,7 @@ def execute(config: dict, no_oracle: bool = False, jobs: int = 1,
     oracle_result: dict = {"enabled": False}
     run_the_oracle = problem.oracle_enabled and not no_oracle
     if run_the_oracle:
-        oracle_result = run_oracle(problem, form, report, jobs=jobs)
+        oracle_result = run_oracle(problem, form, report)
 
     payload = report_to_json(report, oracle_result)
     text = report_to_text(report, oracle_result)
@@ -492,33 +511,31 @@ def execute(config: dict, no_oracle: bool = False, jobs: int = 1,
     return 0, payload, text
 
 
-def run(config_path: str, out_dir: str = ".", no_oracle: bool = False,
-        jobs: int = 1) -> int:
+def run(config_path: str, out_dir: str = ".", no_oracle: bool = False) -> int:
     """File-based entry: parse, execute, write report.json and report.txt."""
     try:
         config = json.loads(Path(config_path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot parse config {config_path}: {exc}", file=sys.stderr)
         return 1
-    return _execute_and_write(config, out_dir, no_oracle, jobs)
+    return _execute_and_write(config, out_dir, no_oracle)
 
 
-def run_example(name: str, out_dir: str = ".", no_oracle: bool = False,
-                jobs: int = 1) -> int:
+def run_example(name: str, out_dir: str = ".", no_oracle: bool = False) -> int:
     try:
         bundle = _example_resource(name)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return _execute_and_write(bundle["config"], out_dir, no_oracle, jobs,
+    return _execute_and_write(bundle["config"], out_dir, no_oracle,
                               golden=bundle["golden"], example_name=name)
 
 
-def _execute_and_write(config: dict, out_dir: str, no_oracle: bool, jobs: int,
+def _execute_and_write(config: dict, out_dir: str, no_oracle: bool,
                        golden: Optional[dict] = None,
                        example_name: str = "") -> int:
     try:
-        code, payload, text = execute(config, no_oracle=no_oracle, jobs=jobs,
+        code, payload, text = execute(config, no_oracle=no_oracle,
                                       golden=golden, example_name=example_name)
     except ConfigError as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
@@ -559,8 +576,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="skip the floating-point verification pass")
     parser.add_argument("--out", metavar="DIR", default=".",
                         help="directory for report.json / report.txt")
-    parser.add_argument("--jobs", metavar="N", type=int, default=1,
-                        help="parallel workers for oracle checks")
     args = parser.parse_args(argv)
 
     if args.list_examples:
@@ -573,8 +588,8 @@ def main(argv: Optional[List[str]] = None) -> int:
               file=sys.stderr)
         return 1
     if args.config:
-        return run(args.config, args.out, args.no_oracle, args.jobs)
-    return run_example(args.example, args.out, args.no_oracle, args.jobs)
+        return run(args.config, args.out, args.no_oracle)
+    return run_example(args.example, args.out, args.no_oracle)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -4,8 +4,10 @@ For each family (and each sign of p*q1 - q*p1) the map R = (G, H) sends
 generic fibers {H = c} to horizontal punctured lines in the (t, c) plane.
 The explicit inverse is built here in factored rational form and verified
 symbolically: H(inverse) = c and G(inverse) = t as rational identities.
-Basis 1-forms x^i y^j dx push forward to rational 1-forms
-eta = eta_t dt + eta_c dc whose t-poles sit exactly on the punctures.
+A basis 1-form x^i y^j dx pulls back along the inverse to a rational
+1-form in (t, c).  A canonical cycle is a loop in t at fixed c, so only the
+dt part eta_t = x^i y^j dx/dt enters its integral, and only eta_t is
+computed; its t-poles sit exactly on the punctures.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .algebra import (
     RatFunc,
     TFactor,
     UniPoly,
+    power_table,
     t_factor,
 )
 from .errors import ConstructionFailure
@@ -30,9 +33,6 @@ from .family import (
     ZERO_PUNCTURE,
     FamilyFacts,
     NormalForm,
-    beta_puncture,
-    expand,
-    s_poly,
     validate,
 )
 
@@ -45,36 +45,19 @@ class CanonicalCycle:
     puncture: str
 
 
-@dataclass(frozen=True)
-class RationalOneForm:
-    """eta = eta_t dt + eta_c dc on the rectified plane.
-
-    Only eta_t contributes to cycle integrals along horizontal loops; the
-    dc component is retained for completeness.
-    """
-
-    eta_t: RatFunc
-    eta_c: RatFunc
-
-
 class RectifyingMap:
-    """R = (G, H) together with its explicit rational inverse."""
+    """The rectifying map R = (G, H), held as its explicit rational inverse."""
 
-    def __init__(self, nf: NormalForm, facts: FamilyFacts, G: BiPoly, H: BiPoly,
-                 inverse_x: RatFunc, inverse_y: RatFunc,
-                 ramification_locus: BiPoly, removed_divisor: str):
+    def __init__(self, nf: NormalForm, facts: FamilyFacts,
+                 inverse_x: RatFunc, inverse_y: RatFunc):
         self.nf = nf
         self.facts = facts
-        self.G = G
-        self.H = H
         self.inverse_x = inverse_x
         self.inverse_y = inverse_y
-        self.ramification_locus = ramification_locus
-        self.removed_divisor = removed_divisor
         self._dx_dt = inverse_x.derivative(0)
-        self._dx_dc = inverse_x.derivative(1)
-        self._pow_x: Dict[int, RatFunc] = {0: RatFunc.const(ONE), 1: inverse_x}
-        self._pow_y: Dict[int, RatFunc] = {0: RatFunc.const(ONE), 1: inverse_y}
+        self._pow_x = power_table(inverse_x, RatFunc.const(ONE))
+        self._pow_y = power_table(inverse_y, RatFunc.const(ONE))
+        self._eta_t: Dict[Tuple[int, int], RatFunc] = {}
 
     def puncture_factor(self, puncture: str) -> TFactor:
         """The linear denominator factor t - pi(c) of a puncture."""
@@ -94,17 +77,13 @@ class RectifyingMap:
         index = int(puncture[4:])
         return UniPoly.const(self.nf.beta[index - 1])
 
-    def _power(self, cache: Dict[int, RatFunc], base: RatFunc, n: int) -> RatFunc:
-        if n not in cache:
-            cache[n] = self._power(cache, base, n - 1) * base
-        return cache[n]
-
-    def monomial_pushforward(self, i: int, j: int) -> Tuple[RatFunc, RatFunc]:
-        """x^i y^j evaluated on the inverse, times (dx/dt, dx/dc)."""
-        xi = self._power(self._pow_x, self.inverse_x, i)
-        yj = self._power(self._pow_y, self.inverse_y, j)
-        product = xi * yj
-        return product * self._dx_dt, product * self._dx_dc
+    def monomial_pushforward(self, i: int, j: int) -> RatFunc:
+        """eta_t: x^i y^j evaluated on the inverse, times dx/dt; memoised."""
+        eta_t = self._eta_t.get((i, j))
+        if eta_t is None:
+            eta_t = self._pow_x(i) * self._pow_y(j) * self._dx_dt
+            self._eta_t[(i, j)] = eta_t
+        return eta_t
 
 
 def _signed_denominator(t_pow: int = 0, beta_pows: Dict[int, int] = None,
@@ -155,24 +134,18 @@ def _moving_power(n: int) -> BiPoly:
 def build_rectifier(nf: NormalForm) -> RectifyingMap:
     """Construct and symbolically verify the rectifying map for a normal form."""
     facts = validate(nf)
-    H = expand(nf)
     t = BiPoly.var(0)
 
     if nf.family == "F3":
-        G = BiPoly.var(0)
         h_t = BiPoly.from_unipoly(nf.h, 0)
         num = (BiPoly.var(1) - h_t)
         fac, sign = _signed_denominator(
             beta_pows={i: a for i, a in enumerate(nf.a)}, nf=nf)
         inverse_x = RatFunc(t)
         inverse_y = RatFunc(num.scale(GaussRat(sign)), fac)
-        ram = _pi_power(nf, 1)  # Pi only involves the first variable: Pi(x)
-        removed = "Pi(t)"
     else:
         p1, p, q1, q = facts.effective
         k = nf.k
-        s = s_poly(nf)
-        G = BiPoly({(q1, 0): ONE}) * s ** q
         lam = nf.P.coeffs  # P = sum lam_s x^s, deg <= k-1
 
         if facts.sign_case == 1:
@@ -218,12 +191,7 @@ def build_rectifier(nf: NormalForm) -> RectifyingMap:
                     y_num = y_num - term.scale(coeff)
             inverse_y = RatFunc(y_num.scale(GaussRat(y_sign)), y_fac)
 
-        ram = BiPoly({(k + p1 + q1 - 1, 0): ONE}) * s ** (p + q - 1)
-        for b, a in zip(nf.beta, nf.a):
-            ram = ram * (BiPoly.const(b) - G) ** a
-        removed = "c*t*Pi(t)" if nf.family == "F2" else "(c - t)*t*Pi(t)"
-
-    rm = RectifyingMap(nf, facts, G, H, inverse_x, inverse_y, ram, removed)
+    rm = RectifyingMap(nf, facts, inverse_x, inverse_y)
     _verify(rm)
     return rm
 
@@ -260,14 +228,6 @@ def _poly_of(value: RatFunc, poly: UniPoly) -> RatFunc:
             acc = acc + power * coeff
         power = power * value
     return acc
-
-
-def pushforward_basis_form(rm: RectifyingMap, i: int, j: int) -> RationalOneForm:
-    """Push x^i y^j dx forward through the rectifying map."""
-    if j < 1:
-        raise ValueError("basis forms require j >= 1")
-    eta_t, eta_c = rm.monomial_pushforward(i, j)
-    return RationalOneForm(eta_t, eta_c)
 
 
 def canonical_cycles(facts: FamilyFacts) -> List[CanonicalCycle]:

@@ -84,6 +84,17 @@ class TestGaussRat:
             expected = expected * a
         assert a ** n == expected
 
+    def test_negative_power_is_power_of_inverse(self):
+        assert GaussRat(2, 1) ** -2 == (GaussRat(2, 1) ** 2).inverse()
+
+
+@pytest.mark.parametrize("value", [
+    UniPoly([1, 1]), BiPoly.var(0), RatFunc.t(),
+], ids=["UniPoly", "BiPoly", "RatFunc"])
+def test_negative_polynomial_power_is_rejected(value):
+    with pytest.raises(ValueError, match="negative powers"):
+        value ** -1
+
 
 # ---------------------------------------------------------------------------
 # UniPoly
@@ -303,7 +314,7 @@ class TestResidues:
             nf = random_normal_form(rng)
             rm = cached_rectifier(nf)
             i, j = rng.randint(0, 2), rng.randint(1, 2)
-            eta_t, _ = rm.monomial_pushforward(i, j)
+            eta_t = rm.monomial_pushforward(i, j)
             total = residue_at_infinity(eta_t)
             for factor in eta_t.fac:
                 if factor != C_FACTOR:

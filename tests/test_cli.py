@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from abelint import GoldenMismatch
+from abelint import BiPoly, GaussRat, GoldenMismatch
 from abelint.cli import (
     ConfigError,
     Problem,
@@ -171,7 +171,7 @@ class TestExitCodes:
         bundle = load_bundle("oscillator")
         bundle["golden"]["n_bc"] = 42
         code = _execute_and_write(bundle["config"], str(tmp_path),
-                                  no_oracle=True, jobs=1,
+                                  no_oracle=True,
                                   golden=bundle["golden"],
                                   example_name="oscillator")
         assert code == 3
@@ -193,6 +193,34 @@ class TestExitCodes:
     def test_unknown_example_is_one(self, tmp_path):
         assert main(["--example", "nope", "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("block, key, value, where", [
+        ("family", "p", 1.7, "family.p"),
+        ("family", "k", True, "family.k"),
+        ("family", "a", ["q"], "family.a[0]"),
+        ("family", "beta", [{"re": "1", "img": "2"}], "family.beta[0]"),
+        ("top", "bifurcation_set", "3", "bifurcation_set"),
+        ("top", "mu", "x", "mu"),
+        ("form", "i", -1, "one_form[0].i"),
+        ("form", "j", "1", "one_form[0].j"),
+        ("form", "coeff", "1/0", "one_form[0].coeff"),
+        ("oracle", "seed_c_values", ["zz"], "oracle.seed_c_values[0]"),
+        ("oracle", "seed_c_values", "3", "oracle.seed_c_values"),
+    ])
+    def test_malformed_field_is_one_line_config_error(
+            self, tmp_path, capsys, block, key, value, where):
+        config = minimal_config()
+        config["family"] = {"type": "F2", "p1": 0, "p": 1, "q1": 1, "q": 2,
+                            "k": 1, "P": ["-1"], "a": [1], "beta": ["1"]}
+        target = {"family": config["family"], "top": config,
+                  "form": config["one_form"][0], "oracle": config["oracle"]}
+        target[block][key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid configuration: {where}: ")
+        assert err.count("\n") == 1
+
 
 class TestEndToEnd:
     def test_example_writes_reports(self, tmp_path):
@@ -209,9 +237,8 @@ class TestEndToEnd:
         raw = (tmp_path / "report.json").read_text()
         assert canonical_json(json.loads(raw)) == raw
 
-    def test_jobs_flag_with_oracle(self, tmp_path):
-        code = main(["--example", "oscillator", "--out", str(tmp_path),
-                     "--jobs", "4"])
+    def test_example_with_oracle(self, tmp_path):
+        code = main(["--example", "oscillator", "--out", str(tmp_path)])
         assert code == 0
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["oracle"]["enabled"]
@@ -223,6 +250,24 @@ class TestEndToEnd:
             capture_output=True, text=True)
         assert result.returncode == 0
         assert "oscillator" in result.stdout
+
+    def test_triple_root_is_reported(self, tmp_path):
+        # (H - 1)^3 y dx on the oscillator H = y(1 - x) integrates to
+        # -c (c - 1)^3; the root finder alone cannot resolve a triple root.
+        h = BiPoly({(0, 1): GaussRat(1), (1, 1): GaussRat(-1)})
+        form = (h - BiPoly.const(GaussRat(1))) ** 3 * BiPoly.var(1)
+        config = minimal_config()
+        config["one_form"] = [{"i": i, "j": j, "coeff": c.to_json()}
+                              for (i, j), c in form.terms.items()]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["--config", str(path), "--out", str(tmp_path),
+                     "--no-oracle"]) == 0
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert payload["cycles"][0]["integral_2pii"] == ["0", "1", "-3", "3", "-1"]
+        text = (tmp_path / "report.txt").read_text()
+        assert "-1 * c * (c - 1)^3" in text
+        assert "numeric zeros: +0+0i, +1+0i (multiplicity 3)" in text
 
     def test_factored_output_shape(self, tmp_path):
         main(["--example", "f2_type03", "--out", str(tmp_path), "--no-oracle"])
