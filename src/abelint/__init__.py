@@ -49,6 +49,7 @@ from .family import (
 )
 from .oracle import (
     ContourSpec,
+    check_report,
     contour_integral_fiber,
     contour_integral_t,
     default_contour,

@@ -819,7 +819,12 @@ class RatFunc:
     def evaluate(self, t_value: complex, c_value: complex) -> complex:
         value = self.num.evaluate(t_value, c_value)
         for key, e in self.fac.items():
-            value /= factor_to_bipoly(key).evaluate(t_value, c_value) ** e
+            if key[0] == "t":
+                _, pi1, pi0 = key
+                base = t_value - pi1.to_complex() * c_value - pi0.to_complex()
+            else:
+                base = c_value
+            value /= base ** e
         return value
 
     def eval_at_t(self, point: UniPoly) -> CFrac:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -27,10 +28,10 @@ from .errors import (
     NonConvergence,
 )
 from .family import NormalForm
-from .oracle import contour_integral_fiber, contour_integral_t, default_contour, locate_roots
+from .oracle import check_report, locate_roots
 # build_rectifier is unused here but stays importable: perfbench's tracer
 # rebinds it in every abelint module that holds it and checks the restore.
-from .rectify import build_rectifier, canonical_cycles  # noqa: F401
+from .rectify import build_rectifier  # noqa: F401
 from .transform import OneForm, PolyAutomorphism, pushforward_oneform
 
 ORACLE_REL_TOL = 1e-8
@@ -211,20 +212,8 @@ def _generic_c_values(report: IntegralReport, supplied: List[complex],
 
 def run_oracle(problem: Problem, form: OneForm, report: IntegralReport) -> dict:
     """Compare the exact integrals against both numeric contour routes."""
-    rm = report.rectifier
     c_values = _generic_c_values(report, problem.oracle_c_values)
-    errors_t, errors_f = [], []
-    for cycle, ai in zip(canonical_cycles(report.facts), report.integrals):
-        for c_value in c_values:
-            spec = default_contour(rm, cycle, c_value)
-            numeric = 0j
-            for (i, j), weight in report.basis_coeffs.items():
-                numeric += weight.to_complex() * contour_integral_t(
-                    rm.monomial_pushforward(i, j), c_value, spec)
-            exact = ai.value.evaluate_complex(c_value)
-            errors_t.append(abs(numeric - exact) / (1 + abs(exact)))
-            fiber = contour_integral_fiber(form, rm, cycle, c_value, spec)
-            errors_f.append(abs(fiber - numeric) / (1 + abs(numeric)))
+    errors_t, errors_f = check_report(report, form, c_values)
     max_t = max(errors_t, default=0.0)
     max_f = max(errors_f, default=0.0)
     return {
@@ -279,31 +268,38 @@ def canonical_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _factored_string(poly: UniPoly) -> str:
-    """Human rendering, splitting off rational linear factors when present."""
-    if poly.is_zero():
-        return "0"
+def _factored_string(poly: UniPoly,
+                     zeros: List[Tuple[complex, int, UniPoly]]) -> str:
+    """Human rendering of a nonzero poly, splitting off every rational root.
+
+    ``zeros`` is ``_numeric_zeros(poly)``.  A rational root of a_k has a
+    denominator dividing the leading coefficient L of a_k's primitive integer
+    form, so round(Re z * L) / L is kept when a_k vanishes there exactly.
+    """
     if any(not c.is_rational() for c in poly.coeffs):
         return poly.to_string("c")
-    roots: List[Tuple[GaussRat, int]] = []
-    current = poly
-    for candidate in _rational_root_candidates(poly):
-        mult = current.root_multiplicity(candidate)
-        if mult:
-            roots.append((candidate, mult))
-            for _ in range(mult):
-                current = current.divmod(UniPoly([-candidate, GaussRat(1)]))[0]
+    roots: Dict[GaussRat, int] = {}
+    for z, k, factor in zeros:
+        lead = int((factor.coeffs[-1] / _rational_content(factor)).re)
+        root = GaussRat(Fraction(round(z.real * lead), lead))
+        if not factor.evaluate(root):
+            roots[root] = k  # a complex pair may round to a real root too
     if not roots:
         return poly.to_string("c")
+    current = poly
+    for root, mult in roots.items():
+        for _ in range(mult):
+            current = current.divmod(UniPoly([-root, GaussRat(1)]))[0]
     parts = []
     if current.degree == 0:
         parts.append(repr(current.coeffs[0]))
     else:
         content = _rational_content(current)
-        if content is not None and content != GaussRat(1):
+        if content != GaussRat(1):
             current = current.scale(content.inverse())
             parts.append(repr(content))
-    for root, mult in roots:
+    for root, mult in sorted(roots.items(),
+                             key=lambda item: (abs(item[0].re), item[0].re < 0)):
         if not root:
             factor = "c"
         elif root.re < 0:
@@ -316,14 +312,11 @@ def _factored_string(poly: UniPoly) -> str:
     return " * ".join(parts)
 
 
-def _rational_content(poly: UniPoly) -> Optional[GaussRat]:
+def _rational_content(poly: UniPoly) -> GaussRat:
     """Signed rational content: gcd of numerators over lcm of denominators."""
-    from fractions import Fraction
     from math import gcd, lcm
 
     fracs = [Fraction(str(c.re)) for c in poly.coeffs if c]
-    if not fracs:
-        return None
     den = lcm(*(f.denominator for f in fracs))
     num = gcd(*(abs(f.numerator * den // f.denominator) for f in fracs))
     content = GaussRat(Fraction(num, den))
@@ -332,49 +325,21 @@ def _rational_content(poly: UniPoly) -> Optional[GaussRat]:
     return content
 
 
-def _rational_root_candidates(poly: UniPoly) -> List[GaussRat]:
-    """Rational root candidates: divisors of the ends, after clearing denominators."""
-    from fractions import Fraction
+def _numeric_zeros(poly: UniPoly) -> List[Tuple[complex, int, UniPoly]]:
+    """(z, k, a_k) for each numeric root z of each square-free part a_k.
 
-    denominators = 1
-    for c in poly.coeffs:
-        denominators = denominators * Fraction(str(c.re)).denominator
-    ints = [int(Fraction(str(c.re)) * denominators) for c in poly.coeffs]
-    while ints and ints[0] == 0:
-        ints = ints[1:]
-    if not ints:
-        return [GaussRat(0)]
-    lead, tail = abs(ints[-1]), abs(ints[0])
-
-    def divisors(n: int) -> List[int]:
-        n = abs(n)
-        out = [d for d in range(1, min(n, 1000) + 1) if n % d == 0]
-        if n > 1000 and n not in out:
-            out.append(n)
-        return out
-
-    candidates = {GaussRat(0)}
-    for num in divisors(tail):
-        for den in divisors(lead):
-            for sign in (1, -1):
-                candidates.add(GaussRat(Fraction(sign * num, den)))
-    return sorted(candidates, key=lambda g: (abs(g.re), g.re < 0))
-
-
-def _squarefree_factors(poly: UniPoly) -> List[Tuple[UniPoly, int]]:
-    """Square-free, pairwise coprime a_k with poly = const * prod a_k^k, exactly.
-
+    The a_k are pairwise coprime with poly = const * prod a_k^k, exactly.
     The numeric root finder converges only on simple roots, so it is run on
     each a_k, whose roots all have multiplicity k in poly.  A square-free
-    poly comes back as [(poly, 1)] with its coefficients untouched.
+    poly has the one part a_1 = poly, its coefficients untouched.
     """
     gcds = [poly]  # gcds[k] has the roots of poly of multiplicity > k
     while gcds[-1].degree >= 1:
         gcds.append(gcds[-1].gcd(gcds[-1].derivative()))
     at_least = [high.divmod(low)[0] for high, low in zip(gcds, gcds[1:])]
     at_least.append(UniPoly.const(GaussRat(1)))
-    return [(at_least[k].divmod(at_least[k + 1])[0], k + 1)
-            for k in range(len(at_least) - 1)]
+    parts = [high.divmod(low)[0] for high, low in zip(at_least, at_least[1:])]
+    return [(z, k, a_k) for k, a_k in enumerate(parts, 1) for z in locate_roots(a_k)]
 
 
 def report_to_text(report: IntegralReport, oracle_result: dict) -> str:
@@ -392,14 +357,12 @@ def report_to_text(report: IntegralReport, oracle_result: dict) -> str:
         if ai.identically_zero:
             lines.append(f"{label} = 0 (identically; conservative on this cycle)")
             continue
-        lines.append(f"{label} = (2*pi*i) * {_factored_string(ai.value)}")
-        roots = []
-        for factor, k in _squarefree_factors(ai.value):
-            suffix = f" (multiplicity {k})" if k > 1 else ""
-            roots += [f"{r.real:+.6g}{r.imag:+.6g}i{suffix}"
-                      for r in locate_roots(factor)]
-        if roots:
-            lines.append(f"  numeric zeros: {', '.join(roots)}")
+        zeros = _numeric_zeros(ai.value)
+        lines.append(f"{label} = (2*pi*i) * {_factored_string(ai.value, zeros)}")
+        if zeros:
+            lines.append("  numeric zeros: " + ", ".join(
+                f"{r.real:+.6g}{r.imag:+.6g}i"
+                + (f" (multiplicity {k})" if k > 1 else "") for r, k, _ in zeros))
         lines.append(f"  zeros outside bifurcation set (with multiplicity): {z}")
     lines.append("")
     if report.nonconservative:

@@ -2,8 +2,9 @@
 
 Contour integrals are computed by the trapezoidal rule on circles with
 sample doubling (periodic integrands converge spectrally), both on the
-rectified t-plane and along the pulled-back fiber loops.  A simultaneous-
-iteration root finder locates zeros of the exact integrals for reporting.
+rectified t-plane and along the pulled-back fiber loops; ``check_report``
+measures an exact report against both.  A simultaneous-iteration root
+finder locates zeros of the exact integrals for reporting.
 """
 
 from __future__ import annotations
@@ -11,11 +12,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence, Tuple
 
+from .abelian import IntegralReport
 from .algebra import RatFunc, UniPoly
 from .errors import NonConvergence
-from .rectify import CanonicalCycle, RectifyingMap
+from .rectify import CanonicalCycle, RectifyingMap, canonical_cycles
 from .transform import OneForm
 
 TWO_PI_I = 2j * math.pi
@@ -90,16 +92,37 @@ def contour_integral_fiber(w: OneForm, rm: RectifyingMap, cycle: CanonicalCycle,
     """
     if spec is None:
         spec = default_contour(rm, cycle, c_value)
-    dx_dt = rm.inverse_x.derivative(0)
-    dy_dt = rm.inverse_y.derivative(0)
 
     def integrand(t: complex) -> complex:
         x_val = rm.inverse_x.evaluate(t, c_value)
         y_val = rm.inverse_y.evaluate(t, c_value)
-        return (w.A.evaluate(x_val, y_val) * dx_dt.evaluate(t, c_value)
-                + w.B.evaluate(x_val, y_val) * dy_dt.evaluate(t, c_value))
+        return (w.A.evaluate(x_val, y_val) * rm.dx_dt.evaluate(t, c_value)
+                + w.B.evaluate(x_val, y_val) * rm.dy_dt.evaluate(t, c_value))
 
     return _integrate_circle(integrand, spec) / TWO_PI_I
+
+
+def check_report(report: IntegralReport, form: OneForm,
+                 c_values: Sequence[complex]) -> Tuple[List[float], List[float]]:
+    """Relative errors (t-route vs exact, fiber vs t-route) per (cycle, c).
+
+    The t-route sums the weighted basis integrals of eta_t dt; the fiber
+    route integrates ``form`` along the pulled-back loop.
+    """
+    rm = report.rectifier
+    errors_t, errors_f = [], []
+    for cycle, ai in zip(canonical_cycles(report.facts), report.integrals):
+        for c_value in c_values:
+            spec = default_contour(rm, cycle, c_value)
+            numeric = 0j
+            for (i, j), weight in report.basis_coeffs.items():
+                numeric += weight.to_complex() * contour_integral_t(
+                    rm.monomial_pushforward(i, j), c_value, spec)
+            exact = ai.value.evaluate_complex(c_value)
+            errors_t.append(abs(numeric - exact) / (1 + abs(exact)))
+            fiber = contour_integral_fiber(form, rm, cycle, c_value, spec)
+            errors_f.append(abs(fiber - numeric) / (1 + abs(numeric)))
+    return errors_t, errors_f
 
 
 def locate_roots(p: UniPoly, tol: float = 1e-10,

@@ -13,6 +13,7 @@ computed; its t-poles sit exactly on the punctures.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 from .algebra import (
@@ -54,10 +55,15 @@ class RectifyingMap:
         self.facts = facts
         self.inverse_x = inverse_x
         self.inverse_y = inverse_y
-        self._dx_dt = inverse_x.derivative(0)
+        self.dx_dt = inverse_x.derivative(0)
         self._pow_x = power_table(inverse_x, RatFunc.const(ONE))
         self._pow_y = power_table(inverse_y, RatFunc.const(ONE))
         self._eta_t: Dict[Tuple[int, int], RatFunc] = {}
+
+    @cached_property
+    def dy_dt(self) -> RatFunc:
+        """d inverse_y / dt; only the oracle's fiber route reads it."""
+        return self.inverse_y.derivative(0)
 
     def puncture_factor(self, puncture: str) -> TFactor:
         """The linear denominator factor t - pi(c) of a puncture."""
@@ -81,7 +87,7 @@ class RectifyingMap:
         """eta_t: x^i y^j evaluated on the inverse, times dx/dt; memoised."""
         eta_t = self._eta_t.get((i, j))
         if eta_t is None:
-            eta_t = self._pow_x(i) * self._pow_y(j) * self._dx_dt
+            eta_t = self._pow_x(i) * self._pow_y(j) * self.dx_dt
             self._eta_t[(i, j)] = eta_t
         return eta_t
 

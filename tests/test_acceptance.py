@@ -27,11 +27,8 @@ from abelint import (
     NormalForm,
     OneForm,
     UniPoly,
-    build_rectifier,
     canonical_cycles,
-    contour_integral_fiber,
-    contour_integral_t,
-    default_contour,
+    check_report,
     full_report,
     integrate_cycle,
     reduce_to_nonexact_basis,
@@ -224,30 +221,17 @@ def test_criterion_6_oracle_agreement_on_bundled_examples():
         bundle = json.loads(path.read_text())
         from abelint.cli import Problem
         problem = Problem(bundle["config"])
-        nf = problem.normal_form
-        report = full_report(nf, problem.one_form)
-        rm = build_rectifier(nf)
+        report = full_report(problem.normal_form, problem.one_form)
         bad = [b.to_complex() for b in report.bifurcation_set_used]
         c_values = []
         while len(c_values) < 10:
             candidate = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             if all(abs(candidate - b) > 0.3 for b in bad) and abs(candidate) > 0.3:
                 c_values.append(candidate)
-        for cycle, ai in zip(canonical_cycles(report.facts), report.integrals):
-            for c0 in c_values:
-                spec = default_contour(rm, cycle, c0)
-                numeric = 0j
-                for (i, j), weight in report.basis_coeffs.items():
-                    eta_t = rm.monomial_pushforward(i, j)
-                    numeric += weight.to_complex() * \
-                        contour_integral_t(eta_t, c0, spec)
-                exact = ai.value.evaluate_complex(c0)
-                assert abs(numeric - exact) <= 1e-8 * (1 + abs(exact)), \
-                    (path.name, cycle.puncture, c0)
-                fiber = contour_integral_fiber(problem.one_form, rm, cycle,
-                                               c0, spec)
-                assert abs(fiber - numeric) <= 1e-8 * (1 + abs(numeric)), \
-                    (path.name, cycle.puncture, c0)
+        errors_t, errors_f = check_report(report, problem.one_form, c_values)
+        assert len(errors_t) == 10 * len(report.integrals), path.name
+        assert max(errors_t) <= 1e-8, path.name
+        assert max(errors_f) <= 1e-8, path.name
     assert time.monotonic() - start < 60.0
 
 

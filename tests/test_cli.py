@@ -3,15 +3,18 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from abelint import BiPoly, GaussRat, GoldenMismatch
+from abelint import BiPoly, GaussRat, GoldenMismatch, UniPoly
 from abelint.cli import (
     ConfigError,
     Problem,
     _execute_and_write,
+    _factored_string,
+    _numeric_zeros,
     canonical_json,
     compare_golden,
     execute,
@@ -22,6 +25,7 @@ from abelint.cli import (
 )
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "src/abelint/examples"
+GOLDEN_TEXT_DIR = Path(__file__).resolve().parent / "golden_text"
 
 
 def load_bundle(name: str) -> dict:
@@ -177,8 +181,8 @@ class TestExitCodes:
         assert code == 3
 
     def test_oracle_mismatch_is_four(self, tmp_path, monkeypatch):
-        import abelint.cli as cli_module
-        monkeypatch.setattr(cli_module, "contour_integral_t",
+        import abelint.oracle as oracle_module
+        monkeypatch.setattr(oracle_module, "contour_integral_t",
                             lambda *args, **kwargs: 1e6 + 0j)
         config = minimal_config()
         config["oracle"] = {"enabled": True}
@@ -273,3 +277,42 @@ class TestEndToEnd:
         main(["--example", "f2_type03", "--out", str(tmp_path), "--no-oracle"])
         text = (tmp_path / "report.txt").read_text()
         assert "3 * (c + 1) * (4*c^6 + 3*c^5 - 36*c - 58)" in text
+
+    @pytest.mark.parametrize("name", list_examples())
+    def test_report_text_matches_golden(self, tmp_path, name):
+        assert main(["--example", name, "--out", str(tmp_path),
+                     "--no-oracle"]) == 0
+        text = (tmp_path / "report.txt").read_text()
+        assert text == (GOLDEN_TEXT_DIR / f"{name}.txt").read_text()
+
+
+def render(poly: UniPoly) -> str:
+    return _factored_string(poly, _numeric_zeros(poly))
+
+
+class TestFactoredString:
+    def test_roots_above_one_thousand_split_off(self):
+        poly = UniPoly([-1001, 1]) * UniPoly([-1003, 1])
+        assert render(poly) == "1 * (c - 1001) * (c - 1003)"
+
+    def test_fractional_and_repeated_roots_split_off(self):
+        poly = UniPoly([-1001, 3]) * UniPoly([2, 1]) ** 2 * UniPoly([1, 0, 1])
+        assert render(poly) == "3 * (c + 2)^2 * (c - 1001/3) * (c^2 + 1)"
+
+    @pytest.mark.parametrize("linear_power, quadratic_power, expected", [
+        (2, 1, "(c + 1)^2 * (5*c^2 + 10*c + 13)"),
+        (1, 2, "(c + 1) * (25*c^4 + 100*c^3 + 230*c^2 + 260*c + 169)"),
+    ])
+    def test_root_is_checked_against_its_own_squarefree_part(
+            self, linear_power, quadratic_power, expected):
+        # The complex roots of 5c^2 + 10c + 13 have real part -1, a root
+        # of the product with another multiplicity than theirs.
+        poly = UniPoly([1, 1]) ** linear_power \
+            * UniPoly([13, 10, 5]) ** quadratic_power
+        assert render(poly) == expected
+
+    def test_large_end_coefficients_render_quickly(self):
+        poly = UniPoly([720720, 1, 0, 720720])
+        start = time.perf_counter()
+        assert render(poly) == "720720*c^3 + c + 720720"
+        assert time.perf_counter() - start < 0.5
