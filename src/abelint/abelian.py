@@ -182,12 +182,14 @@ def full_report(nf: NormalForm, w: OneForm,
                 bifurcation_override: Optional[List[GaussRat]] = None,
                 mu: Optional[int] = None,
                 m_original: Optional[int] = None,
-                n_original: Optional[int] = None) -> IntegralReport:
+                n_original: Optional[int] = None,
+                rectifier: Optional[RectifyingMap] = None) -> IntegralReport:
     """Run the whole pipeline: reduce, rectify, integrate, count, check.
 
+    ``rectifier`` is ``build_rectifier(nf)`` when the caller has built it.
     Raises InvalidFamily when the normal form breaks a family constraint.
     """
-    rm = build_rectifier(nf)
+    rm = build_rectifier(nf) if rectifier is None else rectifier
     facts = rm.facts
     coeffs, exact_part = reduce_to_nonexact_basis(w)
     n_form = int(w.degree) if not w.is_zero() else 0

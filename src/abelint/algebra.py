@@ -87,20 +87,26 @@ class GaussRat:
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other):
         other = _coerce(other)
-        return GaussRat(self.re + other.re, self.im + other.im)
+        if not self.im and not other.im:
+            return _gauss(self.re + other.re, self.im)
+        return _gauss(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = _coerce(other)
-        return GaussRat(self.re - other.re, self.im - other.im)
+        if not self.im and not other.im:
+            return _gauss(self.re - other.re, self.im)
+        return _gauss(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         return _coerce(other).__sub__(self)
 
     def __mul__(self, other):
         other = _coerce(other)
-        return GaussRat(
+        if not self.im and not other.im:
+            return _gauss(self.re * other.re, self.im)
+        return _gauss(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
@@ -111,7 +117,7 @@ class GaussRat:
         n = self.re * self.re + self.im * self.im
         if n == 0:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussRat(self.re / n, -self.im / n)
+        return _gauss(self.re / n, -self.im / n)
 
     def __truediv__(self, other):
         return self * _coerce(other).inverse()
@@ -120,7 +126,7 @@ class GaussRat:
         return _coerce(other) * self.inverse()
 
     def __neg__(self):
-        return GaussRat(-self.re, -self.im)
+        return _gauss(-self.re, -self.im)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -158,6 +164,17 @@ class GaussRat:
 
 def _q_str(q) -> str:
     return str(q)
+
+
+_new_object = object.__new__
+
+
+def _gauss(re, im) -> GaussRat:
+    """GaussRat from two values already of type Q, skipping the coercion."""
+    obj = _new_object(GaussRat)
+    obj.re = re
+    obj.im = im
+    return obj
 
 
 def _coerce(value) -> GaussRat:
@@ -886,6 +903,12 @@ def laurent_coefficients(f: RatFunc, pole, depth: int) -> list:
 
     The declared depth must equal the exact pole order, otherwise
     PoleOrderMismatch is raised.  depth 0 asserts the absence of a pole.
+
+    With u = t - pi(c), f = N(u) / (u^depth D1(u)) for N, D1 in Q(i)[c][u],
+    and entry k is s_k = [u^k] N/D1.  The series is fraction-free: with
+    d0 = D1(0), the numerators S_k = s_k d0^(k+1) obey, in Q(i)[c],
+    S_k = N_k d0^k - sum_{m<k} S_m D1_{k-m} d0^(k-m-1), and each entry is
+    reduced once, as CFrac(S_k, d0^(k+1)).
     """
     factor = _normalize_pole(pole if pole is not MOVING_POLE else t_factor(ONE, ZERO))
     order = f.pole_order(factor)
@@ -899,10 +922,8 @@ def laurent_coefficients(f: RatFunc, pole, depth: int) -> list:
 
     # Shift t = u + pi(c); the numerator becomes a polynomial in (u, c).
     rows = f.num.t_coeff_list()
-    shifted = [UniPoly() for _ in rows]
-    pi_pows = [UniPoly.const(ONE)]
-    for _ in range(len(rows) - 1):
-        pi_pows.append(pi_pows[-1] * pi)
+    shifted = [UniPoly() for _ in range(depth)]
+    pi_pows = power_table(pi, UniPoly.const(ONE))
     binom = [1]
     for k, row in enumerate(rows):
         if k:
@@ -911,42 +932,29 @@ def laurent_coefficients(f: RatFunc, pole, depth: int) -> list:
             continue
         # (u + pi)^k = sum_m C(k, m) pi^{k-m} u^m; only u-orders < depth matter
         for m in range(min(k, depth - 1) + 1):
-            shifted[m] = shifted[m] + row * pi_pows[k - m].scale(GaussRat(binom[m]))
+            shifted[m] = shifted[m] + row * pi_pows(k - m).scale(GaussRat(binom[m]))
 
-    # Remaining denominator D1(u), with D1(0) a unit of Frac(Q(i)[c]).
-    d1 = [CFrac.const(ONE)]
+    # Remaining denominator D1(u) in Q(i)[c][u], truncated below u^depth.
+    d1 = [UniPoly.const(ONE)]
     for key, e in f.fac.items():
-        if key == factor:
-            continue
-        if key[0] == "t":
-            shift = pi - _factor_pi(key)  # (t - pi') = u + (pi - pi')
-            base = [CFrac(shift), CFrac.const(ONE)]
-        else:  # factor c is u-constant
-            base = [CFrac(UniPoly.x())]
-        for _ in range(e):
-            d1 = _poly_mul_cfrac(d1, base)
+        if key[0] == "c":  # factor c is u-constant
+            d1 = [p * UniPoly.monomial(e) for p in d1]
+        elif key != factor:  # (t - pi') = u + (pi - pi')
+            shift = pi - _factor_pi(key)
+            for _ in range(e):
+                d1 = [a * shift + b for a, b in zip(d1 + [UniPoly()], [UniPoly()] + d1)][:depth]
 
     if d1[0].is_zero():
         raise PoleOrderMismatch("pole locations collide; pole order is not generic")
 
-    # Power series of N_shifted / D1 around u = 0 up to order depth-1.
-    inv0 = d1[0].inverse()
+    d0_pows = power_table(d1[0], UniPoly.const(ONE))
     series = []
     for k in range(depth):
-        acc = CFrac(shifted[k]) if k < len(shifted) else CFrac(UniPoly())
-        for m in range(k):
-            if k - m < len(d1):
-                acc = acc - series[m] * d1[k - m]
-        series.append(acc * inv0)
-    return series
-
-
-def _poly_mul_cfrac(a: list, b: list) -> list:
-    out = [CFrac(UniPoly())] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] = out[i + j] + ai * bj
-    return out
+        acc = shifted[k] * d0_pows(k)
+        for m in range(max(0, k - len(d1) + 1), k):
+            acc = acc - series[m] * d1[k - m] * d0_pows(k - m - 1)
+        series.append(acc)
+    return [CFrac(s, d0_pows(k + 1)) for k, s in enumerate(series)]
 
 
 def residue(f: RatFunc, pole) -> CFrac:

@@ -27,11 +27,9 @@ from .errors import (
     InvalidFamily,
     NonConvergence,
 )
-from .family import NormalForm
+from .family import FamilyFacts, NormalForm, expand
 from .oracle import check_report, locate_roots
-# build_rectifier is unused here but stays importable: perfbench's tracer
-# rebinds it in every abelint module that holds it and checks the restore.
-from .rectify import build_rectifier  # noqa: F401
+from .rectify import build_rectifier
 from .transform import OneForm, PolyAutomorphism, pushforward_oneform
 
 ORACLE_REL_TOL = 1e-8
@@ -178,13 +176,13 @@ class Problem:
             oracle_block.get("seed_c_values", []), "oracle.seed_c_values")]
 
 
-def _original_degrees(problem: Problem) -> Tuple[Optional[int], Optional[int]]:
+def _original_degrees(problem: Problem,
+                      facts: FamilyFacts) -> Tuple[Optional[int], Optional[int]]:
     """Degrees (m, n) of the original pair when an automorphism is given."""
     if problem.automorphism is None:
         return None, None
     aut = problem.automorphism
-    from .family import expand
-    normal_h = expand(problem.normal_form)
+    normal_h = expand(problem.normal_form, facts)
     # H_original = sigma^{-1}(normal_H(psi)); degree is what matters here.
     composed = normal_h.compose(*aut.forward)
     m_original = int(composed.total_degree) - 1
@@ -449,12 +447,14 @@ def execute(config: dict, no_oracle: bool = False,
     form = problem.one_form
     if problem.automorphism is not None:
         form = pushforward_oneform(form, problem.automorphism)
-    m_original, n_original = _original_degrees(problem)
+    rm = build_rectifier(problem.normal_form)
+    m_original, n_original = _original_degrees(problem, rm.facts)
 
     report = full_report(problem.normal_form, form,
                          bifurcation_override=problem.bifurcation_override,
                          mu=problem.mu,
-                         m_original=m_original, n_original=n_original)
+                         m_original=m_original, n_original=n_original,
+                         rectifier=rm)
 
     oracle_result: dict = {"enabled": False}
     run_the_oracle = problem.oracle_enabled and not no_oracle

@@ -226,9 +226,13 @@ def s_poly(nf: NormalForm) -> BiPoly:
     return BiPoly({(nf.k, 1): ONE}) + BiPoly.from_unipoly(nf.P, 0)
 
 
-def expand(nf: NormalForm) -> BiPoly:
-    """The explicit Hamiltonian as a bivariate polynomial in (x, y)."""
-    facts = validate(nf)
+def expand(nf: NormalForm, facts: Optional[FamilyFacts] = None) -> BiPoly:
+    """The explicit Hamiltonian as a bivariate polynomial in (x, y).
+
+    ``facts`` is ``validate(nf)`` when the caller already holds it.
+    """
+    if facts is None:
+        facts = validate(nf)
     if nf.family == "F3":
         prod = BiPoly({(0, 1): ONE})
         for b, a in zip(nf.beta, nf.a):

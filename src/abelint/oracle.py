@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -23,6 +24,7 @@ from .transform import OneForm
 TWO_PI_I = 2j * math.pi
 REL_TOL = 1e-10
 MAX_SAMPLES = 2 ** 20
+HORNER_SLACK = 4
 
 
 @dataclass(frozen=True)
@@ -142,6 +144,15 @@ def locate_roots(p: UniPoly, tol: float = 1e-10,
             acc = acc * z + c
         return acc
 
+    def settled(z: complex) -> bool:
+        # Below tol, or below a few times Horner's rounding bound
+        # (deg+1) eps sum |a_k| |z|^k: large, widely spread coefficients
+        # keep the computed residual of a converged root above any fixed tol.
+        rounding = (degree + 1) * sys.float_info.epsilon * sum(
+            abs(c) * abs(z) ** k for k, c in enumerate(monic))
+        return abs(evaluate(z)) < max(tol * (1 + abs(z) ** degree),
+                                      HORNER_SLACK * rounding)
+
     # Standard staggered starting points on a spiral
     roots = [(0.4 + 0.9j) ** (idx + 1) for idx in range(degree)]
     for _ in range(max_iterations):
@@ -157,8 +168,7 @@ def locate_roots(p: UniPoly, tol: float = 1e-10,
             delta = evaluate(roots[idx]) / denom
             roots[idx] -= delta
             shift = max(shift, abs(delta))
-        if shift < tol and all(abs(evaluate(z)) < tol * (1 + abs(z) ** degree)
-                               for z in roots):
+        if shift < tol and all(settled(z) for z in roots):
             return roots
     raise NonConvergence(
         f"root finder did not reach residual {tol} in {max_iterations} iterations")

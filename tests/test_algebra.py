@@ -21,7 +21,7 @@ from abelint import (
     residue_via_derivative,
     substitute,
 )
-from abelint.algebra import C_FACTOR, t_factor
+from abelint.algebra import C_FACTOR, Q, factor_to_bipoly, t_factor
 
 from conftest import random_gauss, random_normal_form, cached_rectifier
 
@@ -86,6 +86,23 @@ class TestGaussRat:
 
     def test_negative_power_is_power_of_inverse(self):
         assert GaussRat(2, 1) ** -2 == (GaussRat(2, 1) ** 2).inverse()
+
+    def test_results_hold_backend_rationals(self):
+        real, other_real = GaussRat(Fraction(3, 4)), GaussRat(-5)
+        cplx, other_cplx = GaussRat(1, Fraction(-2, 3)), GaussRat(Fraction(1, 2), 7)
+        results = [
+            real + other_real, cplx + other_cplx, cplx + 2, 2 + cplx,
+            real - other_real, cplx - other_cplx, cplx - Fraction(1, 3),
+            Fraction(1, 3) - cplx,
+            real * other_real, real * cplx, cplx * real, cplx * other_cplx,
+            real * 3, Fraction(2, 5) * real, Fraction(2, 5) * cplx,
+            real.inverse(), cplx.inverse(), -real, -cplx,
+            cplx / other_cplx, real / 7, 1 / cplx, cplx ** 3, cplx ** -2,
+        ]
+        for value in results:
+            assert type(value.re) is Q and type(value.im) is Q
+            parsed = GaussRat.parse({"re": str(value.re), "im": str(value.im)})
+            assert value == parsed and hash(value) == hash(parsed)
 
 
 @pytest.mark.parametrize("value", [
@@ -282,6 +299,46 @@ class TestResidues:
             via_laurent = residue(f, GaussRat(1))
             via_derivative = residue_via_derivative(f, GaussRat(1), depth)
             assert via_laurent == via_derivative
+
+    def test_every_laurent_coefficient_at_deep_and_moving_poles(self):
+        # Poles at t = c, t = 1+i and t = 0 and the factor c, so the
+        # remaining denominator at each pole has a nonconstant value D1(0).
+        # Coefficient k of (t-pi)^{-(depth-k)} is the residue of
+        # f (t-pi)^(depth-1-k), a pole of order k+1.
+        from conftest import random_bipoly
+        rng = random.Random(43)
+        poles = [t_factor(GaussRat(1), GaussRat(0)),
+                 t_factor(GaussRat(0), GaussRat(1, 1)),
+                 t_factor(GaussRat(0), GaussRat(0))]
+        deep = 0
+        for _ in range(8):
+            fac = {pole: rng.randint(1, 5) for pole in poles}
+            fac[C_FACTOR] = rng.randint(1, 2)
+            f = RatFunc(random_bipoly(rng, 3), fac)
+            for pole in poles:
+                depth = f.pole_order(pole)
+                deep = max(deep, depth)
+                coeffs = laurent_coefficients(f, pole, depth)
+                assert len(coeffs) == depth
+                for k, coeff in enumerate(coeffs):
+                    lowered = f * factor_to_bipoly(pole) ** (depth - 1 - k)
+                    assert coeff == residue_via_derivative(lowered, pole, k + 1)
+        assert deep == 5
+
+    def test_one_normalisation_per_coefficient(self, monkeypatch):
+        pole = t_factor(GaussRat(1), GaussRat(0))
+        f = RatFunc(BiPoly({(0, 0): GaussRat(1), (2, 1): GaussRat(3, -1)}),
+                    {pole: 4, t_factor(GaussRat(0), GaussRat(2)): 3, C_FACTOR: 2})
+        constructed = []
+        original = CFrac.__init__
+
+        def counting_init(self, *args, **kwargs):
+            constructed.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CFrac, "__init__", counting_init)
+        residue(f, pole)
+        assert len(constructed) <= 4
 
     def test_moving_pole_residue(self):
         # 1/(t - c): residue 1 at the moving pole

@@ -1,5 +1,6 @@
 """Configuration parsing, report serialization, exit codes and examples."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from abelint import BiPoly, GaussRat, GoldenMismatch, UniPoly
+from abelint.abelian import AbelianIntegral, full_report
 from abelint.cli import (
     ConfigError,
     Problem,
@@ -22,6 +24,7 @@ from abelint.cli import (
     main,
     parse_family,
     parse_one_form,
+    report_to_text,
 )
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "src/abelint/examples"
@@ -272,6 +275,20 @@ class TestEndToEnd:
         text = (tmp_path / "report.txt").read_text()
         assert "-1 * c * (c - 1)^3" in text
         assert "numeric zeros: +0+0i, +1+0i (multiplicity 3)" in text
+
+    def test_widely_spread_roots_are_reported(self):
+        # Roots -37836, 29825/2 and (-3 +- sqrt(-119))/16: at the small pair
+        # the computed residual stays above any fixed tolerance, so the root
+        # finder must accept Horner's rounding bound or no report is written.
+        poly = UniPoly([-9027669600, -6770385424, -18055064102, 733564, 32])
+        problem = Problem(minimal_config())
+        report = full_report(problem.normal_form, problem.one_form)
+        integral = AbelianIntegral(report.integrals[0].cycle, poly, False)
+        report = dataclasses.replace(report, integrals=(integral,))
+        text = report_to_text(report, {"enabled": False})
+        assert ("I_1(c) = (2*pi*i) * 4 * (c - 29825/2) * (c + 37836)"
+                " * (8*c^2 + 3*c + 4)") in text
+        assert "-0.1875+0.681795i, -0.1875-0.681795i" in text
 
     def test_factored_output_shape(self, tmp_path):
         main(["--example", "f2_type03", "--out", str(tmp_path), "--no-oracle"])
