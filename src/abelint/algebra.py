@@ -365,9 +365,12 @@ class BiPoly:
     def __init__(self, terms: Mapping = ()):
         clean = {}
         for key, value in dict(terms).items():
+            key = (int(key[0]), int(key[1]))
+            if key[0] < 0 or key[1] < 0:
+                raise ValueError(f"negative exponent in term {key}")
             coeff = value if isinstance(value, GaussRat) else GaussRat.parse(value)
             if coeff:
-                clean[(int(key[0]), int(key[1]))] = coeff
+                clean[key] = coeff
         object.__setattr__(self, "terms", clean)
 
     @classmethod
@@ -476,11 +479,24 @@ class BiPoly:
             acc = acc + (pow0(i) * pow1(j)).scale(c)
         return acc
 
+    def compiled(self) -> Callable[[complex, complex], complex]:
+        """(v0, v1) -> value by nested Horner; coefficients converted once."""
+        rows = [[c.to_complex() for c in reversed(row.coeffs)]
+                for row in reversed(self.t_coeff_list())]
+
+        def value(v0: complex, v1: complex) -> complex:
+            acc = 0j
+            for row in rows:
+                inner = 0j
+                for a in row:
+                    inner = inner * v1 + a
+                acc = acc * v0 + inner
+            return acc
+
+        return value
+
     def evaluate(self, v0: complex, v1: complex) -> complex:
-        acc = 0j
-        for (i, j), c in self.terms.items():
-            acc += c.to_complex() * (v0 ** i) * (v1 ** j)
-        return acc
+        return self.compiled()(v0, v1)
 
     def t_coeff_list(self) -> list:
         """View a (t, c) polynomial as a dense list over t of c-polynomials."""
@@ -833,16 +849,37 @@ class RatFunc:
         fac = {k: e + 1 for k, e in self.fac.items()}
         return RatFunc(numerator, fac)
 
-    def evaluate(self, t_value: complex, c_value: complex) -> complex:
-        value = self.num.evaluate(t_value, c_value)
+    def at_c(self, c_value: complex) -> Callable[[complex], complex]:
+        """t -> value at fixed c; every coefficient is converted once.
+
+        The numerator's t-coefficients are its c-rows evaluated at c_value,
+        with the factor c^-e folded in; each "t" factor becomes a complex
+        (pole, exponent) pair.
+        """
+        scale = 1
+        poles = []
         for key, e in self.fac.items():
             if key[0] == "t":
                 _, pi1, pi0 = key
-                base = t_value - pi1.to_complex() * c_value - pi0.to_complex()
+                poles.append((pi1.to_complex() * c_value + pi0.to_complex(), e))
             else:
-                base = c_value
-            value /= base ** e
+                scale = c_value ** -e
+        coeffs = [row.evaluate_complex(c_value) * scale
+                  for row in reversed(self.num.t_coeff_list())]
+
+        def value(t_value: complex) -> complex:
+            acc = 0j
+            for a in coeffs:
+                acc = acc * t_value + a
+            den = 1
+            for pole, e in poles:
+                den *= (t_value - pole) ** e
+            return acc / den
+
         return value
+
+    def evaluate(self, t_value: complex, c_value: complex) -> complex:
+        return self.at_c(c_value)(t_value)
 
     def eval_at_t(self, point: UniPoly) -> CFrac:
         """Exact evaluation at t = point(c); point must avoid all poles."""

@@ -7,7 +7,9 @@ coefficients as strings, canonical key order) plus report.txt (human
 summary with factored integrals).
 
 Exit codes: 0 success, 1 parse/usage error, 2 invalid family,
-3 bound violation or golden mismatch, 4 oracle mismatch.
+3 bound violation or golden mismatch, 4 oracle mismatch, 5 internal
+invariant breached (ConstructionFailure, NonPolynomialResidue or
+PoleOrderMismatch: a bug in abelint, not bad input).
 """
 
 from __future__ import annotations
@@ -23,9 +25,12 @@ from typing import Dict, List, Optional, Tuple
 from .abelian import IntegralReport, full_report
 from .algebra import BiPoly, GaussRat, UniPoly
 from .errors import (
+    ConstructionFailure,
     GoldenMismatch,
     InvalidFamily,
     NonConvergence,
+    NonPolynomialResidue,
+    PoleOrderMismatch,
 )
 from .family import FamilyFacts, NormalForm, expand
 from .oracle import check_report, locate_roots
@@ -512,6 +517,9 @@ def _execute_and_write(config: dict, out_dir: str, no_oracle: bool,
     except NonConvergence as exc:
         print(f"error: oracle failed to converge: {exc}", file=sys.stderr)
         return 4
+    except (ConstructionFailure, NonPolynomialResidue, PoleOrderMismatch) as exc:
+        print(f"error: internal invariant breached: {exc}", file=sys.stderr)
+        return 5
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(canonical_json(payload))

@@ -21,7 +21,7 @@ from abelint import (
     residue_via_derivative,
     substitute,
 )
-from abelint.algebra import C_FACTOR, Q, factor_to_bipoly, t_factor
+from abelint.algebra import C_FACTOR, I, Q, factor_to_bipoly, t_factor
 
 from conftest import random_gauss, random_normal_form, cached_rectifier
 
@@ -164,6 +164,10 @@ class TestUniPoly:
 # BiPoly
 # ---------------------------------------------------------------------------
 
+def _random_point(rng):
+    return random_gauss(rng) + random_gauss(rng) * I
+
+
 class TestBiPoly:
     def test_zero_coefficients_absent(self):
         poly = BiPoly({(1, 1): GaussRat(1)}) - BiPoly({(1, 1): GaussRat(1)})
@@ -193,6 +197,25 @@ class TestBiPoly:
             s1 = random_bipoly(rng, 2)
             assert (f + g).compose(s0, s1) == f.compose(s0, s1) + g.compose(s0, s1)
             assert (f * g).compose(s0, s1) == f.compose(s0, s1) * g.compose(s0, s1)
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError, match=r"\(-1, 1\)"):
+            BiPoly({(-1, 1): GaussRat(1)})
+
+    def test_compiled_matches_exact_value(self):
+        rng = random.Random(47)
+        from conftest import random_bipoly
+        checked = 0
+        while checked < 30:
+            poly = random_bipoly(rng, 4)
+            x0, y0 = _random_point(rng), _random_point(rng)
+            exact = poly.eval_at_t(UniPoly.const(x0)).evaluate(y0).to_complex()
+            if not exact:
+                continue
+            checked += 1
+            value = poly.compiled()(x0.to_complex(), y0.to_complex())
+            assert abs(value - exact) <= 1e-12 * abs(exact)
+            assert poly.evaluate(x0.to_complex(), y0.to_complex()) == value
 
     def test_t_coeff_round_trip(self):
         rng = random.Random(17)
@@ -228,6 +251,35 @@ class TestRatFunc:
             assert abs((f + g).evaluate(t0, c0) - (fv + gv)) < 1e-8
             assert abs((f * g).evaluate(t0, c0) - fv * gv) < 1e-8
             assert abs((f - g).evaluate(t0, c0) - (fv - gv)) < 1e-8
+
+    def test_at_c_matches_exact_value(self):
+        # Constant, complex and moving poles plus the factor c, at rational
+        # (t0, c0) off the poles, against exact evaluation in Q(i).
+        rng = random.Random(53)
+        from conftest import random_bipoly
+        poles = [t_factor(GaussRat(0), GaussRat(1)),
+                 t_factor(GaussRat(0), GaussRat(-1, 2)),
+                 t_factor(GaussRat(1), GaussRat(0)),
+                 t_factor(GaussRat(2, 1), GaussRat(Fraction(-1, 2)))]
+        checked = 0
+        while checked < 40:
+            fac = {pole: rng.randint(1, 3) for pole in poles if rng.random() < 0.7}
+            if rng.random() < 0.5:
+                fac[C_FACTOR] = rng.randint(1, 2)
+            f = RatFunc(random_bipoly(rng, 3), fac)
+            t0, c0 = _random_point(rng), _random_point(rng)
+            try:  # t0 on a constant pole
+                value = f.eval_at_t(UniPoly.const(t0))
+            except ZeroDivisionError:
+                continue
+            den = value.den.evaluate(c0)
+            if not den or not value.num.evaluate(c0):
+                continue
+            checked += 1
+            exact = (value.num.evaluate(c0) / den).to_complex()
+            compiled = f.at_c(c0.to_complex())(t0.to_complex())
+            assert abs(compiled - exact) <= 1e-12 * abs(exact)
+            assert f.evaluate(t0.to_complex(), c0.to_complex()) == compiled
 
     def test_cancellation(self):
         # t * something / t reduces: no pole at t = 0 remains

@@ -11,6 +11,11 @@ import pytest
 
 from abelint import BiPoly, GaussRat, GoldenMismatch, UniPoly
 from abelint.abelian import AbelianIntegral, full_report
+from abelint.errors import (
+    ConstructionFailure,
+    NonPolynomialResidue,
+    PoleOrderMismatch,
+)
 from abelint.cli import (
     ConfigError,
     Problem,
@@ -193,6 +198,20 @@ class TestExitCodes:
         path.write_text(json.dumps(config))
         assert main(["--config", str(path), "--out", str(tmp_path)]) == 4
 
+    @pytest.mark.parametrize("error", [
+        ConstructionFailure, NonPolynomialResidue, PoleOrderMismatch])
+    def test_internal_invariant_breach_is_five(self, tmp_path, capsys,
+                                               monkeypatch, error):
+        def breach(*args, **kwargs):
+            raise error("invariant broken")
+
+        monkeypatch.setattr("abelint.cli.full_report", breach)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(minimal_config()))
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 5
+        err = capsys.readouterr().err
+        assert err == "error: internal invariant breached: invariant broken\n"
+
     def test_missing_selector_is_usage_error(self, capsys):
         assert main([]) == 1
         assert "exactly one of" in capsys.readouterr().err
@@ -289,6 +308,25 @@ class TestEndToEnd:
         assert ("I_1(c) = (2*pi*i) * 4 * (c - 29825/2) * (c + 37836)"
                 " * (8*c^2 + 3*c + 4)") in text
         assert "-0.1875+0.681795i, -0.1875-0.681795i" in text
+
+    @pytest.mark.parametrize("coeffs, factored", [
+        # (c - 2)^2 (433740316263528120 c^2 + ...), which the root finder
+        # sees as the pair 2 +- 2.4e-8 when run on the whole polynomial
+        ([1677038193843691648, 1788440340679096036, -1311257721007752292,
+          -868591631423415559, 433740316263528120],
+         "(c - 2)^2 * (433740316263528120*c^2 + 866369633630696921*c"
+         " + 419259548460922912)"),
+        # distinct simple roots 2 and 2 + 1e-7
+        ([40000002, 1, 10000001, -30000001, 10000000],
+         "10000000 * (c - 2) * (c - 20000001/10000000) * (c^2 + c + 1)"),
+    ])
+    def test_close_roots_are_reported(self, coeffs, factored):
+        problem = Problem(minimal_config())
+        report = full_report(problem.normal_form, problem.one_form)
+        integral = AbelianIntegral(report.integrals[0].cycle, UniPoly(coeffs), False)
+        report = dataclasses.replace(report, integrals=(integral,))
+        text = report_to_text(report, {"enabled": False})
+        assert f"I_1(c) = (2*pi*i) * {factored}\n" in text
 
     def test_factored_output_shape(self, tmp_path):
         main(["--example", "f2_type03", "--out", str(tmp_path), "--no-oracle"])

@@ -89,6 +89,36 @@ class TestContourIntegrals:
             fiber_side = contour_integral_fiber(w, rm, cycle, c0, spec)
             assert abs(t_side - fiber_side) < 1e-8 * (1 + abs(t_side))
 
+    def test_coefficients_converted_once_per_call(self, monkeypatch):
+        # Both routes convert each exact coefficient to complex once per
+        # call, so the count does not grow with the number of samples.
+        nf = septic_f2()
+        rm = build_rectifier(nf)
+        cycle = canonical_cycles(validate(nf))[0]
+        c0 = 2.0 + 0.5j
+        spec = default_contour(rm, cycle, c0)
+        eta_t = rm.monomial_pushforward(1, 1)
+        w = OneForm(BiPoly({(1, 1): GaussRat(1)}), BiPoly({(1, 1): GaussRat(2)}))
+        calls = []
+        original = GaussRat.to_complex
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(GaussRat, "to_complex", counting)
+        counts = {}
+        for samples in (64, 1024):
+            fixed = ContourSpec(spec.center, spec.radius, samples=samples)
+            del calls[:]
+            contour_integral_t(eta_t, c0, fixed)
+            t_calls = len(calls)
+            del calls[:]
+            contour_integral_fiber(w, rm, cycle, c0, fixed)
+            counts[samples] = (t_calls, len(calls))
+        assert counts[64] == counts[1024]
+        assert min(counts[64]) > 0
+
     def test_exact_engine_agrees_with_contours(self):
         report = full_report(septic_f2(), SEPTIC_F2_FORM)
         errors_t, errors_f = check_report(
@@ -136,28 +166,28 @@ class TestOriginalCoordinates:
         rm = build_rectifier(nf)
         cycle = canonical_cycles(validate(nf))[0]
         g1, g2 = aut.inverse
-        partials = (g1.partial(0), g1.partial(1), g2.partial(0), g2.partial(1))
+        g1_xy, g2_xy = g1.compiled(), g2.compiled()
+        partials = [p.compiled() for p in
+                    (g1.partial(0), g1.partial(1), g2.partial(0), g2.partial(1))]
+        a_uv, b_uv = omega.A.compiled(), omega.B.compiled()
         rng = random.Random(107)
         for _ in range(10):
             c0 = complex(rng.uniform(1, 3), rng.uniform(-1, 1))
             spec = default_contour(rm, cycle, c0)
+            inverse_x, inverse_y = rm.inverse_x.at_c(c0), rm.inverse_y.at_c(c0)
+            dx_dt, dy_dt = rm.dx_dt.at_c(c0), rm.dy_dt.at_c(c0)
             samples = 4096
             total = 0j
             step = 2 * math.pi / samples
             for idx in range(samples):
                 t = spec.center + spec.radius * cmath.exp(1j * step * idx)
                 dt = 1j * spec.radius * cmath.exp(1j * step * idx) * step
-                x0 = rm.inverse_x.evaluate(t, c0)
-                y0 = rm.inverse_y.evaluate(t, c0)
-                dx = rm.dx_dt.evaluate(t, c0)
-                dy = rm.dy_dt.evaluate(t, c0)
-                u0, v0 = g1.evaluate(x0, y0), g2.evaluate(x0, y0)
-                du = partials[0].evaluate(x0, y0) * dx + \
-                    partials[1].evaluate(x0, y0) * dy
-                dv = partials[2].evaluate(x0, y0) * dx + \
-                    partials[3].evaluate(x0, y0) * dy
-                total += (omega.A.evaluate(u0, v0) * du
-                          + omega.B.evaluate(u0, v0) * dv) * dt
+                x0, y0 = inverse_x(t), inverse_y(t)
+                dx, dy = dx_dt(t), dy_dt(t)
+                u0, v0 = g1_xy(x0, y0), g2_xy(x0, y0)
+                du = partials[0](x0, y0) * dx + partials[1](x0, y0) * dy
+                dv = partials[2](x0, y0) * dx + partials[3](x0, y0) * dy
+                total += (a_uv(u0, v0) * du + b_uv(u0, v0) * dv) * dt
             numeric = total / TWO_PI_I
             exact = report.integrals[0].value.evaluate_complex(c0)
             assert abs(numeric - exact) < 1e-8 * (1 + abs(exact))
@@ -181,6 +211,17 @@ class TestRootFinder:
             assert len(roots) == poly.degree
             for z in roots:
                 assert abs(poly.evaluate_complex(z)) < 1e-6 * (1 + abs(z) ** 7)
+
+    def test_close_roots_are_returned(self):
+        # (c - 2)^2 times a quadratic: the double root is only resolved to
+        # about sqrt(eps), so the step stalls above tol while every residual
+        # is already at Horner's rounding bound.
+        poly = UniPoly([1677038193843691648, 1788440340679096036,
+                        -1311257721007752292, -868591631423415559,
+                        433740316263528120])
+        roots = sorted(locate_roots(poly), key=lambda z: z.real)
+        assert len(roots) == 4
+        assert abs(roots[2] - 2) < 1e-7 and abs(roots[3] - 2) < 1e-7
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
