@@ -43,6 +43,7 @@ from .family import (
     NormalForm,
     bifurcation_candidates,
     expand,
+    hamiltonian,
     s_poly,
     synthesize_qq,
     validate,

@@ -81,17 +81,13 @@ def degree_row_bound(facts: FamilyFacts, nf: NormalForm, n: int,
         if r == 2:
             return (n + 1) // (m + 1)
         return n
-    if facts.family == "F2":
-        if r == 1:
-            return (n + 1) // (m + 1)
-        if facts.sign_case == 1:
-            return n * ((m - 1) // (r - 1) - 2) - 2
-        return (n - 1) * ((m - 4) // (2 * (r - 1)))
-    # family one: the moving puncture has its own row
-    if cycle.puncture == MOVING_PUNCTURE:
+    if facts.family == "F2" and r == 1:
+        return (n + 1) // (m + 1)
+    if facts.family == "F1" and cycle.puncture == MOVING_PUNCTURE:
         if facts.sign_case == 1:
             return (n - 1) * ((m - r - 2) // 2)
         return n * (m - 1 - r) - r
+    # family two of rank >= 2 and family one's other cycles share these rows
     if facts.sign_case == 1:
         return n * ((m - 1) // (r - 1) - 2) - 2
     return (n - 1) * ((m - 4) // (2 * (r - 1)))
@@ -175,7 +171,6 @@ class IntegralReport:
     ledger: BoundLedger
     rectifier: RectifyingMap
     basis_coeffs: Dict[Tuple[int, int], GaussRat] = field(default_factory=dict)
-    exact_part_degree: Optional[int] = None
 
 
 def full_report(nf: NormalForm, w: OneForm,
@@ -191,18 +186,16 @@ def full_report(nf: NormalForm, w: OneForm,
     """
     rm = build_rectifier(nf) if rectifier is None else rectifier
     facts = rm.facts
-    coeffs, exact_part = reduce_to_nonexact_basis(w)
+    coeffs, _ = reduce_to_nonexact_basis(w)
     n_form = int(w.degree) if not w.is_zero() else 0
     if m_original is None:
         m_original = facts.degree - 1
     if n_original is None:
         n_original = n_form
 
-    bifurcation = list(facts.bifurcation_candidates)
-    for extra in bifurcation_override or []:
-        value = GaussRat.parse(extra)
-        if value not in bifurcation:
-            bifurcation.append(value)
+    bifurcation = list(dict.fromkeys(
+        [*facts.bifurcation_candidates,
+         *(GaussRat.parse(extra) for extra in bifurcation_override or [])]))
 
     integrals: List[AbelianIntegral] = []
     zero_counts: List[Optional[int]] = []
@@ -216,7 +209,6 @@ def full_report(nf: NormalForm, w: OneForm,
     n_bc = sum(zero_counts) if nonconservative else None
     ledger = bound_ledger(facts, nf, n_form, m_original, n_original,
                           integrals, zero_counts, mu=mu, n_bc=n_bc)
-    exact_deg = None if exact_part.is_zero() else int(exact_part.total_degree)
     return IntegralReport(facts, tuple(integrals), tuple(zero_counts), n_bc,
                           tuple(bifurcation), nonconservative, ledger, rm,
-                          dict(coeffs), exact_deg)
+                          dict(coeffs))

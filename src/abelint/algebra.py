@@ -525,17 +525,6 @@ class BiPoly:
             acc = acc * point + row
         return acc
 
-    def as_unipoly(self, slot: int) -> UniPoly:
-        other = 1 - slot
-        if self.degree_in(other) not in (NEG_INF, 0) and self.degree_in(other) > 0:
-            raise ValueError("polynomial is not univariate in the requested slot")
-        coeffs = {}
-        for (i, j), c in self.terms.items():
-            coeffs[(i, j)[slot]] = c
-        if not coeffs:
-            return UniPoly()
-        return UniPoly([coeffs.get(k, ZERO) for k in range(max(coeffs) + 1)])
-
     def to_string(self, vars=("x", "y")) -> str:
         if not self.terms:
             return "0"
@@ -753,10 +742,6 @@ class RatFunc:
 
     # -- views ---------------------------------------------------------
     @property
-    def numerator(self) -> BiPoly:
-        return self.num
-
-    @property
     def denominator(self) -> BiPoly:
         acc = BiPoly.const(ONE)
         for key, e in sorted(self.fac.items(), key=repr):
@@ -917,8 +902,13 @@ def substitute(poly: BiPoly, sub0: Union[RatFunc, BiPoly], sub1: Union[RatFunc, 
     return acc
 
 
+MOVING_POLE = object()  # sentinel: the moving pole t = c
+
+
 def _normalize_pole(pole) -> TFactor:
-    """Accept a GaussRat, a c-UniPoly of degree <= 1, or a factor tuple."""
+    """Accept MOVING_POLE, a GaussRat, a c-UniPoly of degree <= 1, or a factor tuple."""
+    if pole is MOVING_POLE:
+        return t_factor(ONE, ZERO)
     if isinstance(pole, tuple) and pole and pole[0] == "t":
         return pole
     if isinstance(pole, GaussRat):
@@ -930,9 +920,6 @@ def _normalize_pole(pole) -> TFactor:
             raise ValueError("pole location must have degree <= 1 in c")
         return t_factor(pole[1], pole[0])
     raise TypeError(f"cannot interpret pole {pole!r}")
-
-
-MOVING_POLE = object()  # sentinel: the moving pole t = c
 
 
 def laurent_coefficients(f: RatFunc, pole, depth: int) -> list:
@@ -947,14 +934,19 @@ def laurent_coefficients(f: RatFunc, pole, depth: int) -> list:
     S_k = N_k d0^k - sum_{m<k} S_m D1_{k-m} d0^(k-m-1), and each entry is
     reduced once, as CFrac(S_k, d0^(k+1)).
     """
-    factor = _normalize_pole(pole if pole is not MOVING_POLE else t_factor(ONE, ZERO))
+    series, d0_pows = _laurent_numerators(f, _normalize_pole(pole), depth)
+    return [CFrac(s, d0_pows(k + 1)) for k, s in enumerate(series)]
+
+
+def _laurent_numerators(f: RatFunc, factor: TFactor, depth: int):
+    """(S_0 .. S_{depth-1}, k -> d0^k) of ``laurent_coefficients``, unreduced."""
     order = f.pole_order(factor)
     if order != depth:
         raise PoleOrderMismatch(
             f"declared pole order {depth} at t - ({_factor_pi(factor)!r}), actual {order}"
         )
     if depth == 0:
-        return []
+        return [], None
     pi = _factor_pi(factor)
 
     # Shift t = u + pi(c); the numerator becomes a polynomial in (u, c).
@@ -991,23 +983,27 @@ def laurent_coefficients(f: RatFunc, pole, depth: int) -> list:
         for m in range(max(0, k - len(d1) + 1), k):
             acc = acc - series[m] * d1[k - m] * d0_pows(k - m - 1)
         series.append(acc)
-    return [CFrac(s, d0_pows(k + 1)) for k, s in enumerate(series)]
+    return series, d0_pows
 
 
 def residue(f: RatFunc, pole) -> CFrac:
-    """Residue at a linear pole t - pi(c); zero when there is no pole there."""
-    factor = _normalize_pole(pole if pole is not MOVING_POLE else t_factor(ONE, ZERO))
+    """Residue at a linear pole t - pi(c); zero when there is no pole there.
+
+    Of the Laurent numerators only the last is reduced to a CFrac.
+    """
+    factor = _normalize_pole(pole)
     order = f.pole_order(factor)
     if order == 0:
         return CFrac(UniPoly())
-    return laurent_coefficients(f, factor, order)[-1]
+    series, d0_pows = _laurent_numerators(f, factor, order)
+    return CFrac(series[-1], d0_pows(order))
 
 
 def residue_via_derivative(f: RatFunc, pole, depth: int) -> CFrac:
     """Residue by the derivative formula: (1/(depth-1)!) d^{depth-1}/dt^{depth-1}
     of f*(t-pi)^depth evaluated at t = pi.  Independent route used to
     cross-check laurent_coefficients."""
-    factor = _normalize_pole(pole if pole is not MOVING_POLE else t_factor(ONE, ZERO))
+    factor = _normalize_pole(pole)
     if f.pole_order(factor) != depth:
         raise PoleOrderMismatch(
             f"declared pole order {depth}, actual {f.pole_order(factor)}"

@@ -176,7 +176,10 @@ class Problem:
         oracle_block = config.get("oracle", {})
         if not isinstance(oracle_block, dict):
             raise ConfigError("oracle: expected an object")
-        self.oracle_enabled = bool(oracle_block.get("enabled", True))
+        self.oracle_enabled = oracle_block.get("enabled", True)
+        if type(self.oracle_enabled) is not bool:
+            raise ConfigError(f"oracle.enabled: expected true or false, "
+                              f"got {self.oracle_enabled!r}")
         self.oracle_c_values = [v.to_complex() for v in _read_exacts(
             oracle_block.get("seed_c_values", []), "oracle.seed_c_values")]
 
@@ -201,14 +204,28 @@ def _original_degrees(problem: Problem,
 
 def _generic_c_values(report: IntegralReport, supplied: List[complex],
                       count: int = 3) -> List[complex]:
+    """The supplied seeds, then fixed generic points, up to count.
+
+    Each keeps more than 1e-6 from the family's bifurcation values, where
+    punctures collide; a supplied seed closer than that is a ConfigError.
+    """
+    bad = [(b, b.to_complex()) for b in report.facts.bifurcation_candidates]
+
+    def nearest_bad(value: complex) -> Optional[GaussRat]:
+        return next((b for b, z in bad if abs(value - z) <= 1e-6), None)
+
+    for pos, value in enumerate(supplied):
+        b = nearest_bad(value)
+        if b is not None:
+            raise ConfigError(f"oracle.seed_c_values[{pos}]: {value} is a "
+                              f"bifurcation value ({b!r})")
     values = list(supplied)
     base = 1.618 + 0.7071j
     step = 0
-    bad = [b.to_complex() for b in report.bifurcation_set_used]
     while len(values) < count:
         candidate = base + step * (0.911 - 0.333j)
         step += 1
-        if all(abs(candidate - b) > 1e-6 for b in bad):
+        if nearest_bad(candidate) is None:
             values.append(candidate)
     return values[:count]
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from .algebra import ONE, ZERO, BiPoly, GaussRat, UniPoly
+from .algebra import ZERO, BiPoly, GaussRat, UniPoly
 from .errors import InvalidFamily, NoCyclesError
 
 # Puncture kinds of the rectified fiber
@@ -172,13 +172,8 @@ def _validate_f3(nf: NormalForm) -> FamilyFacts:
         raise InvalidFamily("deg h must be less than sum(a_i)")
     degree = 1 + total_a
     punctures = tuple(beta_puncture(i + 1) for i in range(r - 1))
-    seen, candidates = set(), []
-    for b in nf.beta:
-        value = nf.h.evaluate(b)
-        if value not in seen:
-            seen.add(value)
-            candidates.append(value)
-    return FamilyFacts("F3", degree, r - 1, punctures, tuple(candidates), None,
+    candidates = tuple(dict.fromkeys(nf.h.evaluate(b) for b in nf.beta))
+    return FamilyFacts("F3", degree, r - 1, punctures, candidates, None,
                        (0, 0, 0, 0))
 
 
@@ -190,30 +185,17 @@ def _bifurcation_candidates_f12(nf: NormalForm, p1: int, q1: int) -> Tuple[Gauss
     values when p1 = 0 or q1 = 0.
     """
     values: List[GaussRat] = []
-    p0 = nf.P.evaluate(ZERO)
+    if p1 == 0:
+        value = nf.P.evaluate(ZERO)
+        for b, a in zip(nf.beta, nf.a):
+            value = value * b ** a
+        values.append(value)
+    elif q1 == 0 and nf.family == "F1":
+        values.append(nf.P.evaluate(ZERO))
+    values.append(ZERO)
     if nf.family == "F1":
-        if p1 == 0:
-            prod = ONE
-            for b, a in zip(nf.beta, nf.a):
-                prod = prod * b ** a
-            values.append(p0 * prod)
-        elif q1 == 0:
-            values.append(p0)
-        values.append(ZERO)
         values.extend(nf.beta)
-    else:
-        if p1 == 0:
-            prod = ONE
-            for b, a in zip(nf.beta, nf.a):
-                prod = prod * b ** a
-            values.append(p0 * prod)
-        values.append(ZERO)
-    seen, unique = set(), []
-    for v in values:
-        if v not in seen:
-            seen.add(v)
-            unique.append(v)
-    return tuple(unique)
+    return tuple(dict.fromkeys(values))
 
 
 def bifurcation_candidates(nf: NormalForm) -> List[GaussRat]:
@@ -221,9 +203,48 @@ def bifurcation_candidates(nf: NormalForm) -> List[GaussRat]:
     return list(validate(nf).bifurcation_candidates)
 
 
+def _horner(poly: UniPoly, x):
+    """poly(x), evaluated in the ring of x."""
+    const = type(x).const
+    acc = const(ZERO)
+    for coeff in reversed(poly.coeffs):
+        acc = acc * x + const(coeff)
+    return acc
+
+
+def _s(nf: NormalForm, x, y):
+    """S = x^k y + P(x), evaluated in the ring of x and y."""
+    return x ** nf.k * y + _horner(nf.P, x)
+
+
 def s_poly(nf: NormalForm) -> BiPoly:
     """S(x, y) = x^k y + P(x) as a bivariate polynomial."""
-    return BiPoly({(nf.k, 1): ONE}) + BiPoly.from_unipoly(nf.P, 0)
+    return _s(nf, BiPoly.var(0), BiPoly.var(1))
+
+
+def hamiltonian(nf: NormalForm, facts: FamilyFacts, x, y):
+    """(G, H) of the normal form, evaluated at (x, y); the one place H is written.
+
+    G is the first component of the rectifying map: x for family three and
+    x^q1 S^q otherwise.  The code is generic over the ring of x and y: it
+    uses only ``type(x).const`` and ``+ - * **``.  On ``BiPoly.var(0),
+    BiPoly.var(1)`` it gives H as a polynomial in the plane (``expand``); on
+    the rectifier's ``RatFunc`` inverse it gives G and H composed with the
+    inverse, which ``rectify`` checks against (t, c).
+    """
+    const = type(x).const
+    if nf.family == "F3":
+        prod = y
+        for b, a in zip(nf.beta, nf.a):
+            prod = prod * (const(b) - x) ** a
+        return x, prod + _horner(nf.h, x)
+    p1, p, q1, q = facts.effective
+    s = _s(nf, x, y)
+    g = x ** q1 * s ** q
+    core = x ** p1 * s ** p
+    for b, a in zip(nf.beta, nf.a):
+        core = core * (const(b) - g) ** a
+    return g, (g + core if nf.family == "F1" else core)
 
 
 def expand(nf: NormalForm, facts: Optional[FamilyFacts] = None) -> BiPoly:
@@ -233,17 +254,4 @@ def expand(nf: NormalForm, facts: Optional[FamilyFacts] = None) -> BiPoly:
     """
     if facts is None:
         facts = validate(nf)
-    if nf.family == "F3":
-        prod = BiPoly({(0, 1): ONE})
-        for b, a in zip(nf.beta, nf.a):
-            prod = prod * (BiPoly.const(b) - BiPoly.var(0)) ** a
-        return prod + BiPoly.from_unipoly(nf.h, 0)
-    p1, p, q1, q = facts.effective
-    s = s_poly(nf)
-    g = BiPoly({(q1, 0): ONE}) * s ** q
-    core = BiPoly({(p1, 0): ONE}) * s ** p
-    for b, a in zip(nf.beta, nf.a):
-        core = core * (BiPoly.const(b) - g) ** a
-    if nf.family == "F1":
-        return g + core
-    return core
+    return hamiltonian(nf, facts, BiPoly.var(0), BiPoly.var(1))[1]

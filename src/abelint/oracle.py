@@ -98,12 +98,17 @@ def contour_integral_fiber(w: OneForm, rm: RectifyingMap, cycle: CanonicalCycle,
     if spec is None:
         spec = default_contour(rm, cycle, c_value)
     inverse_x, inverse_y = rm.inverse_x.at_c(c_value), rm.inverse_y.at_c(c_value)
-    dx_dt, dy_dt = rm.dx_dt.at_c(c_value), rm.dy_dt.at_c(c_value)
-    a_xy, b_xy = w.A.compiled(), w.B.compiled()
+    dx_dt, a_xy = rm.dx_dt.at_c(c_value), w.A.compiled()
+    if w.B.is_zero():  # a dx-only form neither builds nor samples dy/dt
 
-    def integrand(t: complex) -> complex:
-        x_val, y_val = inverse_x(t), inverse_y(t)
-        return a_xy(x_val, y_val) * dx_dt(t) + b_xy(x_val, y_val) * dy_dt(t)
+        def integrand(t: complex) -> complex:
+            return a_xy(inverse_x(t), inverse_y(t)) * dx_dt(t)
+    else:
+        dy_dt, b_xy = rm.dy_dt.at_c(c_value), w.B.compiled()
+
+        def integrand(t: complex) -> complex:
+            x_val, y_val = inverse_x(t), inverse_y(t)
+            return a_xy(x_val, y_val) * dx_dt(t) + b_xy(x_val, y_val) * dy_dt(t)
 
     return _integrate_circle(integrand, spec) / TWO_PI_I
 

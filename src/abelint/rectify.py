@@ -34,6 +34,7 @@ from .family import (
     ZERO_PUNCTURE,
     FamilyFacts,
     NormalForm,
+    hamiltonian,
     validate,
 )
 
@@ -76,12 +77,8 @@ class RectifyingMap:
 
     def puncture_location(self, puncture: str) -> UniPoly:
         """The puncture position as a polynomial in c (constant or c itself)."""
-        if puncture == ZERO_PUNCTURE:
-            return UniPoly()
-        if puncture == MOVING_PUNCTURE:
-            return UniPoly.x()
-        index = int(puncture[4:])
-        return UniPoly.const(self.nf.beta[index - 1])
+        _, pi1, pi0 = self.puncture_factor(puncture)
+        return UniPoly([pi0, pi1])
 
     def monomial_pushforward(self, i: int, j: int) -> RatFunc:
         """eta_t: x^i y^j evaluated on the inverse, times dx/dt; memoised."""
@@ -204,36 +201,11 @@ def build_rectifier(nf: NormalForm) -> RectifyingMap:
 
 def _verify(rm: RectifyingMap) -> None:
     """Check H(inverse) = c and G(inverse) = t as exact rational identities."""
-    nf, facts = rm.nf, rm.facts
-    x_r, y_r = rm.inverse_x, rm.inverse_y
-    if nf.family == "F3":
-        prod = RatFunc.const(ONE)
-        for b, a in zip(nf.beta, nf.a):
-            prod = prod * (RatFunc.const(b) - x_r) ** a
-        g_comp = x_r
-        h_total = y_r * prod + _poly_of(x_r, nf.h)
-    else:
-        p1, p, q1, q = facts.effective
-        s_comp = (x_r ** nf.k) * y_r + _poly_of(x_r, nf.P)
-        g_comp = (x_r ** q1) * (s_comp ** q)
-        core = (x_r ** p1) * (s_comp ** p)
-        for b, a in zip(nf.beta, nf.a):
-            core = core * (RatFunc.const(b) - g_comp) ** a
-        h_total = g_comp + core if nf.family == "F1" else core
+    g_comp, h_total = hamiltonian(rm.nf, rm.facts, rm.inverse_x, rm.inverse_y)
     if h_total != RatFunc.c():
         raise ConstructionFailure("H composed with the inverse is not c")
     if g_comp != RatFunc.t():
         raise ConstructionFailure("G composed with the inverse is not t")
-
-
-def _poly_of(value: RatFunc, poly: UniPoly) -> RatFunc:
-    acc = RatFunc(BiPoly())
-    power = RatFunc.const(ONE)
-    for coeff in poly.coeffs:
-        if coeff:
-            acc = acc + power * coeff
-        power = power * value
-    return acc
 
 
 def canonical_cycles(facts: FamilyFacts) -> List[CanonicalCycle]:

@@ -8,6 +8,7 @@ from abelint import (
     BiPoly,
     GaussRat,
     IdenticallyZero,
+    NormalForm,
     OneForm,
     UniPoly,
     build_rectifier,
@@ -129,6 +130,25 @@ class TestBounds:
         facts1 = validate(septic_f1())
         cycles1 = canonical_cycles(facts1)
         assert degree_row_bound(facts1, septic_f1(), 3, cycles1[2]) == 2
+
+    @pytest.mark.parametrize("nf, rows", [
+        (NormalForm("F3", a=(3,), beta=(1,), h=UniPoly([1])), [2]),
+        (NormalForm("F3", a=(1, 2), beta=(1, 2)), [7, 7]),
+        (NormalForm("F2", p1=1, p=2, k=2, P=UniPoly([1])), [1]),
+        (NormalForm("F2", p1=0, p=1, q1=1, q=2, k=2, a=(1, 1), beta=(1, 2)),
+         [33, 33, 33]),
+        (NormalForm("F2", p1=1, p=2, q1=0, q=1, k=2, a=(2, 1), beta=(1, -1)),
+         [12, 12, 12]),
+        (NormalForm("F1", p1=0, p=1, q1=1, q=2, k=2, a=(1, 1), beta=(1, 2)),
+         [33, 33, 33, 30]),
+        (NormalForm("F1", p1=1, p=2, q1=0, q=1, k=2, a=(2, 1), beta=(1, -1)),
+         [12, 12, 12, 74]),
+    ], ids=["F3 r=2", "F3 r=3", "F2 rank one", "F2 +", "F2 -", "F1 +", "F1 -"])
+    def test_degree_row_every_branch(self, nf, rows):
+        # n = 7 on every cycle; the last F1 cycle is the moving puncture.
+        facts = validate(nf)
+        assert [degree_row_bound(facts, nf, 7, cycle)
+                for cycle in canonical_cycles(facts)] == rows
 
     def test_all_bounds_satisfied_on_goldens(self):
         for nf, w in ((septic_f2(), SEPTIC_F2_FORM),

@@ -231,6 +231,7 @@ class TestExitCodes:
         ("form", "coeff", "1/0", "one_form[0].coeff"),
         ("oracle", "seed_c_values", ["zz"], "oracle.seed_c_values[0]"),
         ("oracle", "seed_c_values", "3", "oracle.seed_c_values"),
+        ("oracle", "enabled", "false", "oracle.enabled"),
     ])
     def test_malformed_field_is_one_line_config_error(
             self, tmp_path, capsys, block, key, value, where):
@@ -246,6 +247,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: invalid configuration: {where}: ")
         assert err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("name, seed", [
+        ("type02_generic", "0"),
+        ("f2_type03", "0"),
+        ("f1_type04", "-1"),
+        ("f1_type04", "0"),
+        ("f1_type04", "1"),
+    ])
+    def test_seed_at_bifurcation_value_is_config_error(
+            self, tmp_path, capsys, name, seed):
+        config = load_bundle(name)["config"]
+        config["oracle"]["seed_c_values"] = [seed]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration: "
+                              "oracle.seed_c_values[0]: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestEndToEnd:

@@ -187,3 +187,10 @@ class TestBifurcationCandidates:
         nf = NormalForm("F2", p1=1, p=2, q1=0, q=1, k=1,
                         a=(1,), beta=(GaussRat(1),))
         assert bifurcation_candidates(nf) == [GaussRat(0)]
+
+    def test_f1_positive_p1_zero_q1_adds_p0(self):
+        # the x = 0 component contributes P(0) = 3, then 0 and the betas
+        nf = NormalForm("F1", p1=1, p=2, q1=0, q=1, k=1, P=UniPoly([3]),
+                        a=(1, 2), beta=(GaussRat(2), GaussRat(3)))
+        assert bifurcation_candidates(nf) == [GaussRat(3), GaussRat(0),
+                                              GaussRat(2)]

@@ -89,6 +89,13 @@ class TestContourIntegrals:
             fiber_side = contour_integral_fiber(w, rm, cycle, c0, spec)
             assert abs(t_side - fiber_side) < 1e-8 * (1 + abs(t_side))
 
+    def test_dx_only_form_leaves_dy_dt_unbuilt(self):
+        nf = septic_f2()
+        rm = build_rectifier(nf)
+        cycle = canonical_cycles(rm.facts)[0]
+        contour_integral_fiber(SEPTIC_F2_FORM, rm, cycle, 2.0 + 0.5j)
+        assert "dy_dt" not in rm.__dict__
+
     def test_coefficients_converted_once_per_call(self, monkeypatch):
         # Both routes convert each exact coefficient to complex once per
         # call, so the count does not grow with the number of samples.
