@@ -4,11 +4,20 @@ Gaussian rationals, dense univariate polynomials, sparse bivariate
 polynomials, fractions of univariate polynomials, and rational functions
 in a distinguished variable t whose coefficients live in the fraction
 field of Q(i)[c].  Everything is exact; no floating point enters here.
+
+``GaussRat`` (two reduced rationals) is the public scalar and ``BiPoly``
+(a dict of GaussRat) the plane's polynomial.  Underneath, arithmetic is on
+Python ints: a ``UniPoly`` is Gaussian integers over one denominator,
+``(den, re, im)``, canonical (top coefficient nonzero, gcd(den, *re, *im)
+= 1), and a ``RatFunc`` numerator is ``rows``, one c-UniPoly per power of
+t.  GaussRat and BiPoly views are built only for I/O and the oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import PoleOrderMismatch
@@ -58,9 +67,13 @@ def _as_q(value):
 
 
 class GaussRat:
-    """An exact element of Q(i), stored as two reduced rationals."""
+    """An exact element of Q(i), stored as two reduced rationals.
 
-    __slots__ = ("re", "im")
+    A real value hashes like its rational, so it meets ints and Fractions
+    in sets and dicts; the hash is computed once, into ``_hash``.
+    """
+
+    __slots__ = ("re", "im", "_hash")
 
     def __init__(self, re=0, im=0):
         object.__setattr__(self, "re", _as_q(re))
@@ -145,10 +158,11 @@ class GaussRat:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
-
-    def is_rational(self) -> bool:
-        return self.im == 0
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(self.re) if not self.im else hash((self.re, self.im))
+            return self._hash
 
     def to_complex(self) -> complex:
         return complex(float(self.re), float(self.im))
@@ -191,15 +205,22 @@ I = GaussRat(0, 1)
 
 
 class UniPoly:
-    """Dense univariate polynomial over Q(i); trailing zeros trimmed."""
+    """Dense univariate polynomial over Q(i): (re + i*im) / den.
 
-    __slots__ = ("coeffs",)
+    ``den`` is a positive int; ``re`` and ``im`` are equally long int lists,
+    low degree first, and ``im`` is None when every coefficient is real.
+    Canonical form: top coefficient nonzero and gcd(den, *re, *im) = 1, so
+    ``==`` and ``hash`` compare ints.  ``coeffs`` is a GaussRat view.
+    """
+
+    __slots__ = ("den", "re", "im")
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [c if isinstance(c, GaussRat) else GaussRat.parse(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        parts = [_scalar(GaussRat.parse(c)) for c in coeffs]
+        den = lcm(*(d for d, _, _ in parts))
+        p = _poly(den, [r * (den // d) for d, r, _ in parts],
+                  [(i or 0) * (den // d) for d, _, i in parts])
+        self.den, self.re, self.im = p.den, p.re, p.im
 
     @classmethod
     def const(cls, value) -> "UniPoly":
@@ -207,7 +228,7 @@ class UniPoly:
 
     @classmethod
     def x(cls) -> "UniPoly":
-        return cls([ZERO, ONE])
+        return _raw_poly(1, [0, 1], None)
 
     @classmethod
     def monomial(cls, power: int, coeff=ONE) -> "UniPoly":
@@ -215,61 +236,68 @@ class UniPoly:
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.re) - 1 if self.re else NEG_INF
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.re
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.re)
 
     def __getitem__(self, k: int) -> GaussRat:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else ZERO
+        if not 0 <= k < len(self.re):
+            return ZERO
+        return _gauss(Q(self.re[k], self.den), Q(self.im[k] if self.im else 0, self.den))
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(self[k] for k in range(len(self.re)))
+
+    def complex_coeffs(self) -> list:
+        """The coefficients as complex numbers, rounded like float(Fraction)."""
+        den = self.den
+        if self.im is None:
+            return [complex(r / den, 0.0) for r in self.re]
+        return [complex(r / den, i / den) for r, i in zip(self.re, self.im)]
 
     def __eq__(self, other):
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.den, tuple(self.re), self.im and tuple(self.im)))
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] = out[k] + c
-        return UniPoly(out)
+        return _combine(self, other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return _combine(self, other, -1)
 
     def __neg__(self):
-        return UniPoly([-c for c in self.coeffs])
+        return _raw_poly(self.den, [-v for v in self.re],
+                         self.im and [-v for v in self.im])
 
     def __mul__(self, other):
-        if isinstance(other, GaussRat):
+        if not isinstance(other, UniPoly):
             return self.scale(other)
-        if not self.coeffs or not other.coeffs:
-            return UniPoly()
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return UniPoly(out)
+        if not self.re or not other.re:
+            return _PZERO
+        return _poly(self.den * other.den, *_cmul(self.re, self.im, other.re, other.im))
 
     __rmul__ = __mul__
 
-    def scale(self, factor: GaussRat) -> "UniPoly":
-        return UniPoly([c * factor for c in self.coeffs])
+    def scale(self, factor) -> "UniPoly":
+        """self * factor for a GaussRat or int factor."""
+        d, r, i = _scalar(factor)
+        return _poly(self.den * d, *_cmul(self.re, self.im, [r], i and [i]))
 
     def __pow__(self, n: int):
-        return _pow(self, n, UniPoly.const(ONE))
+        return _pow(self, n, _PONE)
 
     def derivative(self) -> "UniPoly":
-        return UniPoly([c * GaussRat(k) for k, c in enumerate(self.coeffs)][1:])
+        im = self.im and [k * v for k, v in enumerate(self.im)][1:]
+        return _poly(self.den, [k * v for k, v in enumerate(self.re)][1:], im)
 
     def evaluate(self, point: GaussRat) -> GaussRat:
         acc = ZERO
@@ -279,25 +307,43 @@ class UniPoly:
 
     def evaluate_complex(self, point: complex) -> complex:
         acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * point + c.to_complex()
+        for c in reversed(self.complex_coeffs()):
+            acc = acc * point + c
         return acc
 
     def divmod(self, divisor: "UniPoly"):
-        """Exact polynomial long division over the field Q(i)."""
+        """Exact long division over Q(i), by pseudo-division on the integers.
+
+        For the monic divisor B / n, each step scales the remainder only by
+        n / gcd(n, its leading term), keeping s A = Q B + R over Z[i] for
+        self = A / d; the quotient is Q n / (s d) over the monic divisor.
+        """
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        rem = list(self.coeffs)
-        dd = divisor.degree
-        lead_inv = divisor.coeffs[-1].inverse()
-        quot = [ZERO] * max(len(rem) - dd, 0)
-        for k in range(len(rem) - dd - 1, -1, -1):
-            factor = rem[k + dd] * lead_inv
-            if factor:
-                quot[k] = factor
-                for j, c in enumerate(divisor.coeffs):
-                    rem[k + j] = rem[k + j] - factor * c
-        return UniPoly(quot), UniPoly(rem)
+        inv = _lead_inverse(divisor)
+        monic = divisor * inv
+        lead, m, n = monic.den, len(monic.re) - 1, len(self.re)
+        if n <= m:
+            return _PZERO, self
+        br, bi = monic.re, monic.im or [0] * (m + 1)
+        rr, ri = list(self.re), list(self.im or [0] * n)
+        qr, qi, s = [0] * (n - m), [0] * (n - m), 1
+        for k in range(n - m - 1, -1, -1):
+            fr, fi = rr[k + m], ri[k + m]
+            if not fr and not fi:
+                continue
+            g = gcd(lead, fr, fi)
+            fr, fi, c = fr // g, fi // g, lead // g
+            if c != 1:
+                s *= c
+                rr, ri, qr, qi = ([c * v for v in x] for x in (rr, ri, qr, qi))
+            qr[k], qi[k] = fr, fi
+            for j, (b_r, b_i) in enumerate(zip(br, bi), k):
+                rr[j] -= fr * b_r - fi * b_i
+                ri[j] -= fr * b_i + fi * b_r
+        den = s * self.den
+        quot = _poly(den, [lead * v for v in qr], [lead * v for v in qi])
+        return quot * inv, _poly(den, rr[:m], ri[:m])
 
     def root_multiplicity(self, root: GaussRat) -> int:
         """Multiplicity of (x - root) in self, via exact repeated division."""
@@ -316,20 +362,23 @@ class UniPoly:
     def monic(self) -> "UniPoly":
         if self.is_zero():
             return self
-        return self.scale(self.coeffs[-1].inverse())
+        return self * _lead_inverse(self)
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
+        """Monic gcd by Euclid on primitive remainders (content divided out)."""
         a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        return a.monic() if not a.is_zero() else a
+        while b.re:
+            r = a.divmod(b)[1]
+            a, b = b, _poly(gcd(*r.re, *(r.im or ())), list(r.re), r.im and list(r.im))
+        return a.monic()
 
     def to_string(self, var: str = "c") -> str:
         if self.is_zero():
             return "0"
         parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
+        coeffs = self.coeffs
+        for k in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[k]
             if not c:
                 continue
             if k == 0:
@@ -351,6 +400,94 @@ class UniPoly:
 
     def __repr__(self):
         return self.to_string()
+
+
+def _scalar(value):
+    """(den, re, im) of a GaussRat or int, ints; im is None when it is 0."""
+    if isinstance(value, int):
+        return 1, value, None
+    re, im = value.re, value.im
+    den = lcm(int(re.denominator), int(im.denominator))
+    return (den, int(re.numerator) * (den // int(re.denominator)),
+            int(im.numerator) * (den // int(im.denominator)) or None)
+
+
+def _raw_poly(den: int, re: list, im) -> UniPoly:
+    """UniPoly from parts already in canonical form."""
+    obj = _new_object(UniPoly)
+    obj.den, obj.re, obj.im = den, re, im
+    return obj
+
+
+def _poly(den: int, re: list, im=None) -> UniPoly:
+    """The canonical UniPoly (re + i*im) / den, for den > 0 and im as long as re.
+
+    Takes ownership of ``re`` and ``im``.
+    """
+    if im is not None and not any(im):
+        im = None
+    n = len(re)
+    while n and not re[n - 1] and not (im and im[n - 1]):
+        n -= 1
+    del re[n:]
+    if im:
+        del im[n:]
+    if not re:
+        den = 1
+    elif den != 1:
+        g = gcd(den, *re, *(im or ()))
+        if g != 1:
+            den, re, im = den // g, [v // g for v in re], im and [v // g for v in im]
+    return _raw_poly(den, re, im)
+
+
+def _axpy(a: int, x, b: int, y) -> list:
+    """a*x + b*y for int vectors of any lengths, as a new list."""
+    if len(x) < len(y):
+        a, x, b, y = b, y, a, x
+    out = list(x) if a == 1 else [a * v for v in x]
+    for k, v in enumerate(y):
+        out[k] += b * v
+    return out
+
+
+def _combine(p: UniPoly, q: UniPoly, sign: int) -> UniPoly:
+    """p + sign*q over the least common denominator."""
+    g = gcd(p.den, q.den)
+    a, b = q.den // g, sign * (p.den // g)
+    im = None
+    if p.im or q.im:
+        im = _axpy(a, p.im or [0] * len(p.re), b, q.im or [0] * len(q.re))
+    return _poly(p.den * a, _axpy(a, p.re, b, q.re), im)
+
+
+def _conv(a, b) -> list:
+    """Schoolbook product of two int coefficient vectors."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _cmul(ar, ai, br, bi):
+    """(re, im) of (ar + i*ai)(br + i*bi); an im of None is zero."""
+    re = _conv(ar, br)
+    if ai is None and bi is None:
+        return re, None
+    ai, bi = ai or [0] * len(ar), bi or [0] * len(br)
+    return _axpy(1, re, -1, _conv(ai, bi)), _axpy(1, _conv(ar, bi), 1, _conv(ai, br))
+
+
+def _lead_inverse(p: UniPoly) -> UniPoly:
+    """The constant 1 / (leading coefficient of p)."""
+    lr, li = p.re[-1], p.im[-1] if p.im else 0
+    return _poly(lr * lr + li * li, [p.den * lr], [-p.den * li])
+
+
+_PZERO = _raw_poly(1, [], None)
+_PONE = _raw_poly(1, [1], None)
 
 
 class BiPoly:
@@ -466,10 +603,6 @@ class BiPoly:
                 out[key] = c * GaussRat(e)
         return _raw_bipoly(out)
 
-    def shift_mul(self, di: int, dj: int) -> "BiPoly":
-        """Multiply by the monomial v0^di * v1^dj."""
-        return _raw_bipoly({(i + di, j + dj): c for (i, j), c in self.terms.items()})
-
     def compose(self, sub0: "BiPoly", sub1: "BiPoly") -> "BiPoly":
         """Substitute bivariate polynomials for both variables."""
         pow0 = power_table(sub0, BiPoly.const(ONE))
@@ -481,8 +614,7 @@ class BiPoly:
 
     def compiled(self) -> Callable[[complex, complex], complex]:
         """(v0, v1) -> value by nested Horner; coefficients converted once."""
-        rows = [[c.to_complex() for c in reversed(row.coeffs)]
-                for row in reversed(self.t_coeff_list())]
+        rows = [row.complex_coeffs()[::-1] for row in reversed(self.t_coeff_list())]
 
         def value(v0: complex, v1: complex) -> complex:
             acc = 0j
@@ -565,21 +697,21 @@ class CFrac:
 
     def __init__(self, num: UniPoly, den: UniPoly = None):
         if den is None:
-            den = UniPoly.const(ONE)
+            den = _PONE
         if den.is_zero():
             raise ZeroDivisionError("zero denominator in CFrac")
         if num.is_zero():
-            num, den = UniPoly(), UniPoly.const(ONE)
+            num, den = _PZERO, _PONE
         else:
-            g = num.gcd(den)
-            if g.degree != 0 or g.coeffs[0] != ONE:
-                num = num.divmod(g)[0]
-                den = den.divmod(g)[0]
-            lead = den.coeffs[-1]
-            if lead != ONE:
-                inv = lead.inverse()
-                num = num.scale(inv)
-                den = den.scale(inv)
+            if den.degree > 0:
+                g = num.gcd(den)
+                if g.degree > 0:
+                    num = num.divmod(g)[0]
+                    den = den.divmod(g)[0]
+            if den.re[-1] != den.den or den.im and den.im[-1]:  # lead is not 1
+                inv = _lead_inverse(den)
+                num = num * inv
+                den = den * inv
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -623,7 +755,7 @@ class CFrac:
         return CFrac(self.num * other.den, self.den * other.num)
 
     def inverse(self) -> "CFrac":
-        return CFrac(UniPoly.const(ONE)) / self
+        return CFrac(_PONE) / self
 
     def is_polynomial(self) -> bool:
         return self.den.degree == 0
@@ -651,7 +783,8 @@ class CFrac:
 #   ("t", pi1, pi0)  meaning  t - (pi1*c + pi0)    (pi1, pi0 in Q(i))
 #   ("c",)           meaning  c
 # Factored storage makes products/powers cheap and gcd cancellation exact
-# without a general multivariate gcd.
+# without a general multivariate gcd.  Numerators are "rows": a list of
+# c-UniPolys indexed by the power of t, the top row nonzero.
 
 TFactor = tuple
 
@@ -670,89 +803,145 @@ def factor_to_bipoly(factor: TFactor) -> BiPoly:
     return BiPoly({(0, 1): ONE})
 
 
+@lru_cache(maxsize=1024)  # a few distinct factors per problem, met in every product
 def _factor_pi(factor: TFactor) -> UniPoly:
     """The pole location pi(c) of a "t" factor, as a c-polynomial."""
     _, pi1, pi0 = factor
     return UniPoly([pi0, pi1])
 
 
-def _divide_t_factor(num: BiPoly, factor: TFactor):
-    """Try exact division of num by (t - pi(c)); return quotient or None."""
-    rows = num.t_coeff_list()
-    if not rows:
-        return num
+def _rows_sum(a: list, b: list, sign: int = 1) -> list:
+    """Rows of a + sign*b."""
+    out = list(a) + [_PZERO] * (len(b) - len(a))
+    for k, y in enumerate(b):
+        if y:
+            out[k] = _combine(out[k], y, sign)
+    return out
+
+
+def _rows_mul(a: list, b: list) -> list:
+    """Rows of the product a*b."""
+    if not a or not b:
+        return []
+    out = [_PZERO] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                if y:
+                    out[j] = out[j] + x * y
+    return out
+
+
+def _times_factor(rows: list, factor: TFactor) -> list:
+    """Rows of the numerator times one denominator factor."""
+    if factor[0] == "c":
+        return [_raw_poly(r.den, [0] + r.re, r.im and [0] + r.im) if r else r
+                for r in rows]
     pi = _factor_pi(factor)
-    quot = [UniPoly()] * (len(rows) - 1)
-    carry = UniPoly()
-    for k in range(len(rows) - 1, 0, -1):
-        carry = rows[k] + carry * pi if k < len(rows) - 1 else rows[k]
-        quot[k - 1] = carry
-    remainder = rows[0] + carry * pi
-    if remainder.is_zero():
-        return BiPoly.from_t_coeff_list(quot)
-    return None
+    out = [_PZERO] + rows  # t * rows
+    for k, r in enumerate(rows):
+        if r:
+            out[k] = out[k] - r * pi
+    return out
 
 
-def _divide_c_factor(num: BiPoly):
-    """Try exact division of num by c; return quotient or None."""
-    if any(j == 0 for (_, j) in num.terms):
-        return None
-    return num.shift_mul(0, -1)
+def _over(rows: list, fac: Mapping, target: Mapping) -> list:
+    """Rows over the denominator ``fac`` rewritten over its multiple ``target``."""
+    for key, e in target.items():
+        for _ in range(e - fac.get(key, 0)):
+            rows = _times_factor(rows, key)
+    return rows
+
+
+def _divide_factor(rows: list, factor: TFactor):
+    """Rows of the exact quotient by one denominator factor, or None."""
+    if factor[0] == "c":
+        if any(r and (r.re[0] or r.im and r.im[0]) for r in rows):
+            return None
+        return [_raw_poly(r.den, r.re[1:], r.im and r.im[1:]) if r else r for r in rows]
+    pi = _factor_pi(factor)
+    quot = [_PZERO] * (len(rows) - 1)
+    carry = rows[-1]  # synthetic division by t - pi, from the top row down
+    for k in range(len(rows) - 2, -1, -1):
+        quot[k] = carry
+        carry = rows[k] + carry * pi
+    return None if carry else quot
+
+
+def _ratfunc(rows: list, fac: dict) -> "RatFunc":
+    """rows / prod(fac), with each factor cancelled as often as it divides.
+
+    Takes ownership of ``rows`` and ``fac``.
+    """
+    while rows and not rows[-1]:
+        rows.pop()
+    if not rows:
+        fac = {}
+    for key, e in list(fac.items()):
+        while e:
+            quotient = _divide_factor(rows, key)
+            if quotient is None:
+                break
+            rows, e = quotient, e - 1
+        if e:
+            fac[key] = e
+        else:
+            del fac[key]
+    return _raw_ratfunc(rows, fac)
+
+
+def _raw_ratfunc(rows: list, fac: dict) -> "RatFunc":
+    """RatFunc from rows and factors already cancelled against each other."""
+    obj = _new_object(RatFunc)
+    obj.rows, obj.fac = rows, fac
+    return obj
 
 
 class RatFunc:
-    """Rational function N(t, c) / prod(factors), fully cancelled."""
+    """Rational function N(t, c) / prod(factors), fully cancelled.
 
-    __slots__ = ("num", "fac")
+    The numerator is ``rows``: c-UniPolys indexed by the power of t, in the
+    layout of ``BiPoly.t_coeff_list``.  Every factor of ``fac`` is
+    irreducible and cancelled as far as it divides N, so the pair
+    (rows, fac) is unique.  ``num`` is a BiPoly view of the numerator.
+    """
+
+    __slots__ = ("rows", "fac")
 
     def __init__(self, num: BiPoly, fac: Mapping = ()):
         fac = {k: int(e) for k, e in dict(fac).items() if e}
         if any(e < 0 for e in fac.values()):
             raise ValueError("denominator factor exponents must be positive")
-        if num.is_zero():
-            fac = {}
-        else:
-            for key in list(fac):
-                while fac.get(key, 0) > 0:
-                    if key[0] == "t":
-                        quotient = _divide_t_factor(num, key)
-                    else:
-                        quotient = _divide_c_factor(num)
-                    if quotient is None:
-                        break
-                    num = quotient
-                    fac[key] -= 1
-                if fac.get(key) == 0:
-                    del fac[key]
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "fac", fac)
+        f = _ratfunc(num.t_coeff_list(), fac)
+        self.rows, self.fac = f.rows, f.fac
 
     # -- construction --------------------------------------------------
     @classmethod
     def const(cls, value) -> "RatFunc":
-        return cls(BiPoly.const(value))
+        return _ratfunc([UniPoly.const(value)], {})
 
     @classmethod
     def t(cls) -> "RatFunc":
-        return cls(BiPoly.var(0))
+        return _raw_ratfunc([_PZERO, _PONE], {})
 
     @classmethod
     def c(cls) -> "RatFunc":
-        return cls(BiPoly.var(1))
+        return _raw_ratfunc([UniPoly.x()], {})
 
     # -- views ---------------------------------------------------------
     @property
+    def num(self) -> BiPoly:
+        return BiPoly.from_t_coeff_list(self.rows)
+
+    @property
     def denominator(self) -> BiPoly:
-        acc = BiPoly.const(ONE)
-        for key, e in sorted(self.fac.items(), key=repr):
-            acc = acc * (factor_to_bipoly(key) ** e)
-        return acc
+        return BiPoly.from_t_coeff_list(_over([_PONE], {}, self.fac))
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.rows
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self.rows)
 
     def is_polynomial(self) -> bool:
         return not self.fac
@@ -762,43 +951,38 @@ class RatFunc:
 
     # -- arithmetic ----------------------------------------------------
     def _common(self, other: "RatFunc"):
-        keys = set(self.fac) | set(other.fac)
-        fac = {k: max(self.fac.get(k, 0), other.fac.get(k, 0)) for k in keys}
-        n1, n2 = self.num, other.num
-        for k, e in fac.items():
-            d1 = e - self.fac.get(k, 0)
-            d2 = e - other.fac.get(k, 0)
-            if d1:
-                n1 = n1 * (factor_to_bipoly(k) ** d1)
-            if d2:
-                n2 = n2 * (factor_to_bipoly(k) ** d2)
-        return n1, n2, fac
+        fac = dict(self.fac)
+        for k, e in other.fac.items():
+            fac[k] = max(e, fac.get(k, 0))
+        return (_over(self.rows, self.fac, fac), _over(other.rows, other.fac, fac), fac)
 
     def __add__(self, other):
         n1, n2, fac = self._common(other)
-        return RatFunc(n1 + n2, fac)
+        return _ratfunc(_rows_sum(n1, n2), fac)
 
     def __sub__(self, other):
         n1, n2, fac = self._common(other)
-        return RatFunc(n1 - n2, fac)
+        return _ratfunc(_rows_sum(n1, n2, -1), fac)
 
     def __neg__(self):
-        return RatFunc(-self.num, self.fac)
+        return _raw_ratfunc([-r for r in self.rows], dict(self.fac))
 
     def __mul__(self, other):
         if isinstance(other, GaussRat):
-            return RatFunc(self.num.scale(other), self.fac)
+            if not other:
+                return _raw_ratfunc([], {})
+            return _raw_ratfunc([r.scale(other) for r in self.rows], dict(self.fac))
         if isinstance(other, BiPoly):
             other = RatFunc(other)
         fac = dict(self.fac)
         for k, e in other.fac.items():
             fac[k] = fac.get(k, 0) + e
-        return RatFunc(self.num * other.num, fac)
+        return _ratfunc(_rows_mul(self.rows, other.rows), fac)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        return _pow(self, n, RatFunc.const(ONE))
+        return _pow(self, n, _raw_ratfunc([_PONE], {}))
 
     def __eq__(self, other):
         if isinstance(other, BiPoly):
@@ -809,30 +993,24 @@ class RatFunc:
         return n1 == n2
 
     def __hash__(self):
-        return hash((self.num, frozenset(self.fac.items())))
+        return hash((tuple(self.rows), frozenset(self.fac.items())))
 
     def derivative(self, slot: int) -> "RatFunc":
         """Partial derivative; slot 0 is t, slot 1 is c."""
         # d(N/prod F^e) = (N' prod F - N sum e_i F_i' prod_{j != i} F_j) / prod F^{e+1}
-        if not self.fac:
-            return RatFunc(self.num.partial(slot))
-        keys = list(self.fac)
-        product_all = BiPoly.const(ONE)
-        for k in keys:
-            product_all = product_all * factor_to_bipoly(k)
-        correction = BiPoly()
-        for k in keys:
-            dfac = factor_to_bipoly(k).partial(slot)
-            if dfac.is_zero():
-                continue
-            partial_prod = BiPoly.const(GaussRat(self.fac[k]))
-            for other_key in keys:
-                if other_key != k:
-                    partial_prod = partial_prod * factor_to_bipoly(other_key)
-            correction = correction + dfac * partial_prod
-        numerator = self.num.partial(slot) * product_all - self.num * correction
-        fac = {k: e + 1 for k, e in self.fac.items()}
-        return RatFunc(numerator, fac)
+        if slot == 0:
+            partial = [r.scale(k) for k, r in enumerate(self.rows) if k]
+        else:
+            partial = [r.derivative() for r in self.rows]
+        correction = []
+        for k, e in self.fac.items():  # F_k' is 1 or -pi1 for "t", 0 or 1 for "c"
+            slope = (-k[1] if slot else ONE) if k[0] == "t" else GaussRat(slot)
+            if slope:
+                rest = {other: 1 for other in self.fac if other != k}
+                correction = _rows_sum(correction, _over([UniPoly.const(slope * e)], {}, rest))
+        partial = _over(partial, {}, {k: 1 for k in self.fac})
+        numerator = _rows_sum(partial, _rows_mul(self.rows, correction), -1)
+        return _ratfunc(numerator, {k: e + 1 for k, e in self.fac.items()})
 
     def at_c(self, c_value: complex) -> Callable[[complex], complex]:
         """t -> value at fixed c; every coefficient is converted once.
@@ -849,8 +1027,7 @@ class RatFunc:
                 poles.append((pi1.to_complex() * c_value + pi0.to_complex(), e))
             else:
                 scale = c_value ** -e
-        coeffs = [row.evaluate_complex(c_value) * scale
-                  for row in reversed(self.num.t_coeff_list())]
+        coeffs = [row.evaluate_complex(c_value) * scale for row in reversed(self.rows)]
 
         def value(t_value: complex) -> complex:
             acc = 0j
@@ -868,8 +1045,10 @@ class RatFunc:
 
     def eval_at_t(self, point: UniPoly) -> CFrac:
         """Exact evaluation at t = point(c); point must avoid all poles."""
-        num = self.num.eval_at_t(point)
-        den = UniPoly.const(ONE)
+        num = _PZERO
+        for row in reversed(self.rows):
+            num = num * point + row
+        den = _PONE
         for key, e in self.fac.items():
             if key[0] == "t":
                 base = point - _factor_pi(key)
@@ -950,33 +1129,32 @@ def _laurent_numerators(f: RatFunc, factor: TFactor, depth: int):
     pi = _factor_pi(factor)
 
     # Shift t = u + pi(c); the numerator becomes a polynomial in (u, c).
-    rows = f.num.t_coeff_list()
-    shifted = [UniPoly() for _ in range(depth)]
-    pi_pows = power_table(pi, UniPoly.const(ONE))
+    shifted = [_PZERO] * depth
+    pi_pows = power_table(pi, _PONE)
     binom = [1]
-    for k, row in enumerate(rows):
+    for k, row in enumerate(f.rows):
         if k:
             binom = [1] + [binom[m - 1] + binom[m] for m in range(1, k)] + [1]
         if row.is_zero():
             continue
         # (u + pi)^k = sum_m C(k, m) pi^{k-m} u^m; only u-orders < depth matter
         for m in range(min(k, depth - 1) + 1):
-            shifted[m] = shifted[m] + row * pi_pows(k - m).scale(GaussRat(binom[m]))
+            shifted[m] = shifted[m] + row * pi_pows(k - m).scale(binom[m])
 
     # Remaining denominator D1(u) in Q(i)[c][u], truncated below u^depth.
-    d1 = [UniPoly.const(ONE)]
+    d1 = [_PONE]
     for key, e in f.fac.items():
         if key[0] == "c":  # factor c is u-constant
             d1 = [p * UniPoly.monomial(e) for p in d1]
         elif key != factor:  # (t - pi') = u + (pi - pi')
             shift = pi - _factor_pi(key)
             for _ in range(e):
-                d1 = [a * shift + b for a, b in zip(d1 + [UniPoly()], [UniPoly()] + d1)][:depth]
+                d1 = [a * shift + b for a, b in zip(d1 + [_PZERO], [_PZERO] + d1)][:depth]
 
     if d1[0].is_zero():
         raise PoleOrderMismatch("pole locations collide; pole order is not generic")
 
-    d0_pows = power_table(d1[0], UniPoly.const(ONE))
+    d0_pows = power_table(d1[0], _PONE)
     series = []
     for k in range(depth):
         acc = shifted[k] * d0_pows(k)
@@ -994,7 +1172,7 @@ def residue(f: RatFunc, pole) -> CFrac:
     factor = _normalize_pole(pole)
     order = f.pole_order(factor)
     if order == 0:
-        return CFrac(UniPoly())
+        return CFrac(_PZERO)
     series, d0_pows = _laurent_numerators(f, factor, order)
     return CFrac(series[-1], d0_pows(order))
 
@@ -1009,7 +1187,7 @@ def residue_via_derivative(f: RatFunc, pole, depth: int) -> CFrac:
             f"declared pole order {depth}, actual {f.pole_order(factor)}"
         )
     if depth == 0:
-        return CFrac(UniPoly())
+        return CFrac(_PZERO)
     cleared = f * (factor_to_bipoly(factor) ** depth)
     for _ in range(depth - 1):
         cleared = cleared.derivative(0)
@@ -1022,12 +1200,12 @@ def residue_via_derivative(f: RatFunc, pole, depth: int) -> CFrac:
 
 def residue_at_infinity(f: RatFunc) -> CFrac:
     """Residue at t = infinity: minus the 1/t coefficient of the expansion."""
-    den_rows = [CFrac(p) for p in f.denominator.t_coeff_list()]
-    num_rows = [CFrac(p) for p in f.num.t_coeff_list()]
+    den_rows = [CFrac(p) for p in _over([_PONE], {}, f.fac)]
+    num_rows = [CFrac(p) for p in f.rows]
     if not den_rows:
         raise ZeroDivisionError("zero denominator")
     if not num_rows:
-        return CFrac(UniPoly())
+        return CFrac(_PZERO)
     # Polynomial division in t over Frac(Q(i)[c]); only the remainder matters.
     deg_d = len(den_rows) - 1
     rem = list(num_rows)
@@ -1041,4 +1219,4 @@ def residue_at_infinity(f: RatFunc) -> CFrac:
         rem.pop()
     if len(rem) == deg_d and deg_d >= 1:
         return -(rem[-1] * lead_inv)
-    return CFrac(UniPoly())
+    return CFrac(_PZERO)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -296,7 +297,7 @@ def _factored_string(poly: UniPoly,
     denominator dividing the leading coefficient L of a_k's primitive integer
     form, so round(Re z * L) / L is kept when a_k vanishes there exactly.
     """
-    if any(not c.is_rational() for c in poly.coeffs):
+    if poly.im is not None:
         return poly.to_string("c")
     roots: Dict[GaussRat, int] = {}
     for z, k, factor in zeros:
@@ -333,16 +334,9 @@ def _factored_string(poly: UniPoly,
 
 
 def _rational_content(poly: UniPoly) -> GaussRat:
-    """Signed rational content: gcd of numerators over lcm of denominators."""
-    from math import gcd, lcm
-
-    fracs = [Fraction(str(c.re)) for c in poly.coeffs if c]
-    den = lcm(*(f.denominator for f in fracs))
-    num = gcd(*(abs(f.numerator * den // f.denominator) for f in fracs))
-    content = GaussRat(Fraction(num, den))
-    if fracs[-1] < 0:
-        content = -content
-    return content
+    """Signed rational content of a real poly: gcd of numerators over the denominator."""
+    content = GaussRat(Fraction(math.gcd(*poly.re), poly.den))
+    return content if poly.re[-1] > 0 else -content
 
 
 def _numeric_zeros(poly: UniPoly) -> List[Tuple[complex, int, UniPoly]]:

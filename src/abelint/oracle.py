@@ -58,22 +58,24 @@ def default_contour(rm: RectifyingMap, cycle: CanonicalCycle,
 
 def _integrate_circle(integrand: Callable[[complex], complex],
                       spec: ContourSpec) -> complex:
-    """Trapezoidal contour integral with doubling until 1e-10 relative."""
-    samples = spec.samples
-    previous = None
+    """Trapezoidal contour integral with doubling until 1e-10 relative.
+
+    Each doubling evaluates only the new, odd-indexed points and adds them
+    to the running sum of the level before.
+    """
+    samples, first, stride = spec.samples, 0, 1
+    total, previous = 0j, None
     while samples <= MAX_SAMPLES:
-        total = 0j
         step = 2 * math.pi / samples
-        for idx in range(samples):
-            point = spec.center + spec.radius * cmath.exp(1j * step * idx)
-            dz = 1j * spec.radius * cmath.exp(1j * step * idx)
-            total += integrand(point) * dz
+        for idx in range(first, samples, stride):
+            rotation = spec.radius * cmath.exp(1j * step * idx)
+            total += integrand(spec.center + rotation) * (1j * rotation)
         estimate = total * step
         if previous is not None:
             if abs(estimate - previous) <= REL_TOL * (1 + abs(estimate)):
                 return estimate
         previous = estimate
-        samples *= 2
+        samples, first, stride = samples * 2, 1, 2
     raise NonConvergence(
         f"contour integral did not converge within {MAX_SAMPLES} samples "
         f"(center {spec.center}, radius {spec.radius}); a pole is likely "
@@ -144,8 +146,8 @@ def locate_roots(p: UniPoly, tol: float = 1e-10,
     degree = int(p.degree)
     if degree == 0:
         return []
-    lead = p.coeffs[-1].to_complex()
-    monic = [c.to_complex() / lead for c in p.coeffs]
+    coeffs = p.complex_coeffs()
+    monic = [c / coeffs[-1] for c in coeffs]
 
     def evaluate(z: complex) -> complex:
         acc = 0j

@@ -87,6 +87,33 @@ class TestGaussRat:
     def test_negative_power_is_power_of_inverse(self):
         assert GaussRat(2, 1) ** -2 == (GaussRat(2, 1) ** 2).inverse()
 
+    def test_real_values_hash_like_their_rationals(self):
+        assert GaussRat(2) == 2 and GaussRat(2) in {2: 0}
+        assert {GaussRat(Fraction(1, 3)): 1}[Fraction(1, 3)] == 1
+        assert hash(GaussRat(-5)) == hash(-5)
+        assert {2: "two"}.get(GaussRat(2)) == "two"
+        assert hash(GaussRat(1, 2)) == hash(GaussRat.parse({"re": "1", "im": "2"}))
+
+    def test_hash_is_computed_once(self, monkeypatch):
+        if Q is not Fraction:
+            pytest.skip("counts Fraction.__hash__ calls")
+        calls = []
+        original = Fraction.__hash__
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Fraction, "__hash__", counting)
+        real, cplx = GaussRat(Fraction(7, 3)), GaussRat(Fraction(7, 3), 2)
+        key = ("t", real, cplx)
+        first = [hash(real), hash(cplx), hash(key)]
+        count = len(calls)
+        assert count > 0
+        assert [hash(real), hash(cplx), hash(key)] == first
+        assert {key: 1}[key] == 1
+        assert len(calls) == count
+
     def test_results_hold_backend_rationals(self):
         real, other_real = GaussRat(Fraction(3, 4)), GaussRat(-5)
         cplx, other_cplx = GaussRat(1, Fraction(-2, 3)), GaussRat(Fraction(1, 2), 7)

@@ -1,0 +1,256 @@
+"""The integer kernel against a list-of-GaussRat reference.
+
+``UniPoly`` stores Gaussian integers over one denominator; the reference
+below keeps one GaussRat per coefficient and does the textbook operations
+on them.  ``RatFunc`` stores its numerator as rows of c-polynomials; its
+products, sums and cancellations are checked against ``BiPoly`` products
+of the same numerators.
+"""
+
+from math import gcd
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from abelint import BiPoly, GaussRat, RatFunc, UniPoly
+from abelint.algebra import C_FACTOR, ONE, ZERO, factor_to_bipoly, t_factor
+
+PROPERTY = settings(max_examples=60, deadline=None)
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+reals = st.builds(GaussRat, rationals)
+gaussians = st.one_of(reals, st.builds(GaussRat, rationals, rationals))
+# A coefficient list is all real or may hold complex entries; either may
+# carry trailing zeros, which the canonical form trims.
+coeff_lists = st.one_of(st.lists(reals, max_size=6), st.lists(gaussians, max_size=6))
+nonzero_lists = coeff_lists.filter(lambda cs: any(cs))
+
+
+# ---------------------------------------------------------------------------
+# Reference: polynomials as lists of GaussRat, low degree first
+# ---------------------------------------------------------------------------
+
+def ref_trim(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    return ref_trim([(a[k] if k < len(a) else ZERO) + (b[k] if k < len(b) else ZERO)
+                     for k in range(n)])
+
+
+def ref_neg(a):
+    return [-c for c in a]
+
+
+def ref_mul(a, b):
+    if not a or not b:
+        return []
+    out = [ZERO] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return ref_trim(out)
+
+
+def ref_derivative(a):
+    return ref_trim([c * GaussRat(k) for k, c in enumerate(a)][1:])
+
+
+def ref_divmod(a, b):
+    rem, d = list(a), len(b) - 1
+    lead_inv = b[-1].inverse()
+    quot = [ZERO] * max(len(rem) - d, 0)
+    for k in range(len(rem) - d - 1, -1, -1):
+        factor = rem[k + d] * lead_inv
+        quot[k] = factor
+        for j, c in enumerate(b):
+            rem[k + j] = rem[k + j] - factor * c
+    return ref_trim(quot), ref_trim(rem)
+
+
+def ref_gcd(a, b):
+    while b:
+        a, b = b, ref_divmod(a, b)[1]
+    return [c * a[-1].inverse() for c in a] if a else a
+
+
+# ---------------------------------------------------------------------------
+# UniPoly
+# ---------------------------------------------------------------------------
+
+def assert_canonical(p: UniPoly):
+    assert p.den > 0
+    assert all(type(v) is int for v in p.re + (p.im or []))
+    if p.re:
+        assert p.re[-1] or p.im[-1]
+        assert gcd(p.den, *p.re, *(p.im or ())) == 1
+    else:
+        assert p.den == 1
+    assert p.im is None or (len(p.im) == len(p.re) and any(p.im))
+
+
+class TestUniPolyAgainstReference:
+    @PROPERTY
+    @given(coeff_lists)
+    def test_coefficients_round_trip_in_canonical_form(self, a):
+        p = UniPoly(a)
+        assert_canonical(p)
+        assert list(p.coeffs) == ref_trim(a)
+        assert p.complex_coeffs() == [c.to_complex() for c in p.coeffs]
+        assert UniPoly(p.coeffs) == p
+
+    @PROPERTY
+    @given(coeff_lists, coeff_lists)
+    def test_sum_difference_product(self, a, b):
+        p, q = UniPoly(a), UniPoly(b)
+        for got, want in ((p + q, ref_add(a, b)), (p - q, ref_add(a, ref_neg(b))),
+                          (-p, ref_neg(ref_trim(a))), (p * q, ref_mul(a, b))):
+            assert_canonical(got)
+            assert list(got.coeffs) == want
+
+    @PROPERTY
+    @given(coeff_lists, gaussians)
+    def test_scale_and_derivative(self, a, k):
+        got = UniPoly(a).scale(k)
+        assert_canonical(got)
+        assert list(got.coeffs) == ref_trim([c * k for c in a])
+        assert list(UniPoly(a).derivative().coeffs) == ref_derivative(ref_trim(a))
+
+    @PROPERTY
+    @given(coeff_lists, coeff_lists, coeff_lists)
+    def test_ring_axioms(self, a, b, c):
+        p, q, r = UniPoly(a), UniPoly(b), UniPoly(c)
+        assert (p + q) + r == p + (q + r)
+        assert (p * q) * r == p * (q * r)
+        assert p * q == q * p and p + q == q + p
+        assert p * (q + r) == p * q + p * r
+        assert p - p == UniPoly() and p * UniPoly.const(ONE) == p
+
+    @PROPERTY
+    @given(coeff_lists, nonzero_lists)
+    def test_divmod(self, a, b):
+        p, d = UniPoly(a), UniPoly(b)
+        quot, rem = p.divmod(d)
+        assert_canonical(quot)
+        assert_canonical(rem)
+        assert quot * d + rem == p
+        assert rem.is_zero() or rem.degree < d.degree
+        want_quot, want_rem = ref_divmod(ref_trim(a), ref_trim(b))
+        assert list(quot.coeffs) == want_quot and list(rem.coeffs) == want_rem
+
+    @PROPERTY
+    @given(nonzero_lists, nonzero_lists, coeff_lists)
+    def test_gcd_divides_both_and_matches_reference(self, a, b, common):
+        # A shared factor makes nontrivial gcds common.
+        p, q = UniPoly(a) * UniPoly(common), UniPoly(b) * UniPoly(common)
+        if p.is_zero() or q.is_zero():
+            return
+        g = p.gcd(q)
+        assert_canonical(g)
+        assert g.coeffs[-1] == ONE
+        assert p.divmod(g)[1].is_zero() and q.divmod(g)[1].is_zero()
+        assert list(g.coeffs) == ref_gcd(list(p.coeffs), list(q.coeffs))
+
+    @PROPERTY
+    @given(nonzero_lists, gaussians, st.integers(min_value=0, max_value=3))
+    def test_root_multiplicity(self, a, root, k):
+        p = UniPoly(a) * UniPoly([-root, ONE]) ** k
+        expected = k
+        current = list(UniPoly(a).coeffs)
+        while len(current) > 1:
+            quot, rem = ref_divmod(current, [-root, ONE])
+            if rem:
+                break
+            expected, current = expected + 1, quot
+        assert p.root_multiplicity(root) == expected
+
+    @PROPERTY
+    @given(coeff_lists, coeff_lists, gaussians)
+    def test_equal_values_have_equal_parts_and_hash(self, a, b, k):
+        # The same polynomial reached by different routes.
+        p, q = UniPoly(a), UniPoly(b)
+        routes = [p * q, q * p, (p * q).scale(k).scale(k.inverse()) if k else p * q,
+                  UniPoly(list((p * q).coeffs) + [ZERO, ZERO]),
+                  (p * q + q) - q]
+        for other in routes[1:]:
+            assert (other.den, other.re, other.im) == (routes[0].den, routes[0].re,
+                                                       routes[0].im)
+            assert hash(other) == hash(routes[0])
+
+
+# ---------------------------------------------------------------------------
+# RatFunc rows against BiPoly products
+# ---------------------------------------------------------------------------
+
+FACTORS = [t_factor(ZERO, ZERO), t_factor(ZERO, ONE), t_factor(ONE, ZERO),
+           t_factor(GaussRat(0, 1), GaussRat(-1, 2)), C_FACTOR]
+
+terms = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), gaussians, max_size=5)
+bipolys = terms.map(BiPoly)
+factor_dicts = st.dictionaries(st.sampled_from(FACTORS), st.integers(1, 3), max_size=3)
+
+
+def denominator(fac) -> BiPoly:
+    acc = BiPoly.const(ONE)
+    for key, e in fac.items():
+        acc = acc * factor_to_bipoly(key) ** e
+    return acc
+
+
+def add_factors(f1, f2):
+    out = dict(f1)
+    for key, e in f2.items():
+        out[key] = out.get(key, 0) + e
+    return out
+
+
+class TestRatFuncRows:
+    @PROPERTY
+    @given(bipolys, factor_dicts)
+    def test_rows_are_the_numerator_layout(self, n, fac):
+        f = RatFunc(n, fac)
+        assert f.rows == f.num.t_coeff_list()
+        assert RatFunc(f.num, f.fac).rows == f.rows
+        # N / D = f.num / f.denominator as polynomials cross-multiplied
+        assert n * f.denominator == f.num * denominator(fac)
+
+    @PROPERTY
+    @given(bipolys, factor_dicts, bipolys, factor_dicts)
+    def test_product_and_sum_match_bipoly(self, n1, fac1, n2, fac2):
+        f, g = RatFunc(n1, fac1), RatFunc(n2, fac2)
+        product = f * g
+        assert product == RatFunc(n1 * n2, add_factors(fac1, fac2))
+        assert product.num * denominator(add_factors(fac1, fac2)) \
+            == (n1 * n2) * product.denominator
+        total = f + g
+        cross = n1 * denominator(fac2) + n2 * denominator(fac1)
+        assert total == RatFunc(cross, add_factors(fac1, fac2))
+        assert f - g == RatFunc(n1 * denominator(fac2) - n2 * denominator(fac1),
+                                add_factors(fac1, fac2))
+
+    @PROPERTY
+    @given(bipolys, factor_dicts, st.sampled_from(FACTORS), st.integers(1, 3))
+    def test_cancellation(self, n, fac, factor, k):
+        # A numerator carrying factor^k over fac keeps its value, and no
+        # factor left in the denominator divides the numerator.
+        numerator = n * factor_to_bipoly(factor) ** k
+        f = RatFunc(numerator, fac)
+        assert f.num * denominator(fac) == numerator * f.denominator
+        if numerator.is_zero():
+            assert f.is_zero() and not f.fac
+        for key in f.fac:
+            assert not divides(key, f.num)
+
+
+def divides(factor, n: BiPoly) -> bool:
+    """Whether a denominator factor divides n, by substitution."""
+    if factor == C_FACTOR:
+        return all(j > 0 for _, j in n.terms)
+    _, pi1, pi0 = factor
+    return n.eval_at_t(UniPoly([pi0, pi1])).is_zero()

@@ -23,6 +23,7 @@ from abelint import (
     validate,
 )
 from abelint.algebra import RatFunc, t_factor
+from abelint.oracle import _integrate_circle
 from test_family import cubic_form, oscillator_form, septic_f2
 from test_abelian import SEPTIC_F2_FORM, form_dx
 
@@ -89,6 +90,20 @@ class TestContourIntegrals:
             fiber_side = contour_integral_fiber(w, rm, cycle, c0, spec)
             assert abs(t_side - fiber_side) < 1e-8 * (1 + abs(t_side))
 
+    def test_doubling_reuses_previous_samples(self):
+        # 1/z + z^63 on the unit circle: 64 samples alias z^63, 128 and 256
+        # do not, so the estimate settles at 256 samples after 64 + 64 + 128
+        # integrand calls, not 64 + 128 + 256.
+        calls = []
+
+        def integrand(z: complex) -> complex:
+            calls.append(z)
+            return 1 / z + z ** 63
+
+        value = _integrate_circle(integrand, ContourSpec(0j, 1.0, samples=64))
+        assert abs(value - 2j * math.pi) < 1e-10
+        assert len(calls) == 256
+
     def test_dx_only_form_leaves_dy_dt_unbuilt(self):
         nf = septic_f2()
         rm = build_rectifier(nf)
@@ -99,6 +114,8 @@ class TestContourIntegrals:
     def test_coefficients_converted_once_per_call(self, monkeypatch):
         # Both routes convert each exact coefficient to complex once per
         # call, so the count does not grow with the number of samples.
+        # Conversions happen in GaussRat.to_complex (scalars, pole
+        # locations) and UniPoly.complex_coeffs (polynomial rows).
         nf = septic_f2()
         rm = build_rectifier(nf)
         cycle = canonical_cycles(validate(nf))[0]
@@ -107,13 +124,14 @@ class TestContourIntegrals:
         eta_t = rm.monomial_pushforward(1, 1)
         w = OneForm(BiPoly({(1, 1): GaussRat(1)}), BiPoly({(1, 1): GaussRat(2)}))
         calls = []
-        original = GaussRat.to_complex
+        for owner, name in ((GaussRat, "to_complex"), (UniPoly, "complex_coeffs")):
+            original = getattr(owner, name)
 
-        def counting(self):
-            calls.append(self)
-            return original(self)
+            def counting(self, original=original):
+                calls.append(self)
+                return original(self)
 
-        monkeypatch.setattr(GaussRat, "to_complex", counting)
+            monkeypatch.setattr(owner, name, counting)
         counts = {}
         for samples in (64, 1024):
             fixed = ContourSpec(spec.center, spec.radius, samples=samples)
