@@ -518,14 +518,6 @@ class BiPoly:
     def var(cls, slot: int) -> "BiPoly":
         return cls({(1, 0) if slot == 0 else (0, 1): ONE})
 
-    @classmethod
-    def from_unipoly(cls, poly: UniPoly, slot: int) -> "BiPoly":
-        terms = {}
-        for k, c in enumerate(poly.coeffs):
-            if c:
-                terms[(k, 0) if slot == 0 else (0, k)] = c
-        return cls(terms)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -539,9 +531,6 @@ class BiPoly:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def coeff(self, i: int, j: int) -> GaussRat:
-        return self.terms.get((i, j), ZERO)
 
     @property
     def total_degree(self):
@@ -927,6 +916,12 @@ class RatFunc:
     @classmethod
     def c(cls) -> "RatFunc":
         return _raw_ratfunc([UniPoly.x()], {})
+
+    @classmethod
+    def factor_product(cls, exps: Mapping[TFactor, int], sign: int) -> "RatFunc":
+        """sign * prod factor^e; a factor with e < 0 goes in the denominator."""
+        rows = _over([UniPoly.const(sign)], {}, {k: e for k, e in exps.items() if e > 0})
+        return _raw_ratfunc(rows, {k: -e for k, e in exps.items() if e < 0})
 
     # -- views ---------------------------------------------------------
     @property

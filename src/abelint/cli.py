@@ -60,6 +60,14 @@ def _read_int(value, key: str, minimum: Optional[int] = None) -> int:
     return value
 
 
+def _check_keys(block: dict, allowed, key: str = "") -> None:
+    """Reject a key of ``block`` outside ``allowed``; ``key`` is the block's path."""
+    for name in block:
+        if name not in allowed:
+            where = f"{key}.{name}" if key else name
+            raise ConfigError(f"{where}: unknown key")
+
+
 def _read_list(value, key: str) -> list:
     if not isinstance(value, list):
         raise ConfigError(f"{key}: expected a list, got {value!r}")
@@ -102,12 +110,18 @@ def _parse_bipoly(obj, key: str) -> BiPoly:
     return BiPoly(terms)
 
 
+_TOP_KEYS = ("family", "one_form", "automorphism", "bifurcation_set", "mu", "oracle")
+_F12_KEYS = ("type", "p1", "p", "q1", "q", "k", "P", "a", "beta")
+_F3_KEYS = ("type", "a", "beta", "h")
+
+
 def parse_family(block, key: str = "family") -> NormalForm:
     if not isinstance(block, dict):
         raise ConfigError(f"{key}: expected an object")
     tag = block.get("type")
     if tag not in ("F1", "F2", "F3"):
         raise ConfigError(f"{key}.type: must be one of F1, F2, F3")
+    _check_keys(block, _F3_KEYS if tag == "F3" else _F12_KEYS, key)
     common = dict(
         a=tuple(_read_int(v, f"{key}.a[{pos}]")
                 for pos, v in enumerate(_read_list(block.get("a", []), f"{key}.a"))),
@@ -129,6 +143,7 @@ def parse_one_form(entries, key: str = "one_form") -> OneForm:
         where = f"{key}[{pos}]"
         if not isinstance(entry, dict):
             raise ConfigError(f"{where}: expected an object")
+        _check_keys(entry, ("i", "j", "coeff", "differential"), where)
         i = _read_int(entry.get("i"), f"{where}.i", minimum=0)
         j = _read_int(entry.get("j"), f"{where}.j", minimum=0)
         coeff = _read_exact(entry.get("coeff"), f"{where}.coeff")
@@ -143,6 +158,7 @@ def parse_one_form(entries, key: str = "one_form") -> OneForm:
 def parse_automorphism(block, key: str = "automorphism") -> PolyAutomorphism:
     if not isinstance(block, dict):
         raise ConfigError(f"{key}: expected an object")
+    _check_keys(block, ("forward", "inverse", "sigma"), key)
     maps = []
     for name in ("forward", "inverse"):
         components = _read_list(block.get(name), f"{key}.{name}")
@@ -165,6 +181,7 @@ class Problem:
     def __init__(self, config: dict):
         if not isinstance(config, dict):
             raise ConfigError("top level: expected a JSON object")
+        _check_keys(config, _TOP_KEYS)
         self.normal_form = parse_family(config.get("family"))
         self.one_form = parse_one_form(config.get("one_form", []))
         self.automorphism: Optional[PolyAutomorphism] = None
@@ -173,10 +190,11 @@ class Problem:
         self.bifurcation_override = _read_exacts(
             config.get("bifurcation_set", []), "bifurcation_set")
         mu = config.get("mu")
-        self.mu = None if mu is None else _read_int(mu, "mu")
+        self.mu = None if mu is None else _read_int(mu, "mu", minimum=0)
         oracle_block = config.get("oracle", {})
         if not isinstance(oracle_block, dict):
             raise ConfigError("oracle: expected an object")
+        _check_keys(oracle_block, ("enabled", "seed_c_values"), "oracle")
         self.oracle_enabled = oracle_block.get("enabled", True)
         if type(self.oracle_enabled) is not bool:
             raise ConfigError(f"oracle.enabled: expected true or false, "

@@ -1,9 +1,19 @@
 """Rectifying birational maps and push-forwards of 1-forms.
 
-For each family (and each sign of p*q1 - q*p1) the map R = (G, H) sends
-generic fibers {H = c} to horizontal punctured lines in the (t, c) plane.
-The explicit inverse is built here in factored rational form and verified
-symbolically: H(inverse) = c and G(inverse) = t as rational identities.
+For each family the map R = (G, H) sends generic fibers {H = c} to
+horizontal punctured lines in the (t, c) plane.  The explicit inverse is
+built here in factored rational form and verified symbolically:
+H(inverse) = c and G(inverse) = t as rational identities.
+
+With Pi = prod (beta_i - t)^a_i, W = c (family two) or c - t (family one)
+and s = p*q1 - q*p1 = +-1, both sign cases are one formula:
+
+    x = M^s,  M = t^p Pi^q / W^q,
+    S = x^k y + P(x) = N^s,  N = W^q1 / (t^p1 Pi^q1),
+    y = (S - P(x)) x^-k.
+
+Family three has x = t and y = (c - h(t)) / Pi.
+
 A basis 1-form x^i y^j dx pulls back along the inverse to a rational
 1-form in (t, c).  A canonical cycle is a loop in t at fixed c, so only the
 dt part eta_t = x^i y^j dx/dt enters its integral, and only eta_t is
@@ -20,8 +30,6 @@ from .algebra import (
     C_FACTOR,
     ONE,
     ZERO,
-    BiPoly,
-    GaussRat,
     RatFunc,
     TFactor,
     UniPoly,
@@ -34,6 +42,7 @@ from .family import (
     ZERO_PUNCTURE,
     FamilyFacts,
     NormalForm,
+    _horner,
     hamiltonian,
     validate,
 )
@@ -89,110 +98,39 @@ class RectifyingMap:
         return eta_t
 
 
-def _signed_denominator(t_pow: int = 0, beta_pows: Dict[int, int] = None,
-                        c_pow: int = 0, moving_pow: int = 0, nf: NormalForm = None):
-    """Factor dict for t^t_pow * prod (beta_i - t)^e_i * c^c_pow * (c - t)^m.
+def _product(nf: NormalForm, t_exp: int, pi_exp: int, w_exp: int = 0) -> RatFunc:
+    """t^t_exp Pi^pi_exp W^w_exp, each exponent of either sign.
 
-    Returns (factors, sign): (beta - t) and (c - t) are stored as the monic
-    factors (t - beta), (t - c); the accumulated sign compensates.
+    Pi = prod (beta_i - t)^a_i and W = c (family two) or c - t (family one).
+    (beta_i - t) and (c - t) are minus the monic factors (t - beta_i) and
+    (t - c), so the sign is the parity of their total exponent.
     """
-    fac: Dict[TFactor, int] = {}
-    sign = 1
-    if t_pow:
-        fac[t_factor(ZERO, ZERO)] = t_pow
-    for index, e in (beta_pows or {}).items():
-        if e:
-            fac[t_factor(ZERO, nf.beta[index])] = e
-            sign *= (-1) ** e
-    if c_pow:
-        fac[C_FACTOR] = c_pow
-    if moving_pow:
-        fac[t_factor(ONE, ZERO)] = moving_pow
-        sign *= (-1) ** moving_pow
-    return fac, sign
-
-
-def _pi_power(nf: NormalForm, e: int) -> BiPoly:
-    """Pi(t)^e = prod (beta_i - t)^{a_i e} as a (t, c) polynomial."""
-    acc = BiPoly.const(ONE)
-    t = BiPoly.var(0)
+    exps = {t_factor(ZERO, ZERO): t_exp}
+    flips = 0
     for b, a in zip(nf.beta, nf.a):
-        acc = acc * (BiPoly.const(b) - t) ** (a * e)
-    return acc
-
-
-def _t_power(n: int) -> BiPoly:
-    return BiPoly({(n, 0): ONE})
-
-
-def _c_power(n: int) -> BiPoly:
-    return BiPoly({(0, n): ONE})
-
-
-def _moving_power(n: int) -> BiPoly:
-    """(c - t)^n."""
-    return (BiPoly.var(1) - BiPoly.var(0)) ** n
+        exps[t_factor(ZERO, b)] = a * pi_exp
+        flips += a * pi_exp
+    if nf.family == "F1":
+        exps[t_factor(ONE, ZERO)] = w_exp
+        flips += w_exp
+    else:
+        exps[C_FACTOR] = w_exp
+    return RatFunc.factor_product(exps, -1 if flips % 2 else 1)
 
 
 def build_rectifier(nf: NormalForm) -> RectifyingMap:
     """Construct and symbolically verify the rectifying map for a normal form."""
     facts = validate(nf)
-    t = BiPoly.var(0)
-
     if nf.family == "F3":
-        h_t = BiPoly.from_unipoly(nf.h, 0)
-        num = (BiPoly.var(1) - h_t)
-        fac, sign = _signed_denominator(
-            beta_pows={i: a for i, a in enumerate(nf.a)}, nf=nf)
-        inverse_x = RatFunc(t)
-        inverse_y = RatFunc(num.scale(GaussRat(sign)), fac)
+        inverse_x = RatFunc.t()
+        inverse_y = (RatFunc.c() - _horner(nf.h, inverse_x)) * _product(nf, 0, -1)
     else:
         p1, p, q1, q = facts.effective
-        k = nf.k
-        lam = nf.P.coeffs  # P = sum lam_s x^s, deg <= k-1
-
-        if facts.sign_case == 1:
-            # x = t^p Pi^q / W^q,   W = c (family two) or c - t (family one)
-            # y = [W^{qk+q1} - sum_s lam_s t^{p1+ps} Pi^{q1+qs} W^{q(k-s)}]
-            #     / (t^{pk+p1} Pi^{qk+q1})
-            if nf.family == "F2":
-                w_power = _c_power
-                x_fac, x_sign = _signed_denominator(c_pow=q, nf=nf)
-            else:
-                w_power = _moving_power
-                x_fac, x_sign = _signed_denominator(moving_pow=q, nf=nf)
-            x_num = (_t_power(p) * _pi_power(nf, q)).scale(GaussRat(x_sign))
-            inverse_x = RatFunc(x_num, x_fac)
-            y_num = w_power(q * k + q1)
-            for s_idx, coeff in enumerate(lam):
-                if coeff:
-                    term = _t_power(p1 + p * s_idx) * _pi_power(nf, q1 + q * s_idx) \
-                        * w_power(q * (k - s_idx))
-                    y_num = y_num - term.scale(coeff)
-            y_fac, y_sign = _signed_denominator(
-                t_pow=p * k + p1,
-                beta_pows={i: a * (q * k + q1) for i, a in enumerate(nf.a)}, nf=nf)
-            inverse_y = RatFunc(y_num.scale(GaussRat(y_sign)), y_fac)
-        else:
-            # x = W^q / (t^p Pi^q)
-            # y = [t^{pk+p1} Pi^{qk+q1} - sum_s lam_s W^{q1+qs} t^{p(k-s)} Pi^{q(k-s)}]
-            #     / W^{qk+q1}
-            if nf.family == "F2":
-                w_power = _c_power
-                y_fac, y_sign = _signed_denominator(c_pow=q * k + q1, nf=nf)
-            else:
-                w_power = _moving_power
-                y_fac, y_sign = _signed_denominator(moving_pow=q * k + q1, nf=nf)
-            x_fac, x_sign = _signed_denominator(
-                t_pow=p, beta_pows={i: a * q for i, a in enumerate(nf.a)}, nf=nf)
-            inverse_x = RatFunc(w_power(q).scale(GaussRat(x_sign)), x_fac)
-            y_num = _t_power(p * k + p1) * _pi_power(nf, q * k + q1)
-            for s_idx, coeff in enumerate(lam):
-                if coeff:
-                    term = w_power(q1 + q * s_idx) * _t_power(p * (k - s_idx)) \
-                        * _pi_power(nf, q * (k - s_idx))
-                    y_num = y_num - term.scale(coeff)
-            inverse_y = RatFunc(y_num.scale(GaussRat(y_sign)), y_fac)
+        s, k = facts.sign_case, nf.k  # x = M^s, S = N^s, y = (S - P(x)) x^-k
+        inverse_x = _product(nf, s * p, s * q, -s * q)
+        big_s = _product(nf, -s * p1, -s * q1, s * q1)
+        x_to_minus_k = _product(nf, -s * p * k, -s * q * k, s * q * k)
+        inverse_y = x_to_minus_k * (big_s - _horner(nf.P, inverse_x))
 
     rm = RectifyingMap(nf, facts, inverse_x, inverse_y)
     _verify(rm)

@@ -226,6 +226,11 @@ class TestExitCodes:
         ("family", "beta", [{"re": "1", "img": "2"}], "family.beta[0]"),
         ("top", "bifurcation_set", "3", "bifurcation_set"),
         ("top", "mu", "x", "mu"),
+        ("top", "mu", -5, "mu"),
+        ("top", "seed_c_values", ["2"], "seed_c_values"),
+        ("family", "h", [], "family.h"),
+        ("form", "differentail", "dx", "one_form[0].differentail"),
+        ("oracle", "seed_c_value", ["2"], "oracle.seed_c_value"),
         ("form", "i", -1, "one_form[0].i"),
         ("form", "j", "1", "one_form[0].j"),
         ("form", "coeff", "1/0", "one_form[0].coeff"),
@@ -247,6 +252,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: invalid configuration: {where}: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("block, key", [
+        ("family", "k"),
+        ("automorphism", "sigma0"),
+    ])
+    def test_unknown_key_is_one_line_config_error(self, tmp_path, capsys,
+                                                  block, key):
+        # minimal_config's family is F3, whose keys exclude F1/F2's k.
+        config = minimal_config()
+        identity = [[[1, 0, "1"]], [[0, 1, "1"]]]
+        config["automorphism"] = {"forward": identity, "inverse": identity}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 0
+        config[block][key] = 1
+        path.write_text(json.dumps(config))
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: invalid configuration: {block}.{key}: unknown key\n"
 
 
     @pytest.mark.parametrize("name, seed", [

@@ -2,17 +2,22 @@
 
 import random
 
+import pytest
+
 from abelint import (
     BiPoly,
+    ConstructionFailure,
     GaussRat,
+    NormalForm,
     RatFunc,
+    RectifyingMap,
     UniPoly,
     build_rectifier,
     canonical_cycles,
     validate,
 )
 from abelint.algebra import C_FACTOR, t_factor
-from abelint.rectify import allowed_pole_factors
+from abelint.rectify import _verify, allowed_pole_factors
 from test_family import cubic_form, oscillator_form, septic_f1, septic_f2
 
 from conftest import cached_rectifier, random_normal_form
@@ -63,14 +68,52 @@ class TestExplicitInverses:
         build_rectifier(nf_f2)
 
     def test_rank_one_synthesized_inverse(self):
-        # H = x(xy + 1)^2: inverse = (t^2/c^3, c^3 (c^2 - t)/t^3)
-        from abelint import NormalForm
+        # H = x(xy + 1)^2, synthesized (q1, q) = (2, 3):
+        # inverse = (t^2/c^3, c^3 (c^2 - t)/t^3)
         nf = NormalForm("F2", p1=1, p=2, k=1, P=UniPoly([1]))
         rm = build_rectifier(nf)
-        t0, c0 = 0.7 + 0.3j, 1.4 - 0.2j
-        assert abs(rm.inverse_x.evaluate(t0, c0) - t0 ** 2 / c0 ** 3) < 1e-12
-        assert abs(rm.inverse_y.evaluate(t0, c0)
-                   - c0 ** 3 * (c0 ** 2 - t0) / t0 ** 3) < 1e-10
+        assert rm.inverse_x == RatFunc(BiPoly({(2, 0): 1}), {C_FACTOR: 3})
+        assert rm.inverse_y == RatFunc(BiPoly({(0, 5): 1, (1, 3): -1}),
+                                       {t_factor(GaussRat(0), GaussRat(0)): 3})
+
+    @pytest.mark.parametrize("family", ["F1", "F2"])
+    def test_negative_sign_inverse(self, family):
+        # p q1 - q p1 = 3*1 - 2*2 = -1, k = 2, P = 1 + 3x, Pi = 2 - t and
+        # W = c (F2) or c - t (F1).  x = W^2 / (t^3 Pi^2); S = t^2 Pi / W;
+        # y = (S - 1 - 3x) x^-2
+        #   = (t^8 Pi^5 - t^6 Pi^4 W - 3 t^3 Pi^2 W^3) / W^5.
+        nf = NormalForm(family, p1=2, p=3, q1=1, q=2, k=2, P=UniPoly([1, 3]),
+                        a=(1,), beta=(GaussRat(2),))
+        assert validate(nf).sign_case == -1
+        rm = build_rectifier(nf)
+        t, c = BiPoly.var(0), BiPoly.var(1)
+        pi = BiPoly.const(GaussRat(2)) - t
+        w = c if family == "F2" else c - t
+        y_num = t ** 8 * pi ** 5 - t ** 6 * pi ** 4 * w \
+            - (t ** 3 * pi ** 2 * w ** 3).scale(GaussRat(3))
+        # 1 / Pi^2 = 1 / (t - 2)^2; 1 / (c - t)^5 = -1 / (t - c)^5
+        t_zero = t_factor(GaussRat(0), GaussRat(0))
+        t_beta = t_factor(GaussRat(0), GaussRat(2))
+        if family == "F2":
+            w_fac, w_sign = C_FACTOR, GaussRat(1)
+        else:
+            w_fac, w_sign = t_factor(GaussRat(1), GaussRat(0)), GaussRat(-1)
+        assert rm.inverse_x == RatFunc(w ** 2, {t_zero: 3, t_beta: 2})
+        assert rm.inverse_y == RatFunc(y_num.scale(w_sign), {w_fac: 5})
+
+    @pytest.mark.parametrize("wrong", ["negated y", "scaled x", "shifted x"])
+    @pytest.mark.parametrize("make", [septic_f1, septic_f2, cubic_form])
+    def test_verify_rejects_wrong_inverse(self, make, wrong):
+        rm = build_rectifier(make())
+        x, y = rm.inverse_x, rm.inverse_y
+        if wrong == "negated y":
+            y = -y
+        elif wrong == "scaled x":
+            x = x * GaussRat(2)
+        else:
+            x = x + RatFunc.t()
+        with pytest.raises(ConstructionFailure):
+            _verify(RectifyingMap(rm.nf, rm.facts, x, y))
 
 
 class TestPushforwards:
