@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import PoleOrderMismatch
@@ -345,19 +345,28 @@ class UniPoly:
         quot = _poly(den, [lead * v for v in qr], [lead * v for v in qi])
         return quot * inv, _poly(den, rr[:m], ri[:m])
 
+    def vanishes_at(self, point: GaussRat) -> bool:
+        """Whether self(point) = 0, by Horner over Z[i]: for point = (a + bi)/d
+        it sums c_k (a + bi)^k d^(n-k), which is d^n den self(point)."""
+        d, a, b = _scalar(point)
+        b, im = b or 0, self.im or [0] * len(self.re)
+        acc_r = acc_i = 0
+        scale = 1  # d^(n-k) at coefficient k
+        for r, i in zip(reversed(self.re), reversed(im)):
+            acc_r, acc_i = (acc_r * a - acc_i * b + r * scale,
+                            acc_r * b + acc_i * a + i * scale)
+            scale *= d
+        return not acc_r and not acc_i
+
     def root_multiplicity(self, root: GaussRat) -> int:
-        """Multiplicity of (x - root) in self, via exact repeated division."""
+        """Multiplicity of (x - root) in self; divides only where it vanishes."""
         if self.is_zero():
             raise ValueError("zero polynomial has no well-defined multiplicity")
         count, current = 0, self
-        linear = UniPoly([-root, ONE])
-        while True:
-            quot, rem = current.divmod(linear)
-            if rem.is_zero():
-                count += 1
-                current = quot
-            else:
-                return count
+        while current.vanishes_at(root):
+            count += 1
+            current = current.divmod(UniPoly([-root, ONE]))[0]
+        return count
 
     def monic(self) -> "UniPoly":
         if self.is_zero():
@@ -463,6 +472,11 @@ def _combine(p: UniPoly, q: UniPoly, sign: int) -> UniPoly:
 
 def _conv(a, b) -> list:
     """Schoolbook product of two int coefficient vectors."""
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:  # a scalar times a vector
+        x = a[0]
+        return [x * y for y in b]
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -808,14 +822,17 @@ def _rows_sum(a: list, b: list, sign: int = 1) -> list:
     return out
 
 
-def _rows_mul(a: list, b: list) -> list:
-    """Rows of the product a*b."""
+def _rows_mul(a: list, b: list, size: int = None) -> list:
+    """Rows of the product a*b; with ``size``, only the first ``size`` rows."""
     if not a or not b:
         return []
-    out = [_PZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
+    n = len(a) + len(b) - 1
+    if size is not None and size < n:
+        n = size
+    out = [_PZERO] * n
+    for i, x in enumerate(a[:n]):
         if x:
-            for j, y in enumerate(b, i):
+            for j, y in enumerate(b[:n - i], i):
                 if y:
                     out[j] = out[j] + x * y
     return out
@@ -828,9 +845,10 @@ def _times_factor(rows: list, factor: TFactor) -> list:
                 for r in rows]
     pi = _factor_pi(factor)
     out = [_PZERO] + rows  # t * rows
-    for k, r in enumerate(rows):
-        if r:
-            out[k] = out[k] - r * pi
+    if pi:
+        for k, r in enumerate(rows):
+            if r:
+                out[k] = out[k] - r * pi
     return out
 
 
@@ -842,19 +860,36 @@ def _over(rows: list, fac: Mapping, target: Mapping) -> list:
     return rows
 
 
+def _synthetic_division(rows: list, pi: UniPoly):
+    """(quotient rows, remainder) of nonzero rows by t - pi; a shift for pi = 0."""
+    if not pi:
+        return rows[1:], rows[0]
+    quot = [_PZERO] * (len(rows) - 1)
+    carry = rows[-1]
+    for k in range(len(rows) - 2, -1, -1):
+        quot[k] = carry
+        carry = rows[k] + carry * pi if carry else rows[k]
+    return quot, carry
+
+
 def _divide_factor(rows: list, factor: TFactor):
     """Rows of the exact quotient by one denominator factor, or None."""
     if factor[0] == "c":
         if any(r and (r.re[0] or r.im and r.im[0]) for r in rows):
             return None
         return [_raw_poly(r.den, r.re[1:], r.im and r.im[1:]) if r else r for r in rows]
-    pi = _factor_pi(factor)
-    quot = [_PZERO] * (len(rows) - 1)
-    carry = rows[-1]  # synthetic division by t - pi, from the top row down
-    for k in range(len(rows) - 2, -1, -1):
-        quot[k] = carry
-        carry = rows[k] + carry * pi
-    return None if carry else quot
+    quot, rem = _synthetic_division(rows, _factor_pi(factor))
+    return None if rem else quot
+
+
+def _cancel(rows: list, factor: TFactor, e: int):
+    """(rows / factor^m, e - m) for the largest m <= e with factor^m | rows."""
+    while e:
+        quotient = _divide_factor(rows, factor)
+        if quotient is None:
+            break
+        rows, e = quotient, e - 1
+    return rows, e
 
 
 def _ratfunc(rows: list, fac: dict) -> "RatFunc":
@@ -867,11 +902,7 @@ def _ratfunc(rows: list, fac: dict) -> "RatFunc":
     if not rows:
         fac = {}
     for key, e in list(fac.items()):
-        while e:
-            quotient = _divide_factor(rows, key)
-            if quotient is None:
-                break
-            rows, e = quotient, e - 1
+        rows, e = _cancel(rows, key, e)
         if e:
             fac[key] = e
         else:
@@ -893,6 +924,13 @@ class RatFunc:
     layout of ``BiPoly.t_coeff_list``.  Every factor of ``fac`` is
     irreducible and cancelled as far as it divides N, so the pair
     (rows, fac) is unique.  ``num`` is a BiPoly view of the numerator.
+
+    Cancellation rule for products: a factor of one reduced operand's
+    denominator does not divide that operand's numerator, so it can cancel
+    only against the other operand's numerator, and a factor in both
+    denominators divides neither numerator.  ``*`` therefore trial-divides
+    each factor of one denominator, absent from the other, against the
+    other numerator only, before the product is formed.
     """
 
     __slots__ = ("rows", "fac")
@@ -969,10 +1007,18 @@ class RatFunc:
             return _raw_ratfunc([r.scale(other) for r in self.rows], dict(self.fac))
         if isinstance(other, BiPoly):
             other = RatFunc(other)
-        fac = dict(self.fac)
+        if not self.rows or not other.rows:
+            return _raw_ratfunc([], {})
+        a, b, fac = self.rows, other.rows, dict(self.fac)
         for k, e in other.fac.items():
             fac[k] = fac.get(k, 0) + e
-        return _ratfunc(_rows_mul(self.rows, other.rows), fac)
+        for k, e in self.fac.items():  # see the cancellation rule above
+            if k not in other.fac:
+                b, fac[k] = _cancel(b, k, e)
+        for k, e in other.fac.items():
+            if k not in self.fac:
+                a, fac[k] = _cancel(a, k, e)
+        return _raw_ratfunc(_rows_mul(a, b), {k: e for k, e in fac.items() if e})
 
     __rmul__ = __mul__
 
@@ -1123,40 +1169,50 @@ def _laurent_numerators(f: RatFunc, factor: TFactor, depth: int):
         return [], None
     pi = _factor_pi(factor)
 
-    # Shift t = u + pi(c); the numerator becomes a polynomial in (u, c).
-    shifted = [_PZERO] * depth
-    pi_pows = power_table(pi, _PONE)
-    binom = [1]
-    for k, row in enumerate(f.rows):
-        if k:
-            binom = [1] + [binom[m - 1] + binom[m] for m in range(1, k)] + [1]
-        if row.is_zero():
-            continue
-        # (u + pi)^k = sum_m C(k, m) pi^{k-m} u^m; only u-orders < depth matter
-        for m in range(min(k, depth - 1) + 1):
-            shifted[m] = shifted[m] + row * pi_pows(k - m).scale(binom[m])
+    # N(u + pi) below u^depth: the remainders of repeated synthetic division
+    # by t - pi, which are the rows themselves when pi = 0.
+    shifted, rows = [], f.rows
+    while rows and len(shifted) < depth:
+        rows, rem = _synthetic_division(rows, pi)
+        shifted.append(rem)
+    shifted += [_PZERO] * (depth - len(shifted))
 
-    # Remaining denominator D1(u) in Q(i)[c][u], truncated below u^depth.
+    # Remaining denominator D1(u) below u^depth: c^e for the factor c and
+    # the binomial row of (u + pi - pi')^e for every other t - pi'.
     d1 = [_PONE]
     for key, e in f.fac.items():
-        if key[0] == "c":  # factor c is u-constant
+        if key[0] == "c":
             d1 = [p * UniPoly.monomial(e) for p in d1]
-        elif key != factor:  # (t - pi') = u + (pi - pi')
-            shift = pi - _factor_pi(key)
-            for _ in range(e):
-                d1 = [a * shift + b for a, b in zip(d1 + [_PZERO], [_PZERO] + d1)][:depth]
+        elif key != factor:
+            d1 = _rows_mul(d1, _binomial_row(pi - _factor_pi(key), e, depth), depth)
 
     if d1[0].is_zero():
         raise PoleOrderMismatch("pole locations collide; pole order is not generic")
 
+    # S_k = N_k d0^k - sum_{j>=1} S_{k-j} E_j with E_j = D1_j d0^(j-1).
     d0_pows = power_table(d1[0], _PONE)
+    scaled = [(j, d * d0_pows(j - 1)) for j, d in enumerate(d1) if j and d]
     series = []
     for k in range(depth):
         acc = shifted[k] * d0_pows(k)
-        for m in range(max(0, k - len(d1) + 1), k):
-            acc = acc - series[m] * d1[k - m] * d0_pows(k - m - 1)
+        for j, e_j in scaled:
+            if j > k:
+                break
+            if series[k - j]:
+                acc = acc - series[k - j] * e_j
         series.append(acc)
     return series, d0_pows
+
+
+def _binomial_row(shift: UniPoly, e: int, depth: int) -> list:
+    """The coefficients of (u + shift)^e below u^depth, by power of u."""
+    top = min(e, depth - 1)
+    power, row = shift ** (e - top), [_PZERO] * (top + 1)
+    for m in range(top, -1, -1):
+        row[m] = power.scale(comb(e, m))
+        if m:
+            power = power * shift
+    return row
 
 
 def residue(f: RatFunc, pole) -> CFrac:

@@ -148,9 +148,9 @@ def parse_one_form(entries, key: str = "one_form") -> OneForm:
         j = _read_int(entry.get("j"), f"{where}.j", minimum=0)
         coeff = _read_exact(entry.get("coeff"), f"{where}.coeff")
         differential = entry.get("differential", "dx")
-        store = {"dx": a_terms, "dy": b_terms}.get(differential)
-        if store is None:
+        if differential not in ("dx", "dy"):  # compared, never hashed
             raise ConfigError(f"{where}.differential: must be dx or dy")
+        store = a_terms if differential == "dx" else b_terms
         store[(i, j)] = store.get((i, j), GaussRat(0)) + coeff
     return OneForm(BiPoly(a_terms), BiPoly(b_terms))
 
@@ -318,10 +318,10 @@ def _factored_string(poly: UniPoly,
     if poly.im is not None:
         return poly.to_string("c")
     roots: Dict[GaussRat, int] = {}
-    for z, k, factor in zeros:
-        lead = int((factor.coeffs[-1] / _rational_content(factor)).re)
+    for z, k, factor in zeros:  # each a_k of a real poly is real
+        lead = abs(factor.re[-1]) // math.gcd(*factor.re)
         root = GaussRat(Fraction(round(z.real * lead), lead))
-        if not factor.evaluate(root):
+        if factor.vanishes_at(root):
             roots[root] = k  # a complex pair may round to a real root too
     if not roots:
         return poly.to_string("c")

@@ -389,20 +389,30 @@ class TestResidues:
         poles = [t_factor(GaussRat(1), GaussRat(0)),
                  t_factor(GaussRat(0), GaussRat(1, 1)),
                  t_factor(GaussRat(0), GaussRat(0))]
-        deep = 0
-        for _ in range(8):
-            fac = {pole: rng.randint(1, 5) for pole in poles}
-            fac[C_FACTOR] = rng.randint(1, 2)
-            f = RatFunc(random_bipoly(rng, 3), fac)
+        depths = []
+
+        def check_every_coefficient(f):
             for pole in poles:
                 depth = f.pole_order(pole)
-                deep = max(deep, depth)
+                depths.append(depth)
                 coeffs = laurent_coefficients(f, pole, depth)
                 assert len(coeffs) == depth
                 for k, coeff in enumerate(coeffs):
                     lowered = f * factor_to_bipoly(pole) ** (depth - 1 - k)
                     assert coeff == residue_via_derivative(lowered, pole, k + 1)
-        assert deep == 5
+
+        for _ in range(8):
+            fac = {pole: rng.randint(1, 5) for pole in poles}
+            fac[C_FACTOR] = rng.randint(1, 2)
+            check_every_coefficient(RatFunc(random_bipoly(rng, 3), fac))
+        assert max(depths) == 5
+        # At t = c (depth 2) the exponents 6 of t - (1+i) and 4 of c lie
+        # above the depth, so D1(u) keeps only part of their binomial rows.
+        depths.clear()
+        check_every_coefficient(RatFunc(
+            BiPoly({(0, 0): GaussRat(2), (1, 1): GaussRat(-1, 3), (3, 0): GaussRat(1)}),
+            {poles[0]: 2, poles[1]: 6, poles[2]: 3, C_FACTOR: 4}))
+        assert depths == [2, 6, 3]
 
     def test_one_normalisation_per_coefficient(self, monkeypatch):
         pole = t_factor(GaussRat(1), GaussRat(0))

@@ -237,6 +237,8 @@ class TestExitCodes:
         ("oracle", "seed_c_values", ["zz"], "oracle.seed_c_values[0]"),
         ("oracle", "seed_c_values", "3", "oracle.seed_c_values"),
         ("oracle", "enabled", "false", "oracle.enabled"),
+        ("form", "differential", ["dx"], "one_form[0].differential"),
+        ("form", "differential", {}, "one_form[0].differential"),
     ])
     def test_malformed_field_is_one_line_config_error(
             self, tmp_path, capsys, block, key, value, where):

@@ -12,8 +12,9 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abelint import BiPoly, GaussRat, RatFunc, UniPoly
-from abelint.algebra import C_FACTOR, ONE, ZERO, factor_to_bipoly, t_factor
+from abelint import BiPoly, GaussRat, RatFunc, UniPoly, algebra
+from abelint.algebra import (C_FACTOR, ONE, ZERO, _ratfunc, _rows_mul,
+                             factor_to_bipoly, t_factor)
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -168,6 +169,8 @@ class TestUniPolyAgainstReference:
                 break
             expected, current = expected + 1, quot
         assert p.root_multiplicity(root) == expected
+        for poly in (p, UniPoly(a)):  # the Z[i] zero test against evaluation
+            assert poly.vanishes_at(root) == (poly.evaluate(root) == ZERO)
 
     @PROPERTY
     @given(coeff_lists, coeff_lists, gaussians)
@@ -210,6 +213,11 @@ def add_factors(f1, f2):
     return out
 
 
+def reference_product(f, g):
+    """f * g with every merged factor tried against the whole product."""
+    return _ratfunc(_rows_mul(f.rows, g.rows), add_factors(f.fac, g.fac))
+
+
 class TestRatFuncRows:
     @PROPERTY
     @given(bipolys, factor_dicts)
@@ -233,6 +241,39 @@ class TestRatFuncRows:
         assert total == RatFunc(cross, add_factors(fac1, fac2))
         assert f - g == RatFunc(n1 * denominator(fac2) - n2 * denominator(fac1),
                                 add_factors(fac1, fac2))
+
+    @PROPERTY
+    @given(bipolys, factor_dicts, bipolys, factor_dicts, st.data())
+    def test_product_matches_the_merged_reference(self, n1, fac1, n2, fac2, data):
+        # Each numerator carries some of the other operand's factors, so the
+        # product cancels; the two denominators often share factors too.
+        lifts = st.integers(0, 3)
+        n1 = n1 * denominator({key: data.draw(lifts) for key in fac2})
+        n2 = n2 * denominator({key: data.draw(lifts) for key in fac1})
+        f, g = RatFunc(n1, fac1), RatFunc(n2, fac2)
+        for a, b in ((f, g), (g, f), (f, f)):
+            got, want = a * b, reference_product(a, b)
+            assert got.rows == want.rows
+            assert list(got.fac.items()) == list(want.fac.items())
+
+    def test_square_of_a_factor_product_tries_no_division(self, monkeypatch):
+        # Every factor of x sits in both denominators of x * x.
+        x = RatFunc.factor_product({t_factor(ZERO, ZERO): 2, t_factor(ZERO, ONE): -3,
+                                    t_factor(ONE, ZERO): -2, C_FACTOR: -1}, -1)
+        calls = []
+        original = algebra._divide_factor
+
+        def counting(rows, factor):
+            calls.append(factor)
+            return original(rows, factor)
+
+        monkeypatch.setattr(algebra, "_divide_factor", counting)
+        square = x * x
+        assert calls == []
+        monkeypatch.undo()
+        want = reference_product(x, x)
+        assert square.rows == want.rows
+        assert list(square.fac.items()) == list(want.fac.items())
 
     @PROPERTY
     @given(bipolys, factor_dicts, st.sampled_from(FACTORS), st.integers(1, 3))
