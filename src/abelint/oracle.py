@@ -1,13 +1,16 @@
 """Floating-point verification independent of the exact engine.
 
 Contour integrals are computed by the trapezoidal rule on circles with
-sample doubling (periodic integrands converge spectrally), both on the
-rectified t-plane and along the pulled-back fiber loops; ``check_report``
-measures an exact report against both.  Each integrand is compiled once
-per call, at its fixed c (``RatFunc.at_c``, ``BiPoly.compiled``), into
-complex Horner tables, so the samples touch floats only.  A
-simultaneous-iteration root finder locates zeros of the exact integrals
-for reporting.
+sample doubling (periodic integrands converge spectrally), capped at 2^14
+samples.  ``check_report`` measures an exact report with one sample loop
+per (cycle, c): at each point on the t-circle the inverse x, y and dx/dt
+are evaluated once, and every basis monomial's eta_t = x^i y^j dx/dt (the
+t-route, in product form) and the fiber integrand A dx/dt + B dy/dt are
+built from those values; each integral stops doubling once it settles.
+Every integrand is compiled once, at its fixed c (``RatFunc.at_c``,
+``BiPoly.compiled``), into complex Horner tables, so the samples touch
+floats only.  A simultaneous-iteration root finder locates zeros of the
+exact integrals for reporting.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .transform import OneForm
 
 TWO_PI_I = 2j * math.pi
 REL_TOL = 1e-10
-MAX_SAMPLES = 2 ** 20
+MAX_SAMPLES = 2 ** 14
 HORNER_SLACK = 4
 
 
@@ -56,30 +59,100 @@ def default_contour(rm: RectifyingMap, cycle: CanonicalCycle,
     return ContourSpec(center, radius)
 
 
-def _integrate_circle(integrand: Callable[[complex], complex],
-                      spec: ContourSpec) -> complex:
-    """Trapezoidal contour integral with doubling until 1e-10 relative.
+def _integrate_circle_many(values: Callable[[List[complex], Sequence[int]],
+                                           List[List[complex]]],
+                           count: int, spec: ContourSpec) -> List[complex]:
+    """Trapezoidal contour integrals of ``count`` integrands on one circle.
 
-    Each doubling evaluates only the new, odd-indexed points and adds them
-    to the running sum of the level before.
+    ``values(points, live)`` returns, for each integral numbered in
+    ``live`` and in that order, its integrand at every point, so what the
+    integrands share is evaluated once per point.  Each integral keeps its
+    own running sum; a doubling evaluates only the new, odd-indexed
+    points.  An integral stops at the first level whose estimate is within
+    1e-10 relative of the level before, and is not sampled after that.
     """
+    totals, estimates = [0j] * count, [None] * count
+    live = list(range(count))
     samples, first, stride = spec.samples, 0, 1
-    total, previous = 0j, None
     while samples <= MAX_SAMPLES:
         step = 2 * math.pi / samples
-        for idx in range(first, samples, stride):
-            rotation = spec.radius * cmath.exp(1j * step * idx)
-            total += integrand(spec.center + rotation) * (1j * rotation)
-        estimate = total * step
-        if previous is not None:
-            if abs(estimate - previous) <= REL_TOL * (1 + abs(estimate)):
-                return estimate
-        previous = estimate
+        rotations = [spec.radius * cmath.exp(1j * step * idx)
+                     for idx in range(first, samples, stride)]
+        weights = [1j * rotation for rotation in rotations]  # dt / d(angle)
+        columns = values([spec.center + rotation for rotation in rotations], live)
+        for k, column in zip(live, columns):
+            total = totals[k]
+            for value, weight in zip(column, weights):
+                total += value * weight
+            totals[k] = total
+        unsettled = []
+        for k in live:
+            estimate = totals[k] * step
+            last, estimates[k] = estimates[k], estimate
+            if last is None or not abs(estimate - last) <= REL_TOL * (1 + abs(estimate)):
+                unsettled.append(k)
+        live = unsettled
+        if not live:
+            return estimates
         samples, first, stride = samples * 2, 1, 2
     raise NonConvergence(
         f"contour integral did not converge within {MAX_SAMPLES} samples "
         f"(center {spec.center}, radius {spec.radius}); a pole is likely "
         f"too close to the contour")
+
+
+def _integrate_circle(integrand: Callable[[complex], complex],
+                      spec: ContourSpec) -> complex:
+    """One trapezoidal contour integral: the single-integrand case."""
+    return _integrate_circle_many(
+        lambda points, live: [[integrand(t) for t in points]], 1, spec)[0]
+
+
+def _compile_form(form: OneForm) -> Tuple[Callable, Optional[Callable]]:
+    """Complex evaluators of A and B; None for the B of a dx-only form."""
+    return form.A.compiled(), None if form.B.is_zero() else form.B.compiled()
+
+
+def _loop_sampler(rm: RectifyingMap, c_value: complex,
+                  monomials: Sequence[Tuple[int, int]],
+                  a_xy: Callable, b_xy: Optional[Callable]
+                  ) -> Callable[[List[complex], Sequence[int]], List[List[complex]]]:
+    """values(points, live) for one (cycle, c): each monomial's eta_t, then the form.
+
+    Integrand k < len(monomials) is x^i y^j dx/dt for monomials[k], and
+    the last one is the fiber integrand A(x,y) dx/dt + B(x,y) dy/dt.
+    x = inverse_x, y = inverse_y and dx/dt are compiled once here and
+    evaluated once per point; dy/dt is neither built nor sampled when
+    b_xy is None.
+    """
+    inverse_x, inverse_y = rm.inverse_x.at_c(c_value), rm.inverse_y.at_c(c_value)
+    dx_dt = rm.dx_dt.at_c(c_value)
+    dy_dt = None if b_xy is None else rm.dy_dt.at_c(c_value)
+    top_i = max((i for i, _ in monomials), default=0)
+    top_j = max((j for _, j in monomials), default=0)
+    fiber_at = len(monomials)
+
+    def values(points: List[complex], live: Sequence[int]) -> List[List[complex]]:
+        # x_dx[i] holds x^i dx/dt and y_pow[j] holds y^j, one entry per point
+        xs = [inverse_x(t) for t in points]
+        ys = [inverse_y(t) for t in points]
+        x_dx = [[dx_dt(t) for t in points]]
+        for _ in range(top_i):
+            x_dx.append([u * x for u, x in zip(x_dx[-1], xs)])
+        y_pow = [[1] * len(points)]
+        for _ in range(top_j):
+            y_pow.append([u * y for u, y in zip(y_pow[-1], ys)])
+        columns = [[u * v for u, v in zip(x_dx[i], y_pow[j])]
+                   for i, j in (monomials[k] for k in live if k < fiber_at)]
+        if live[-1] == fiber_at:
+            if dy_dt is None:
+                columns.append([a_xy(x, y) * d for x, y, d in zip(xs, ys, x_dx[0])])
+            else:
+                columns.append([a_xy(x, y) * d + b_xy(x, y) * dy_dt(t)
+                                for x, y, d, t in zip(xs, ys, x_dx[0], points)])
+        return columns
+
+    return values
 
 
 def contour_integral_t(eta_t: RatFunc, c_value: complex,
@@ -99,41 +172,38 @@ def contour_integral_fiber(w: OneForm, rm: RectifyingMap, cycle: CanonicalCycle,
     """
     if spec is None:
         spec = default_contour(rm, cycle, c_value)
-    inverse_x, inverse_y = rm.inverse_x.at_c(c_value), rm.inverse_y.at_c(c_value)
-    dx_dt, a_xy = rm.dx_dt.at_c(c_value), w.A.compiled()
-    if w.B.is_zero():  # a dx-only form neither builds nor samples dy/dt
-
-        def integrand(t: complex) -> complex:
-            return a_xy(inverse_x(t), inverse_y(t)) * dx_dt(t)
-    else:
-        dy_dt, b_xy = rm.dy_dt.at_c(c_value), w.B.compiled()
-
-        def integrand(t: complex) -> complex:
-            x_val, y_val = inverse_x(t), inverse_y(t)
-            return a_xy(x_val, y_val) * dx_dt(t) + b_xy(x_val, y_val) * dy_dt(t)
-
-    return _integrate_circle(integrand, spec) / TWO_PI_I
+    values = _loop_sampler(rm, c_value, (), *_compile_form(w))
+    return _integrate_circle_many(values, 1, spec)[0] / TWO_PI_I
 
 
 def check_report(report: IntegralReport, form: OneForm,
                  c_values: Sequence[complex]) -> Tuple[List[float], List[float]]:
     """Relative errors (t-route vs exact, fiber vs t-route) per (cycle, c).
 
-    The t-route sums the weighted basis integrals of eta_t dt; the fiber
-    route integrates ``form`` along the pulled-back loop.
+    Each (cycle, c) has one sample loop on one circle: at each point t,
+    x, y and dx/dt are evaluated once, from inverses compiled once per
+    (cycle, c).  The t-route sums the weighted basis integrals of eta_t =
+    x^i y^j dx/dt, taken in this product form rather than from the
+    expanded ``monomial_pushforward``, so it checks the pushforward as well
+    as the residues; the fiber route integrates ``form``, A(x,y) dx/dt +
+    B(x,y) dy/dt, from the same values.  Every integral stops doubling on
+    its own, and a contour that has not settled at 2^14 samples raises
+    NonConvergence.
     """
     rm = report.rectifier
+    monomials = list(report.basis_coeffs)
+    weights = [w.to_complex() for w in report.basis_coeffs.values()]
+    a_xy, b_xy = _compile_form(form)
     errors_t, errors_f = [], []
     for cycle, ai in zip(canonical_cycles(report.facts), report.integrals):
         for c_value in c_values:
             spec = default_contour(rm, cycle, c_value)
-            numeric = 0j
-            for (i, j), weight in report.basis_coeffs.items():
-                numeric += weight.to_complex() * contour_integral_t(
-                    rm.monomial_pushforward(i, j), c_value, spec)
+            values = _loop_sampler(rm, c_value, monomials, a_xy, b_xy)
+            *basis, fiber = [v / TWO_PI_I for v in
+                             _integrate_circle_many(values, len(monomials) + 1, spec)]
+            numeric = sum((w * v for w, v in zip(weights, basis)), 0j)
             exact = ai.value.evaluate_complex(c_value)
             errors_t.append(abs(numeric - exact) / (1 + abs(exact)))
-            fiber = contour_integral_fiber(form, rm, cycle, c_value, spec)
             errors_f.append(abs(fiber - numeric) / (1 + abs(numeric)))
     return errors_t, errors_f
 

@@ -48,6 +48,15 @@ def minimal_config() -> dict:
     }
 
 
+def ladder_config(n: int) -> dict:
+    """Alternating-sign x^i y^j dx over i + j <= n, j >= 1, oracle on."""
+    terms = [{"i": i, "j": j, "coeff": str((-1) ** (i + j)), "differential": "dx"}
+             for i in range(n + 1) for j in range(1, n + 1 - i)]
+    family = {"type": "F2", "p1": 0, "p": 1, "q1": 1, "q": 2, "k": 2,
+              "P": ["-1", "3"], "a": [1], "beta": ["1"]}
+    return {"family": family, "one_form": terms}
+
+
 class TestParsing:
     def test_family_block_parses(self):
         nf = parse_family({"type": "F2", "p1": 0, "p": 1, "q1": 1, "q": 2,
@@ -189,14 +198,41 @@ class TestExitCodes:
         assert code == 3
 
     def test_oracle_mismatch_is_four(self, tmp_path, monkeypatch):
-        import abelint.oracle as oracle_module
-        monkeypatch.setattr(oracle_module, "contour_integral_t",
-                            lambda *args, **kwargs: 1e6 + 0j)
-        config = minimal_config()
-        config["oracle"] = {"enabled": True}
+        # A bundled example whose first exact integral is off by one unit
+        # in its constant coefficient: the oracle reads the disagreement,
+        # the report is still written, and the run exits 4.
+        def perturbed(*args, **kwargs):
+            report = full_report(*args, **kwargs)
+            first = report.integrals[0]
+            wrong = dataclasses.replace(first, value=first.value + UniPoly([1]))
+            return dataclasses.replace(
+                report, integrals=(wrong,) + tuple(report.integrals[1:]))
+
+        monkeypatch.setattr("abelint.cli.full_report", perturbed)
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
+        path.write_text(json.dumps(load_bundle("f2_type03")["config"]))
         assert main(["--config", str(path), "--out", str(tmp_path)]) == 4
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert payload["oracle"]["passed"] is False
+
+    def test_dense_ladder_form_passes_the_oracle(self, tmp_path):
+        # Every x^i y^j dx with i + j <= 4 on the degree-10 ladder F2: the
+        # eta_t carry poles of order up to 19, which the product-form
+        # t-route integrates within the cap.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(ladder_config(4)))
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert payload["oracle"]["passed"] is True
+
+    def test_hopeless_contour_stops_at_the_sample_cap(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(ladder_config(7)))
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: oracle failed to converge: ")
+        assert "within 16384 samples" in err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("error", [
         ConstructionFailure, NonPolynomialResidue, PoleOrderMismatch])

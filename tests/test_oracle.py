@@ -1,5 +1,6 @@
 """Numeric verification layer: contours, fiber loops and root finding."""
 
+import cmath
 import math
 import random
 
@@ -23,7 +24,8 @@ from abelint import (
     validate,
 )
 from abelint.algebra import RatFunc, t_factor
-from abelint.oracle import _integrate_circle
+from abelint.oracle import _integrate_circle, _integrate_circle_many
+from abelint.rectify import RectifyingMap
 from test_family import cubic_form, oscillator_form, septic_f2
 from test_abelian import SEPTIC_F2_FORM, form_dx
 
@@ -103,6 +105,80 @@ class TestContourIntegrals:
         value = _integrate_circle(integrand, ContourSpec(0j, 1.0, samples=64))
         assert abs(value - 2j * math.pi) < 1e-10
         assert len(calls) == 256
+
+    def test_shared_loop_returns_each_lone_integral_exactly(self):
+        # Poles of order 1, 3 and 6 settle at different levels; in one
+        # shared loop each integral is still bit for bit the float of the
+        # one-integrand loop.
+        integrands = [
+            lambda z: 1 / (z - 0.1),
+            lambda z: cmath.exp(z) / (z - 0.1) ** 3,
+            lambda z: 1 / ((z - 0.1) ** 6 * (z - 0.9)),
+        ]
+        spec = ContourSpec(0.1 + 0j, 0.5, samples=4)
+        shared = _integrate_circle_many(
+            lambda points, live: [[integrands[k](t) for t in points] for k in live],
+            3, spec)
+        assert shared == [_integrate_circle(f, spec) for f in integrands]
+
+    def test_settled_integral_is_not_sampled_again(self):
+        # On the unit circle from 64 samples, 1/z settles at 128 samples and
+        # 1/z + z^63 at 256: the first is evaluated 64 + 64 times, not 256.
+        integrands = [lambda z: 1 / z, lambda z: 1 / z + z ** 63]
+        calls = [0, 0]
+
+        def values(points, live):
+            for k in live:
+                calls[k] += len(points)
+            return [[integrands[k](t) for t in points] for k in live]
+
+        first, second = _integrate_circle_many(
+            values, 2, ContourSpec(0j, 1.0, samples=64))
+        assert abs(first - 2j * math.pi) < 1e-10
+        assert abs(second - 2j * math.pi) < 1e-10
+        assert calls == [128, 256]
+
+    def test_inverse_compiled_once_per_cycle_and_c(self, monkeypatch):
+        # The t-route builds every monomial's eta_t from one set of sampled
+        # inverse values, so RatFunc.at_c runs the same number of times
+        # whatever the number of basis monomials.
+        nf = septic_f2()
+        c_values = (2.0 + 0.5j, -1.7 + 1.3j)
+        calls = []
+        original = RatFunc.at_c
+
+        def counting(self, c_value):
+            calls.append(self)
+            return original(self, c_value)
+
+        counts = {}
+        for form in (form_dx((0, 1, 1)), SEPTIC_F2_FORM):
+            report = full_report(nf, form)
+            monkeypatch.setattr(RatFunc, "at_c", counting)
+            del calls[:]
+            check_report(report, form, c_values)
+            monkeypatch.setattr(RatFunc, "at_c", original)
+            counts[len(report.basis_coeffs)] = len(calls)
+        assert len(counts) == 2
+        assert len(set(counts.values())) == 1
+
+    def test_t_route_checks_the_pushforward(self, monkeypatch):
+        # A wrong eta_t for one monomial makes the exact integral wrong;
+        # the product-form t-route does not read monomial_pushforward, so
+        # it disagrees with the exact value and still agrees with the fiber.
+        original = RectifyingMap.monomial_pushforward
+
+        def doubled(self, i, j):
+            eta_t = original(self, i, j)
+            return eta_t + eta_t if (i, j) == (0, 1) else eta_t
+
+        monkeypatch.setattr(RectifyingMap, "monomial_pushforward", doubled)
+        report = full_report(septic_f2(), SEPTIC_F2_FORM)
+        assert (0, 1) in report.basis_coeffs
+        errors_t, errors_f = check_report(
+            report, SEPTIC_F2_FORM, (2.0 + 0.5j, -1.7 + 1.3j, 3.1 - 0.2j))
+        assert max(errors_t) > 1e-8
+        assert max(errors_f) < 1e-8
 
     def test_dx_only_form_leaves_dy_dt_unbuilt(self):
         nf = septic_f2()
