@@ -3,7 +3,9 @@
 Gaussian rationals, dense univariate polynomials, sparse bivariate
 polynomials, fractions of univariate polynomials, and rational functions
 in a distinguished variable t whose coefficients live in the fraction
-field of Q(i)[c].  Everything is exact; no floating point enters here.
+field of Q(i)[c].  Everything is exact except the complex evaluations
+that the oracle and the renderer read (``evaluate_complex`` and the
+column evaluators ``RatFunc.at_c`` and ``BiPoly.compiled``).
 
 ``GaussRat`` (two reduced rationals) is the public scalar and ``BiPoly``
 (a dict of GaussRat) the plane's polynomial.  Underneath, arithmetic is on
@@ -17,15 +19,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import comb, gcd, lcm
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from operator import add, mul, sub, truediv
+from typing import Callable, Iterable, List, Mapping, Sequence, Union
 
 from .errors import PoleOrderMismatch
-
-try:  # gmpy2 rationals are a drop-in, much faster backend when present
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    Q = Fraction
 
 NEG_INF = float("-inf")
 
@@ -58,12 +57,8 @@ def power_table(base, one) -> Callable[[int], object]:
     return power
 
 
-def _as_q(value):
-    if isinstance(value, (int, str)):
-        return Q(value)
-    if isinstance(value, Fraction):
-        return Q(value.numerator, value.denominator)
-    return Q(value)
+def _as_q(value) -> Fraction:
+    return value if type(value) is Fraction else Fraction(value)
 
 
 class GaussRat:
@@ -87,7 +82,7 @@ class GaussRat:
             return obj
         if isinstance(obj, Mapping):
             return cls(_as_q(obj.get("re", 0)), _as_q(obj.get("im", 0)))
-        if isinstance(obj, (int, str, Fraction)) or type(obj) is type(Q(1)):
+        if isinstance(obj, (int, str, Fraction)):
             return cls(_as_q(obj))
         raise TypeError(f"cannot parse exact number from {obj!r}")
 
@@ -184,7 +179,7 @@ _new_object = object.__new__
 
 
 def _gauss(re, im) -> GaussRat:
-    """GaussRat from two values already of type Q, skipping the coercion."""
+    """GaussRat from two Fractions, skipping the coercion."""
     obj = _new_object(GaussRat)
     obj.re = re
     obj.im = im
@@ -194,7 +189,7 @@ def _gauss(re, im) -> GaussRat:
 def _coerce(value) -> GaussRat:
     if isinstance(value, GaussRat):
         return value
-    if isinstance(value, (int, Fraction)) or type(value) is type(Q(1)):
+    if isinstance(value, (int, Fraction)):
         return GaussRat(value)
     raise TypeError(f"cannot coerce {value!r} to GaussRat")
 
@@ -247,7 +242,8 @@ class UniPoly:
     def __getitem__(self, k: int) -> GaussRat:
         if not 0 <= k < len(self.re):
             return ZERO
-        return _gauss(Q(self.re[k], self.den), Q(self.im[k] if self.im else 0, self.den))
+        return _gauss(Fraction(self.re[k], self.den),
+                      Fraction(self.im[k] if self.im else 0, self.den))
 
     @property
     def coeffs(self) -> tuple:
@@ -615,23 +611,25 @@ class BiPoly:
             acc = acc + (pow0(i) * pow1(j)).scale(c)
         return acc
 
-    def compiled(self) -> Callable[[complex, complex], complex]:
-        """(v0, v1) -> value by nested Horner; coefficients converted once."""
+    def compiled(self) -> Callable[[List[complex], List[complex]], List[complex]]:
+        """Column evaluator: (v0s, v1s) -> the values at the points (v0s[k], v1s[k]).
+
+        Nested Horner, each step over the whole column; the coefficients
+        are converted to complex once, here.
+        """
         rows = [row.complex_coeffs()[::-1] for row in reversed(self.t_coeff_list())]
 
-        def value(v0: complex, v1: complex) -> complex:
-            acc = 0j
-            for row in rows:
-                inner = 0j
-                for a in row:
-                    inner = inner * v1 + a
-                acc = acc * v0 + inner
+        def values(v0s: List[complex], v1s: List[complex]) -> List[complex]:
+            acc = _horner_column(rows[0], v1s) if rows else [0j] * len(v0s)
+            for row in rows[1:]:
+                product = map(mul, acc, v0s)
+                acc = list(map(add, product, _horner_column(row, v1s)) if row else product)
             return acc
 
-        return value
+        return values
 
     def evaluate(self, v0: complex, v1: complex) -> complex:
-        return self.compiled()(v0, v1)
+        return self.compiled()([v0], [v1])[0]
 
     def t_coeff_list(self) -> list:
         """View a (t, c) polynomial as a dense list over t of c-polynomials."""
@@ -685,6 +683,18 @@ class BiPoly:
 
     def __repr__(self):
         return self.to_string()
+
+
+def _horner_column(coeffs: Sequence[complex], points: List[complex]) -> List[complex]:
+    """sum_k coeffs[k] t^(n-k) at every t in points; coefficients top first."""
+    if not coeffs:
+        return [0j] * len(points)
+    n = len(points)
+    acc = [coeffs[0]] * n
+    for a in coeffs[1:]:
+        product = map(mul, acc, points)
+        acc = list(map(add, product, repeat(a, n)) if a else product)
+    return acc
 
 
 def _raw_bipoly(terms: dict) -> BiPoly:
@@ -892,17 +902,19 @@ def _cancel(rows: list, factor: TFactor, e: int):
     return rows, e
 
 
-def _ratfunc(rows: list, fac: dict) -> "RatFunc":
+def _ratfunc(rows: list, fac: dict, candidates: Iterable[TFactor] = None) -> "RatFunc":
     """rows / prod(fac), with each factor cancelled as often as it divides.
 
+    Only the factors in ``candidates`` (by default every factor of ``fac``)
+    are tried; the caller vouches that no other factor divides ``rows``.
     Takes ownership of ``rows`` and ``fac``.
     """
     while rows and not rows[-1]:
         rows.pop()
     if not rows:
-        fac = {}
-    for key, e in list(fac.items()):
-        rows, e = _cancel(rows, key, e)
+        return _raw_ratfunc(rows, {})
+    for key in list(fac) if candidates is None else candidates:
+        rows, e = _cancel(rows, key, fac[key])
         if e:
             fac[key] = e
         else:
@@ -989,13 +1001,19 @@ class RatFunc:
             fac[k] = max(e, fac.get(k, 0))
         return (_over(self.rows, self.fac, fac), _over(other.rows, other.fac, fac), fac)
 
-    def __add__(self, other):
+    def _sum(self, other: "RatFunc", sign: int) -> "RatFunc":
+        # A factor with unequal exponents in the two reduced operands divides
+        # exactly one rewritten numerator, so only factors with equal
+        # exponents can cancel from the sum.
         n1, n2, fac = self._common(other)
-        return _ratfunc(_rows_sum(n1, n2), fac)
+        shared = [k for k, e in self.fac.items() if other.fac.get(k) == e]
+        return _ratfunc(_rows_sum(n1, n2, sign), fac, shared)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     def __sub__(self, other):
-        n1, n2, fac = self._common(other)
-        return _ratfunc(_rows_sum(n1, n2, -1), fac)
+        return self._sum(other, -1)
 
     def __neg__(self):
         return _raw_ratfunc([-r for r in self.rows], dict(self.fac))
@@ -1043,22 +1061,28 @@ class RatFunc:
             partial = [r.scale(k) for k, r in enumerate(self.rows) if k]
         else:
             partial = [r.derivative() for r in self.rows]
-        correction = []
+        # A factor with F_k' != 0 leaves N e_k F_k' prod_{j != k} F_j, which it
+        # does not divide, in the numerator; only a factor with F_k' = 0 can cancel.
+        correction, constant = [], []
         for k, e in self.fac.items():  # F_k' is 1 or -pi1 for "t", 0 or 1 for "c"
             slope = (-k[1] if slot else ONE) if k[0] == "t" else GaussRat(slot)
             if slope:
                 rest = {other: 1 for other in self.fac if other != k}
                 correction = _rows_sum(correction, _over([UniPoly.const(slope * e)], {}, rest))
+            else:
+                constant.append(k)
         partial = _over(partial, {}, {k: 1 for k in self.fac})
         numerator = _rows_sum(partial, _rows_mul(self.rows, correction), -1)
-        return _ratfunc(numerator, {k: e + 1 for k, e in self.fac.items()})
+        return _ratfunc(numerator, {k: e + 1 for k, e in self.fac.items()}, constant)
 
-    def at_c(self, c_value: complex) -> Callable[[complex], complex]:
-        """t -> value at fixed c; every coefficient is converted once.
+    def at_c(self, c_value: complex) -> Callable[[List[complex]], List[complex]]:
+        """Column evaluator at fixed c: a list of t values -> the values there.
 
-        The numerator's t-coefficients are its c-rows evaluated at c_value,
-        with the factor c^-e folded in; each "t" factor becomes a complex
-        (pole, exponent) pair.
+        Every coefficient is converted once, here: the numerator's
+        t-coefficients are its c-rows evaluated at c_value, with the factor
+        c^-e folded in, and each "t" factor becomes a complex (pole,
+        exponent) pair.  Each Horner step runs over the whole column, and
+        each pole is one division per point.
         """
         scale = 1
         poles = []
@@ -1070,19 +1094,17 @@ class RatFunc:
                 scale = c_value ** -e
         coeffs = [row.evaluate_complex(c_value) * scale for row in reversed(self.rows)]
 
-        def value(t_value: complex) -> complex:
-            acc = 0j
-            for a in coeffs:
-                acc = acc * t_value + a
-            den = 1
+        def values(points: List[complex]) -> List[complex]:
+            acc, n = _horner_column(coeffs, points), len(points)
             for pole, e in poles:
-                den *= (t_value - pole) ** e
-            return acc / den
+                base = map(sub, points, repeat(pole, n))
+                acc = list(map(truediv, acc, base if e == 1 else map(pow, base, repeat(e, n))))
+            return acc
 
-        return value
+        return values
 
     def evaluate(self, t_value: complex, c_value: complex) -> complex:
-        return self.at_c(c_value)(t_value)
+        return self.at_c(c_value)([t_value])[0]
 
     def eval_at_t(self, point: UniPoly) -> CFrac:
         """Exact evaluation at t = point(c); point must avoid all poles."""
@@ -1246,7 +1268,7 @@ def residue_via_derivative(f: RatFunc, pole, depth: int) -> CFrac:
     fact = 1
     for k in range(2, depth):
         fact *= k
-    return value * GaussRat(Q(1, fact))
+    return value * GaussRat(Fraction(1, fact))
 
 
 def residue_at_infinity(f: RatFunc) -> CFrac:

@@ -2,15 +2,18 @@
 
 Contour integrals are computed by the trapezoidal rule on circles with
 sample doubling (periodic integrands converge spectrally), capped at 2^14
-samples.  ``check_report`` measures an exact report with one sample loop
-per (cycle, c): at each point on the t-circle the inverse x, y and dx/dt
-are evaluated once, and every basis monomial's eta_t = x^i y^j dx/dt (the
-t-route, in product form) and the fiber integrand A dx/dt + B dy/dt are
-built from those values; each integral stops doubling once it settles.
-Every integrand is compiled once, at its fixed c (``RatFunc.at_c``,
-``BiPoly.compiled``), into complex Horner tables, so the samples touch
-floats only.  A simultaneous-iteration root finder locates zeros of the
-exact integrals for reporting.
+samples.  Sampling is by columns: a doubling level's new points, read off
+a table of roots of unity, form one list, and each integrand is evaluated
+on the whole list by a column evaluator (``RatFunc.at_c``,
+``BiPoly.compiled``) that converts its exact coefficients to complex once
+and runs each Horner step over the column.  ``check_report`` compiles the
+inverse x, y and dx/dt and locates the punctures once per c; on each
+(cycle, c) circle it builds every basis monomial's eta_t = x^i y^j dx/dt
+(the t-route, in product form) and the fiber integrand A dx/dt + B dy/dt
+from one column of each, with the trapezoid weights folded into dx/dt, so
+an integral's level total is one ``sum``.  Each integral stops doubling
+once it settles.  A simultaneous-iteration root finder locates zeros of
+the exact integrals for reporting.
 """
 
 from __future__ import annotations
@@ -19,7 +22,10 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from itertools import repeat
+from operator import add, mul
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .abelian import IntegralReport
 from .algebra import RatFunc, UniPoly
@@ -31,6 +37,11 @@ TWO_PI_I = 2j * math.pi
 REL_TOL = 1e-10
 MAX_SAMPLES = 2 ** 14
 HORNER_SLACK = 4
+
+Column = List[complex]
+# values(points, weights, live): for each integral numbered in live, its
+# integrand at every point times that point's trapezoid weight
+Sampler = Callable[[Column, Column, Sequence[int]], List[Column]]
 
 
 @dataclass(frozen=True)
@@ -48,43 +59,59 @@ class ContourSpec:
             raise ValueError("sample count must be a power of two >= 4")
 
 
+def _puncture_locations(rm: RectifyingMap, c_value: complex) -> Dict[str, complex]:
+    """Every finite puncture's position t = pi1 c + pi0 at c_value."""
+    locations = {}
+    for kind in rm.facts.puncture_kinds:
+        _, pi1, pi0 = rm.puncture_factor(kind)
+        locations[kind] = pi1.to_complex() * c_value + pi0.to_complex()
+    return locations
+
+
+def _contour_around(locations: Dict[str, complex], puncture: str) -> ContourSpec:
+    """Circle around one puncture, radius a quarter of the nearest gap."""
+    center = locations[puncture]
+    gaps = [abs(center - other) for other in locations.values()
+            if abs(center - other) > 0]
+    return ContourSpec(center, min(gaps) / 4 if gaps else 1.0)
+
+
 def default_contour(rm: RectifyingMap, cycle: CanonicalCycle,
                     c_value: complex) -> ContourSpec:
     """Circle around the cycle's puncture, radius a quarter of the nearest gap."""
-    locations = [rm.puncture_location(kind).evaluate_complex(c_value)
-                 for kind in rm.facts.puncture_kinds]
-    center = rm.puncture_location(cycle.puncture).evaluate_complex(c_value)
-    gaps = [abs(center - other) for other in locations if abs(center - other) > 0]
-    radius = min(gaps) / 4 if gaps else 1.0
-    return ContourSpec(center, radius)
+    return _contour_around(_puncture_locations(rm, c_value), cycle.puncture)
 
 
-def _integrate_circle_many(values: Callable[[List[complex], Sequence[int]],
-                                           List[List[complex]]],
-                           count: int, spec: ContourSpec) -> List[complex]:
+@lru_cache(maxsize=None)  # one entry per power of two up to MAX_SAMPLES
+def _roots_of_unity(samples: int) -> Tuple[complex, ...]:
+    """exp(2 pi i k / samples) for k = 0 .. samples - 1."""
+    step = 2 * math.pi / samples
+    return tuple(cmath.exp(1j * step * idx) for idx in range(samples))
+
+
+def _integrate_circle_many(values: Sampler, count: int,
+                           spec: ContourSpec) -> List[complex]:
     """Trapezoidal contour integrals of ``count`` integrands on one circle.
 
-    ``values(points, live)`` returns, for each integral numbered in
-    ``live`` and in that order, its integrand at every point, so what the
-    integrands share is evaluated once per point.  Each integral keeps its
-    own running sum; a doubling evaluates only the new, odd-indexed
-    points.  An integral stops at the first level whose estimate is within
-    1e-10 relative of the level before, and is not sampled after that.
+    ``values(points, weights, live)`` returns, for each integral numbered
+    in ``live`` and in that order, its integrand times the trapezoid weight
+    dt/d(angle) at every point, so what the integrands share is evaluated
+    once per level.  Each integral keeps its own running sum; a doubling
+    evaluates only the new, odd-indexed points.  An integral stops at the
+    first level whose estimate is within 1e-10 relative of the level
+    before, and is not sampled after that.
     """
     totals, estimates = [0j] * count, [None] * count
     live = list(range(count))
     samples, first, stride = spec.samples, 0, 1
     while samples <= MAX_SAMPLES:
+        roots = _roots_of_unity(samples)[first::stride]
+        rotations = list(map(mul, roots, repeat(spec.radius, len(roots))))
+        points = list(map(add, rotations, repeat(spec.center, len(roots))))
+        weights = list(map(mul, rotations, repeat(1j, len(roots))))  # dt / d(angle)
+        for k, column in zip(live, values(points, weights, live)):
+            totals[k] = sum(column, totals[k])
         step = 2 * math.pi / samples
-        rotations = [spec.radius * cmath.exp(1j * step * idx)
-                     for idx in range(first, samples, stride)]
-        weights = [1j * rotation for rotation in rotations]  # dt / d(angle)
-        columns = values([spec.center + rotation for rotation in rotations], live)
-        for k, column in zip(live, columns):
-            total = totals[k]
-            for value, weight in zip(column, weights):
-                total += value * weight
-            totals[k] = total
         unsettled = []
         for k in live:
             estimate = totals[k] * step
@@ -101,55 +128,54 @@ def _integrate_circle_many(values: Callable[[List[complex], Sequence[int]],
         f"too close to the contour")
 
 
-def _integrate_circle(integrand: Callable[[complex], complex],
+def _integrate_circle(integrand: Callable[[Column], Column],
                       spec: ContourSpec) -> complex:
-    """One trapezoidal contour integral: the single-integrand case."""
+    """One trapezoidal contour integral of a column evaluator."""
     return _integrate_circle_many(
-        lambda points, live: [[integrand(t) for t in points]], 1, spec)[0]
+        lambda points, weights, live: [list(map(mul, integrand(points), weights))],
+        1, spec)[0]
 
 
 def _compile_form(form: OneForm) -> Tuple[Callable, Optional[Callable]]:
-    """Complex evaluators of A and B; None for the B of a dx-only form."""
+    """Column evaluators of A and B; None for the B of a dx-only form."""
     return form.A.compiled(), None if form.B.is_zero() else form.B.compiled()
 
 
 def _loop_sampler(rm: RectifyingMap, c_value: complex,
                   monomials: Sequence[Tuple[int, int]],
-                  a_xy: Callable, b_xy: Optional[Callable]
-                  ) -> Callable[[List[complex], Sequence[int]], List[List[complex]]]:
-    """values(points, live) for one (cycle, c): each monomial's eta_t, then the form.
+                  a_xy: Callable, b_xy: Optional[Callable]) -> Sampler:
+    """values(points, weights, live) at one c: each monomial's eta_t, then the form.
 
     Integrand k < len(monomials) is x^i y^j dx/dt for monomials[k], and
     the last one is the fiber integrand A(x,y) dx/dt + B(x,y) dy/dt.
-    x = inverse_x, y = inverse_y and dx/dt are compiled once here and
-    evaluated once per point; dy/dt is neither built nor sampled when
-    b_xy is None.
+    x = inverse_x, y = inverse_y and dx/dt are compiled into column
+    evaluators once here and run once per level; dy/dt is neither built
+    nor sampled when b_xy is None.  The weights multiply dx/dt and dy/dt
+    once per level, so every product built from them comes out weighted.
     """
     inverse_x, inverse_y = rm.inverse_x.at_c(c_value), rm.inverse_y.at_c(c_value)
     dx_dt = rm.dx_dt.at_c(c_value)
     dy_dt = None if b_xy is None else rm.dy_dt.at_c(c_value)
-    top_i = max((i for i, _ in monomials), default=0)
-    top_j = max((j for _, j in monomials), default=0)
     fiber_at = len(monomials)
 
-    def values(points: List[complex], live: Sequence[int]) -> List[List[complex]]:
-        # x_dx[i] holds x^i dx/dt and y_pow[j] holds y^j, one entry per point
-        xs = [inverse_x(t) for t in points]
-        ys = [inverse_y(t) for t in points]
-        x_dx = [[dx_dt(t) for t in points]]
-        for _ in range(top_i):
-            x_dx.append([u * x for u, x in zip(x_dx[-1], xs)])
-        y_pow = [[1] * len(points)]
-        for _ in range(top_j):
-            y_pow.append([u * y for u, y in zip(y_pow[-1], ys)])
-        columns = [[u * v for u, v in zip(x_dx[i], y_pow[j])]
-                   for i, j in (monomials[k] for k in live if k < fiber_at)]
+    def values(points: Column, weights: Column, live: Sequence[int]) -> List[Column]:
+        xs, ys = inverse_x(points), inverse_y(points)
+        dx = list(map(mul, dx_dt(points), weights))
+        wanted = [monomials[k] for k in live if k < fiber_at]
+        # x_dx[i] holds x^i dx and y_pow[j] holds y^j, one entry per point
+        x_dx, y_pow = [dx], [None, ys]
+        for _ in range(max((i for i, _ in wanted), default=0)):
+            x_dx.append(list(map(mul, x_dx[-1], xs)))
+        for _ in range(max((j for _, j in wanted), default=1) - 1):
+            y_pow.append(list(map(mul, y_pow[-1], ys)))
+        columns = [list(map(mul, x_dx[i], y_pow[j])) if j else x_dx[i]
+                   for i, j in wanted]
         if live[-1] == fiber_at:
-            if dy_dt is None:
-                columns.append([a_xy(x, y) * d for x, y, d in zip(xs, ys, x_dx[0])])
-            else:
-                columns.append([a_xy(x, y) * d + b_xy(x, y) * dy_dt(t)
-                                for x, y, d, t in zip(xs, ys, x_dx[0], points)])
+            fiber = map(mul, a_xy(xs, ys), dx)
+            if dy_dt is not None:
+                dy = map(mul, dy_dt(points), weights)
+                fiber = map(add, fiber, map(mul, b_xy(xs, ys), dy))
+            columns.append(list(fiber))
         return columns
 
     return values
@@ -172,7 +198,8 @@ def contour_integral_fiber(w: OneForm, rm: RectifyingMap, cycle: CanonicalCycle,
     """
     if spec is None:
         spec = default_contour(rm, cycle, c_value)
-    values = _loop_sampler(rm, c_value, (), *_compile_form(w))
+    a_xy, b_xy = _compile_form(w)
+    values = _loop_sampler(rm, c_value, (), a_xy, b_xy)
     return _integrate_circle_many(values, 1, spec)[0] / TWO_PI_I
 
 
@@ -180,28 +207,30 @@ def check_report(report: IntegralReport, form: OneForm,
                  c_values: Sequence[complex]) -> Tuple[List[float], List[float]]:
     """Relative errors (t-route vs exact, fiber vs t-route) per (cycle, c).
 
-    Each (cycle, c) has one sample loop on one circle: at each point t,
-    x, y and dx/dt are evaluated once, from inverses compiled once per
-    (cycle, c).  The t-route sums the weighted basis integrals of eta_t =
-    x^i y^j dx/dt, taken in this product form rather than from the
-    expanded ``monomial_pushforward``, so it checks the pushforward as well
-    as the residues; the fiber route integrates ``form``, A(x,y) dx/dt +
-    B(x,y) dy/dt, from the same values.  Every integral stops doubling on
-    its own, and a contour that has not settled at 2^14 samples raises
-    NonConvergence.
+    The inverse x, y and dx/dt (and dy/dt, for a form with a dy part) are
+    compiled into column evaluators, and the punctures located, once per
+    c.  Each (cycle, c) then has one sample loop on one circle, in which
+    x, y and dx/dt are evaluated once per level.  The t-route sums the
+    weighted basis integrals of eta_t = x^i y^j dx/dt, taken in this
+    product form rather than from the expanded ``monomial_pushforward``,
+    so it checks the pushforward as well as the residues; the fiber route
+    integrates ``form``, A(x,y) dx/dt + B(x,y) dy/dt, from the same
+    columns.  Every integral stops doubling on its own, and a contour that
+    has not settled at 2^14 samples raises NonConvergence.
     """
     rm = report.rectifier
     monomials = list(report.basis_coeffs)
-    weights = [w.to_complex() for w in report.basis_coeffs.values()]
+    coeffs = [w.to_complex() for w in report.basis_coeffs.values()]
     a_xy, b_xy = _compile_form(form)
+    per_c = [(c_value, _puncture_locations(rm, c_value),
+              _loop_sampler(rm, c_value, monomials, a_xy, b_xy)) for c_value in c_values]
     errors_t, errors_f = [], []
     for cycle, ai in zip(canonical_cycles(report.facts), report.integrals):
-        for c_value in c_values:
-            spec = default_contour(rm, cycle, c_value)
-            values = _loop_sampler(rm, c_value, monomials, a_xy, b_xy)
+        for c_value, locations, values in per_c:
+            spec = _contour_around(locations, cycle.puncture)
             *basis, fiber = [v / TWO_PI_I for v in
                              _integrate_circle_many(values, len(monomials) + 1, spec)]
-            numeric = sum((w * v for w, v in zip(weights, basis)), 0j)
+            numeric = sum((w * v for w, v in zip(coeffs, basis)), 0j)
             exact = ai.value.evaluate_complex(c_value)
             errors_t.append(abs(numeric - exact) / (1 + abs(exact)))
             errors_f.append(abs(fiber - numeric) / (1 + abs(numeric)))

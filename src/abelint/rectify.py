@@ -32,7 +32,6 @@ from .algebra import (
     ZERO,
     RatFunc,
     TFactor,
-    UniPoly,
     power_table,
     t_factor,
 )
@@ -83,11 +82,6 @@ class RectifyingMap:
             return t_factor(ONE, ZERO)
         index = int(puncture[4:])
         return t_factor(ZERO, self.nf.beta[index - 1])
-
-    def puncture_location(self, puncture: str) -> UniPoly:
-        """The puncture position as a polynomial in c (constant or c itself)."""
-        _, pi1, pi0 = self.puncture_factor(puncture)
-        return UniPoly([pi0, pi1])
 
     def monomial_pushforward(self, i: int, j: int) -> RatFunc:
         """eta_t: x^i y^j evaluated on the inverse, times dx/dt; memoised."""

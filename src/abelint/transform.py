@@ -10,9 +10,10 @@ with j >= 1, which is the shape the residue machinery consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, Tuple
 
-from .algebra import ONE, ZERO, BiPoly, GaussRat, Q
+from .algebra import ONE, ZERO, BiPoly, GaussRat
 
 
 class AutomorphismError(ValueError):
@@ -113,9 +114,9 @@ def reduce_to_nonexact_basis(w: OneForm):
         if j >= 1:
             bump(coeffs, (i, j), a)
         else:
-            bump(q_terms, (i + 1, 0), a * GaussRat(Q(1, i + 1)))
+            bump(q_terms, (i + 1, 0), a * GaussRat(Fraction(1, i + 1)))
     for (i, j), b in w.B.terms.items():
-        inv = GaussRat(Q(1, j + 1))
+        inv = GaussRat(Fraction(1, j + 1))
         bump(q_terms, (i, j + 1), b * inv)
         if i >= 1:
             bump(coeffs, (i - 1, j + 1), -b * GaussRat(i) * inv)

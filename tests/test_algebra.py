@@ -21,7 +21,7 @@ from abelint import (
     residue_via_derivative,
     substitute,
 )
-from abelint.algebra import C_FACTOR, I, Q, factor_to_bipoly, t_factor
+from abelint.algebra import C_FACTOR, I, factor_to_bipoly, t_factor
 
 from conftest import random_gauss, random_normal_form, cached_rectifier
 
@@ -95,8 +95,6 @@ class TestGaussRat:
         assert hash(GaussRat(1, 2)) == hash(GaussRat.parse({"re": "1", "im": "2"}))
 
     def test_hash_is_computed_once(self, monkeypatch):
-        if Q is not Fraction:
-            pytest.skip("counts Fraction.__hash__ calls")
         calls = []
         original = Fraction.__hash__
 
@@ -127,7 +125,7 @@ class TestGaussRat:
             cplx / other_cplx, real / 7, 1 / cplx, cplx ** 3, cplx ** -2,
         ]
         for value in results:
-            assert type(value.re) is Q and type(value.im) is Q
+            assert type(value.re) is Fraction and type(value.im) is Fraction
             parsed = GaussRat.parse({"re": str(value.re), "im": str(value.im)})
             assert value == parsed and hash(value) == hash(parsed)
 
@@ -240,7 +238,7 @@ class TestBiPoly:
             if not exact:
                 continue
             checked += 1
-            value = poly.compiled()(x0.to_complex(), y0.to_complex())
+            value = poly.compiled()([x0.to_complex()], [y0.to_complex()])[0]
             assert abs(value - exact) <= 1e-12 * abs(exact)
             assert poly.evaluate(x0.to_complex(), y0.to_complex()) == value
 
@@ -304,7 +302,7 @@ class TestRatFunc:
                 continue
             checked += 1
             exact = (value.num.evaluate(c0) / den).to_complex()
-            compiled = f.at_c(c0.to_complex())(t0.to_complex())
+            compiled = f.at_c(c0.to_complex())([t0.to_complex()])[0]
             assert abs(compiled - exact) <= 1e-12 * abs(exact)
             assert f.evaluate(t0.to_complex(), c0.to_complex()) == compiled
 

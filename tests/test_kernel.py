@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abelint import BiPoly, GaussRat, RatFunc, UniPoly, algebra
-from abelint.algebra import (C_FACTOR, ONE, ZERO, _ratfunc, _rows_mul,
+from abelint.algebra import (C_FACTOR, ONE, ZERO, _ratfunc, _rows_mul, _rows_sum,
                              factor_to_bipoly, t_factor)
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -289,9 +289,146 @@ class TestRatFuncRows:
             assert not divides(key, f.num)
 
 
+    def test_sum_tries_only_factors_with_equal_exponents(self, monkeypatch):
+        # t is squared in f and simple in g, c is in f alone, and t - 1 is
+        # simple in both: only t - 1 can cancel from f + g.
+        t0, t1 = t_factor(ZERO, ZERO), t_factor(ZERO, ONE)
+        f = RatFunc(BiPoly.const(ONE), {t0: 2, t1: 1, C_FACTOR: 1})
+        g = RatFunc(BiPoly({(1, 0): ONE, (0, 1): GaussRat(2)}), {t0: 1, t1: 1})
+        calls = count_divisions(monkeypatch)
+        total = f + g
+        assert calls == [t1]
+        monkeypatch.undo()
+        n1, n2, fac = f._common(g)
+        want = _ratfunc(_rows_sum(n1, n2), fac)  # every factor tried
+        assert total.rows == want.rows
+        assert list(total.fac.items()) == list(want.fac.items())
+
+    def test_t_derivative_tries_only_the_c_factor(self, monkeypatch):
+        # Every "t" factor has d/dt = 1, so none cancels from d/dt; the
+        # factor c has d/dt = 0 and cancels once.
+        f = RatFunc(BiPoly({(1, 1): ONE, (0, 0): GaussRat(3)}),
+                    {t_factor(ZERO, ZERO): 2, t_factor(ZERO, ONE): 1,
+                     t_factor(ONE, ZERO): 1, C_FACTOR: 2})
+        calls = count_divisions(monkeypatch)
+        derivative = f.derivative(0)
+        assert calls and set(calls) == {C_FACTOR}
+        monkeypatch.undo()
+        want = quotient_rule(f, 0)
+        assert derivative.rows == want.rows
+        assert list(derivative.fac.items()) == list(want.fac.items())
+        assert derivative.pole_order(C_FACTOR) == 2
+
+    @PROPERTY
+    @given(bipolys, factor_dicts, bipolys, factor_dicts, st.data())
+    def test_sums_and_derivatives_match_the_full_trial(self, n1, fac1, n2, fac2, data):
+        # Trying only the factors that can cancel gives the rows and factor
+        # order of trying every factor.
+        lifts = st.integers(0, 2)
+        n1 = n1 * denominator({key: data.draw(lifts) for key in fac2})
+        n2 = n2 * denominator({key: data.draw(lifts) for key in fac1})
+        f, g = RatFunc(n1, fac1), RatFunc(n2, fac2)
+        a, b, fac = f._common(g)
+        pairs = [(f + g, _ratfunc(_rows_sum(a, b), dict(fac))),
+                 (f - g, _ratfunc(_rows_sum(a, b, -1), dict(fac))),
+                 (f + f, _ratfunc(_rows_sum(f.rows, f.rows), dict(f.fac)))]
+        pairs += [(f.derivative(slot), quotient_rule(f, slot)) for slot in (0, 1)]
+        for got, want in pairs:
+            assert got.rows == want.rows
+            assert list(got.fac.items()) == list(want.fac.items())
+
+
+def count_divisions(monkeypatch) -> list:
+    """The factor of every ``_divide_factor`` call from now on."""
+    calls = []
+    original = algebra._divide_factor
+
+    def counting(rows, factor):
+        calls.append(factor)
+        return original(rows, factor)
+
+    monkeypatch.setattr(algebra, "_divide_factor", counting)
+    return calls
+
+
+def quotient_rule(f: RatFunc, slot: int) -> RatFunc:
+    """d(N/D) = (N' D - N D') / D^2, every factor tried against the result."""
+    n, d = f.num, denominator(f.fac)
+    return RatFunc(n.partial(slot) * d - n * d.partial(slot),
+                   {key: 2 * e for key, e in f.fac.items()})
+
+
 def divides(factor, n: BiPoly) -> bool:
     """Whether a denominator factor divides n, by substitution."""
     if factor == C_FACTOR:
         return all(j > 0 for _, j in n.terms)
     _, pi1, pi0 = factor
     return n.eval_at_t(UniPoly([pi0, pi1])).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# Column evaluators against exact evaluation
+# ---------------------------------------------------------------------------
+
+# Points where rounding is amplified by more than this are skipped: there a
+# 1e-12 relative agreement would test the point, not the evaluator.
+CONDITION_CAP = 1e3
+
+
+def exact_at(poly: BiPoly, v0: GaussRat, v1: GaussRat) -> GaussRat:
+    return poly.eval_at_t(UniPoly.const(v0)).evaluate(v1)
+
+
+def term_mass(poly: BiPoly, v0: GaussRat, v1: GaussRat) -> float:
+    """sum |coefficient| |v0|^i |v1|^j, the scale of poly's rounding error."""
+    a, b = abs(v0.to_complex()), abs(v1.to_complex())
+    return sum(abs(c.to_complex()) * a ** i * b ** j for (i, j), c in poly.terms.items())
+
+
+def ratfunc_condition(f: RatFunc, t0: GaussRat, c0: GaussRat, num: GaussRat) -> float:
+    """Rounding amplification of f at (t0, c0): numerator mass over value,
+    plus e |t0| + |pi| over |t0 - pi| for each factor (t - pi)^e."""
+    condition = term_mass(f.num, t0, c0) / abs(num.to_complex())
+    for key, e in f.fac.items():
+        if key[0] == "t":
+            pole = key[1] * c0 + key[2]
+            scale = abs(t0.to_complex()) + abs(key[1].to_complex()) * abs(c0.to_complex()) \
+                + abs(key[2].to_complex())
+            condition += e * scale / abs((t0 - pole).to_complex())
+    return condition
+
+
+point_lists = st.lists(gaussians, min_size=1, max_size=6)
+
+
+class TestColumnEvaluators:
+    @PROPERTY
+    @given(bipolys, factor_dicts, gaussians, point_lists)
+    def test_ratfunc_column_matches_exact_values(self, n, fac, c0, ts):
+        # FACTORS hold t = c, t = i c - 1/2 and the factor c.
+        f = RatFunc(n, fac)
+        kept = []
+        for t0 in ts:
+            num, den = exact_at(f.num, t0, c0), exact_at(f.denominator, t0, c0)
+            if num and den and ratfunc_condition(f, t0, c0, num) <= CONDITION_CAP:
+                kept.append((t0.to_complex(), (num / den).to_complex()))
+        column = f.at_c(c0.to_complex())
+        values = column([t for t, _ in kept])
+        assert len(values) == len(kept)
+        for value, (t, exact) in zip(values, kept):
+            assert abs(value - exact) <= 1e-12 * abs(exact)
+            assert f.evaluate(t, c0.to_complex()) == value
+
+    @PROPERTY
+    @given(bipolys, st.lists(st.tuples(gaussians, gaussians), min_size=1, max_size=6))
+    def test_bipoly_column_matches_exact_values(self, poly, points):
+        kept = []
+        for x0, y0 in points:
+            exact = exact_at(poly, x0, y0)
+            if exact and term_mass(poly, x0, y0) <= CONDITION_CAP * abs(exact.to_complex()):
+                kept.append((x0.to_complex(), y0.to_complex(), exact.to_complex()))
+        values = poly.compiled()([x for x, _, _ in kept], [y for _, y, _ in kept])
+        assert len(values) == len(kept)
+        for value, (x, y, exact) in zip(values, kept):
+            assert abs(value - exact) <= 1e-12 * abs(exact)
+            assert poly.evaluate(x, y) == value

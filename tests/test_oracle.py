@@ -102,7 +102,8 @@ class TestContourIntegrals:
             calls.append(z)
             return 1 / z + z ** 63
 
-        value = _integrate_circle(integrand, ContourSpec(0j, 1.0, samples=64))
+        value = _integrate_circle(lambda points: [integrand(z) for z in points],
+                                  ContourSpec(0j, 1.0, samples=64))
         assert abs(value - 2j * math.pi) < 1e-10
         assert len(calls) == 256
 
@@ -117,9 +118,11 @@ class TestContourIntegrals:
         ]
         spec = ContourSpec(0.1 + 0j, 0.5, samples=4)
         shared = _integrate_circle_many(
-            lambda points, live: [[integrands[k](t) for t in points] for k in live],
+            lambda points, weights, live: [[integrands[k](t) * w for t, w in zip(points, weights)]
+                                           for k in live],
             3, spec)
-        assert shared == [_integrate_circle(f, spec) for f in integrands]
+        assert shared == [_integrate_circle(lambda points, f=f: [f(t) for t in points], spec)
+                          for f in integrands]
 
     def test_settled_integral_is_not_sampled_again(self):
         # On the unit circle from 64 samples, 1/z settles at 128 samples and
@@ -127,10 +130,10 @@ class TestContourIntegrals:
         integrands = [lambda z: 1 / z, lambda z: 1 / z + z ** 63]
         calls = [0, 0]
 
-        def values(points, live):
+        def values(points, weights, live):
             for k in live:
                 calls[k] += len(points)
-            return [[integrands[k](t) for t in points] for k in live]
+            return [[integrands[k](t) * w for t, w in zip(points, weights)] for k in live]
 
         first, second = _integrate_circle_many(
             values, 2, ContourSpec(0j, 1.0, samples=64))
@@ -138,29 +141,38 @@ class TestContourIntegrals:
         assert abs(second - 2j * math.pi) < 1e-10
         assert calls == [128, 256]
 
-    def test_inverse_compiled_once_per_cycle_and_c(self, monkeypatch):
-        # The t-route builds every monomial's eta_t from one set of sampled
-        # inverse values, so RatFunc.at_c runs the same number of times
-        # whatever the number of basis monomials.
+    def test_inverse_compiled_once_per_c_value(self, monkeypatch):
+        # check_report compiles x, y and dx/dt (and dy/dt, for a form with
+        # a dy part) and locates the punctures once per c-value, whatever
+        # the number of cycles and basis monomials.
         nf = septic_f2()
         c_values = (2.0 + 0.5j, -1.7 + 1.3j)
-        calls = []
-        original = RatFunc.at_c
+        with_dy = OneForm(BiPoly({(0, 1): GaussRat(1)}), BiPoly({(1, 1): GaussRat(1)}))
+        compiled, located = [], []
+        original_at_c = RatFunc.at_c
+        original_factor = RectifyingMap.puncture_factor
 
-        def counting(self, c_value):
-            calls.append(self)
-            return original(self, c_value)
+        def counting_at_c(self, c_value):
+            compiled.append(self)
+            return original_at_c(self, c_value)
 
-        counts = {}
-        for form in (form_dx((0, 1, 1)), SEPTIC_F2_FORM):
+        def counting_factor(self, puncture):
+            located.append(puncture)
+            return original_factor(self, puncture)
+
+        sizes = set()
+        for form, per_c in ((form_dx((0, 1, 1)), 3), (SEPTIC_F2_FORM, 3), (with_dy, 4)):
             report = full_report(nf, form)
-            monkeypatch.setattr(RatFunc, "at_c", counting)
-            del calls[:]
+            sizes.add(len(report.basis_coeffs))
+            monkeypatch.setattr(RatFunc, "at_c", counting_at_c)
+            monkeypatch.setattr(RectifyingMap, "puncture_factor", counting_factor)
+            del compiled[:], located[:]
             check_report(report, form, c_values)
-            monkeypatch.setattr(RatFunc, "at_c", original)
-            counts[len(report.basis_coeffs)] = len(calls)
-        assert len(counts) == 2
-        assert len(set(counts.values())) == 1
+            monkeypatch.undo()
+            assert len(canonical_cycles(report.facts)) == 2
+            assert len(compiled) == per_c * len(c_values)
+            assert len(located) == len(report.facts.puncture_kinds) * len(c_values)
+        assert len(sizes) == 3
 
     def test_t_route_checks_the_pushforward(self, monkeypatch):
         # A wrong eta_t for one monomial makes the exact integral wrong;
@@ -272,23 +284,24 @@ class TestOriginalCoordinates:
                     (g1.partial(0), g1.partial(1), g2.partial(0), g2.partial(1))]
         a_uv, b_uv = omega.A.compiled(), omega.B.compiled()
         rng = random.Random(107)
+        samples = 4096
+        step = 2 * math.pi / samples
         for _ in range(10):
             c0 = complex(rng.uniform(1, 3), rng.uniform(-1, 1))
             spec = default_contour(rm, cycle, c0)
-            inverse_x, inverse_y = rm.inverse_x.at_c(c0), rm.inverse_y.at_c(c0)
-            dx_dt, dy_dt = rm.dx_dt.at_c(c0), rm.dy_dt.at_c(c0)
-            samples = 4096
+            rotations = [spec.radius * cmath.exp(1j * step * idx) for idx in range(samples)]
+            ts = [spec.center + rotation for rotation in rotations]
+            xs, ys = rm.inverse_x.at_c(c0)(ts), rm.inverse_y.at_c(c0)(ts)
+            dxs, dys = rm.dx_dt.at_c(c0)(ts), rm.dy_dt.at_c(c0)(ts)
+            us, vs = g1_xy(xs, ys), g2_xy(xs, ys)
+            u_x, u_y, v_x, v_y = (p(xs, ys) for p in partials)
+            a_values, b_values = a_uv(us, vs), b_uv(us, vs)
             total = 0j
-            step = 2 * math.pi / samples
-            for idx in range(samples):
-                t = spec.center + spec.radius * cmath.exp(1j * step * idx)
-                dt = 1j * spec.radius * cmath.exp(1j * step * idx) * step
-                x0, y0 = inverse_x(t), inverse_y(t)
-                dx, dy = dx_dt(t), dy_dt(t)
-                u0, v0 = g1_xy(x0, y0), g2_xy(x0, y0)
-                du = partials[0](x0, y0) * dx + partials[1](x0, y0) * dy
-                dv = partials[2](x0, y0) * dx + partials[3](x0, y0) * dy
-                total += (a_uv(u0, v0) * du + b_uv(u0, v0) * dv) * dt
+            for k, rotation in enumerate(rotations):
+                dt = 1j * rotation * step
+                du = u_x[k] * dxs[k] + u_y[k] * dys[k]
+                dv = v_x[k] * dxs[k] + v_y[k] * dys[k]
+                total += (a_values[k] * du + b_values[k] * dv) * dt
             numeric = total / TWO_PI_I
             exact = report.integrals[0].value.evaluate_complex(c0)
             assert abs(numeric - exact) < 1e-8 * (1 + abs(exact))
