@@ -18,14 +18,12 @@ from .algebra import (
     BiPoly,
     CFrac,
     GaussRat,
-    MOVING_POLE,
     RatFunc,
     UniPoly,
     laurent_coefficients,
     residue,
     residue_at_infinity,
     residue_via_derivative,
-    substitute,
 )
 from .errors import (
     AbelintError,

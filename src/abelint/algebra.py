@@ -1,18 +1,19 @@
 """Exact arithmetic core.
 
-Gaussian rationals, dense univariate polynomials, sparse bivariate
-polynomials, fractions of univariate polynomials, and rational functions
-in a distinguished variable t whose coefficients live in the fraction
-field of Q(i)[c].  Everything is exact except the complex evaluations
-that the oracle and the renderer read (``evaluate_complex`` and the
-column evaluators ``RatFunc.at_c`` and ``BiPoly.compiled``).
+Gaussian rationals, dense univariate polynomials, bivariate polynomials,
+fractions of univariate polynomials, and rational functions in a
+distinguished variable t whose coefficients live in the fraction field of
+Q(i)[c].  Everything is exact except the complex evaluations that the
+oracle and the renderer read (``evaluate_complex`` and the column
+evaluators ``RatFunc.at_c`` and ``BiPoly.compiled``).
 
-``GaussRat`` (two reduced rationals) is the public scalar and ``BiPoly``
-(a dict of GaussRat) the plane's polynomial.  Underneath, arithmetic is on
-Python ints: a ``UniPoly`` is Gaussian integers over one denominator,
+``GaussRat`` (two reduced rationals) is the public scalar.  Arithmetic is
+on Python ints: a ``UniPoly`` is Gaussian integers over one denominator,
 ``(den, re, im)``, canonical (top coefficient nonzero, gcd(den, *re, *im)
-= 1), and a ``RatFunc`` numerator is ``rows``, one c-UniPoly per power of
-t.  GaussRat and BiPoly views are built only for I/O and the oracle.
+= 1).  A ``BiPoly`` is ``rows``, one UniPoly in the second variable per
+power of the first, and a ``RatFunc`` numerator is the same rows in (t, c),
+so both use one row arithmetic.  GaussRat views (``UniPoly.coeffs``,
+``BiPoly.terms``) are built only for I/O.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import lru_cache
 from itertools import repeat
 from math import comb, gcd, lcm
 from operator import add, mul, sub, truediv
-from typing import Callable, Iterable, List, Mapping, Sequence, Union
+from typing import Callable, Iterable, List, Mapping, Sequence
 
 from .errors import PoleOrderMismatch
 
@@ -219,7 +220,8 @@ class UniPoly:
 
     @classmethod
     def const(cls, value) -> "UniPoly":
-        return cls([value])
+        d, r, i = _scalar(value if isinstance(value, int) else GaussRat.parse(value))
+        return _poly(d, [r], i and [i])
 
     @classmethod
     def x(cls) -> "UniPoly":
@@ -242,8 +244,10 @@ class UniPoly:
     def __getitem__(self, k: int) -> GaussRat:
         if not 0 <= k < len(self.re):
             return ZERO
-        return _gauss(Fraction(self.re[k], self.den),
-                      Fraction(self.im[k] if self.im else 0, self.den))
+        re, im = self.re[k], self.im[k] if self.im else 0
+        if not re and not im:
+            return ZERO
+        return _gauss(Fraction(re, self.den), Fraction(im, self.den) if im else ZERO.im)
 
     @property
     def coeffs(self) -> tuple:
@@ -500,115 +504,143 @@ _PZERO = _raw_poly(1, [], None)
 _PONE = _raw_poly(1, [1], None)
 
 
-class BiPoly:
-    """Sparse bivariate polynomial over Q(i).
+def _rows_sum(a: list, b: list, sign: int = 1) -> list:
+    """Rows of a + sign*b."""
+    out = list(a) + [_PZERO] * (len(b) - len(a))
+    for k, y in enumerate(b):
+        if y:
+            out[k] = _combine(out[k], y, sign)
+    return out
 
-    Variable slots are positional; callers fix the meaning, either
-    (x, y) in the plane or (t, c) in the rectified plane.
+
+def _rows_mul(a: list, b: list, size: int = None) -> list:
+    """Rows of the product a*b; with ``size``, only the first ``size`` rows."""
+    if not a or not b:
+        return []
+    n = len(a) + len(b) - 1
+    if size is not None and size < n:
+        n = size
+    out = [_PZERO] * n
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in enumerate(b[:n - i], i):
+                if y:
+                    out[j] = out[j] + x * y
+    return out
+
+
+def _rows_partial(rows: list, slot: int) -> list:
+    """Rows of the partial derivative in v0 (slot 0) or v1 (slot 1)."""
+    if slot == 0:
+        return [r.scale(k) for k, r in enumerate(rows) if k]
+    return [r.derivative() for r in rows]
+
+
+def _rows_at(rows: list, point: UniPoly) -> UniPoly:
+    """The rows at v0 = point(v1), by Horner over the rows."""
+    acc = _PZERO
+    for row in reversed(rows):
+        acc = acc * point + row
+    return acc
+
+
+def _trim(rows: list) -> list:
+    """``rows`` without its zero top rows, trimmed in place."""
+    while rows and not rows[-1]:
+        rows.pop()
+    return rows
+
+
+class BiPoly:
+    """Bivariate polynomial over Q(i), stored as ``rows``.
+
+    ``rows[i]`` is the UniPoly in the second variable that multiplies v0^i,
+    the top row nonzero: the layout of a ``RatFunc`` numerator, so both
+    share one arithmetic.  Variable slots are positional; callers fix the
+    meaning, either (x, y) in the plane or (t, c) in the rectified plane.
+    ``terms`` is a GaussRat view {(i, j): coefficient of v0^i v1^j}.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("rows",)
 
     def __init__(self, terms: Mapping = ()):
-        clean = {}
+        grid = {}
         for key, value in dict(terms).items():
-            key = (int(key[0]), int(key[1]))
-            if key[0] < 0 or key[1] < 0:
-                raise ValueError(f"negative exponent in term {key}")
-            coeff = value if isinstance(value, GaussRat) else GaussRat.parse(value)
-            if coeff:
-                clean[key] = coeff
-        object.__setattr__(self, "terms", clean)
+            i, j = int(key[0]), int(key[1])
+            if i < 0 or j < 0:
+                raise ValueError(f"negative exponent in term {(i, j)}")
+            grid.setdefault(i, {})[j] = value
+        rows = [_PZERO] * (max(grid) + 1 if grid else 0)
+        for i, row in grid.items():
+            rows[i] = UniPoly([row.get(j, ZERO) for j in range(max(row) + 1)])
+        self.rows = _trim(rows)
 
     @classmethod
     def const(cls, value) -> "BiPoly":
-        return cls({(0, 0): value})
+        return _bipoly([UniPoly.const(value)])
 
     @classmethod
     def var(cls, slot: int) -> "BiPoly":
-        return cls({(1, 0) if slot == 0 else (0, 1): ONE})
+        return _bipoly([_PZERO, _PONE] if slot == 0 else [UniPoly.x()])
+
+    @property
+    def terms(self) -> dict:
+        return {(i, j): c for i, row in enumerate(self.rows)
+                for j, c in enumerate(row.coeffs) if c}
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.rows
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.rows)
 
     def __eq__(self, other):
         if not isinstance(other, BiPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self.rows == other.rows
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash(tuple(self.rows))
 
     @property
     def total_degree(self):
-        if not self.terms:
-            return NEG_INF
-        return max(i + j for i, j in self.terms)
-
-    def degree_in(self, slot: int):
-        if not self.terms:
-            return NEG_INF
-        return max(key[slot] for key in self.terms)
+        return max((i + row.degree for i, row in enumerate(self.rows) if row), default=NEG_INF)
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, ZERO) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return _raw_bipoly(out)
+        return _bipoly(_rows_sum(self.rows, other.rows))
 
     def __sub__(self, other):
-        return self + (-other)
+        return _bipoly(_rows_sum(self.rows, other.rows, -1))
 
     def __neg__(self):
-        return _raw_bipoly({k: -c for k, c in self.terms.items()})
+        return _bipoly([-r for r in self.rows])
 
     def __mul__(self, other):
         if isinstance(other, GaussRat):
             return self.scale(other)
-        out = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                key = (i1 + i2, j1 + j2)
-                s = out.get(key, ZERO) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return _raw_bipoly(out)
+        if not isinstance(other, BiPoly):  # a RatFunc multiplies from the right
+            return NotImplemented
+        return _bipoly(_rows_mul(self.rows, other.rows))
 
     __rmul__ = __mul__
 
     def scale(self, factor: GaussRat) -> "BiPoly":
-        if not factor:
-            return BiPoly()
-        return _raw_bipoly({k: c * factor for k, c in self.terms.items()})
+        return _bipoly([r.scale(factor) for r in self.rows])
 
     def __pow__(self, n: int):
         return _pow(self, n, BiPoly.const(ONE))
 
     def partial(self, slot: int) -> "BiPoly":
-        out = {}
-        for (i, j), c in self.terms.items():
-            e = (i, j)[slot]
-            if e:
-                key = (i - 1, j) if slot == 0 else (i, j - 1)
-                out[key] = c * GaussRat(e)
-        return _raw_bipoly(out)
+        return _bipoly(_rows_partial(self.rows, slot))
 
-    def compose(self, sub0: "BiPoly", sub1: "BiPoly") -> "BiPoly":
-        """Substitute bivariate polynomials for both variables."""
-        pow0 = power_table(sub0, BiPoly.const(ONE))
-        pow1 = power_table(sub1, BiPoly.const(ONE))
-        acc = BiPoly()
-        for (i, j), c in self.terms.items():
-            acc = acc + (pow0(i) * pow1(j)).scale(c)
+    def compose(self, sub0, sub1):
+        """Substitute sub0 and sub1 for the two variables, in their ring:
+        BiPolys give a BiPoly, RatFuncs a RatFunc.  Horner over the rows."""
+        acc = type(sub0).const(ZERO)
+        for row in reversed(self.rows):
+            acc = acc * sub0
+            if row:
+                acc = acc + _horner(row, sub1)
         return acc
 
     def compiled(self) -> Callable[[List[complex], List[complex]], List[complex]]:
@@ -617,7 +649,7 @@ class BiPoly:
         Nested Horner, each step over the whole column; the coefficients
         are converted to complex once, here.
         """
-        rows = [row.complex_coeffs()[::-1] for row in reversed(self.t_coeff_list())]
+        rows = [row.complex_coeffs()[::-1] for row in reversed(self.rows)]
 
         def values(v0s: List[complex], v1s: List[complex]) -> List[complex]:
             acc = _horner_column(rows[0], v1s) if rows else [0j] * len(v0s)
@@ -631,39 +663,15 @@ class BiPoly:
     def evaluate(self, v0: complex, v1: complex) -> complex:
         return self.compiled()([v0], [v1])[0]
 
-    def t_coeff_list(self) -> list:
-        """View a (t, c) polynomial as a dense list over t of c-polynomials."""
-        if not self.terms:
-            return []
-        deg_t = self.degree_in(0)
-        rows = [dict() for _ in range(deg_t + 1)]
-        for (i, j), c in self.terms.items():
-            rows[i][j] = c
-        return [UniPoly([row.get(k, ZERO) for k in range(max(row) + 1)]) if row else UniPoly()
-                for row in rows]
-
-    @classmethod
-    def from_t_coeff_list(cls, rows: Sequence[UniPoly]) -> "BiPoly":
-        terms = {}
-        for i, poly in enumerate(rows):
-            for j, c in enumerate(poly.coeffs):
-                if c:
-                    terms[(i, j)] = c
-        return _raw_bipoly(terms)
-
     def eval_at_t(self, point: UniPoly) -> UniPoly:
         """Substitute a c-polynomial for t in a (t, c) polynomial."""
-        acc = UniPoly()
-        for row in reversed(self.t_coeff_list()):
-            acc = acc * point + row
-        return acc
+        return _rows_at(self.rows, point)
 
     def to_string(self, vars=("x", "y")) -> str:
-        if not self.terms:
+        if not self.rows:
             return "0"
         parts = []
-        for (i, j) in sorted(self.terms, key=lambda k: (k[0] + k[1], k)):
-            c = self.terms[(i, j)]
+        for (i, j), c in sorted(self.terms.items(), key=lambda kc: (sum(kc[0]), kc[0])):
             factors = []
             cs = repr(c)
             if ("+" in cs[1:]) or ("-" in cs[1:]):
@@ -685,6 +693,17 @@ class BiPoly:
         return self.to_string()
 
 
+def _horner(poly: UniPoly, x):
+    """poly(x), evaluated in the ring of x; zero coefficients are skipped."""
+    const = type(x).const
+    acc = const(ZERO)
+    for coeff in reversed(poly.coeffs):
+        acc = acc * x
+        if coeff:
+            acc = acc + const(coeff)
+    return acc
+
+
 def _horner_column(coeffs: Sequence[complex], points: List[complex]) -> List[complex]:
     """sum_k coeffs[k] t^(n-k) at every t in points; coefficients top first."""
     if not coeffs:
@@ -697,9 +716,10 @@ def _horner_column(coeffs: Sequence[complex], points: List[complex]) -> List[com
     return acc
 
 
-def _raw_bipoly(terms: dict) -> BiPoly:
-    obj = BiPoly.__new__(BiPoly)
-    object.__setattr__(obj, "terms", terms)
+def _bipoly(rows: list) -> BiPoly:
+    """BiPoly from rows, its zero top rows trimmed; takes ownership of ``rows``."""
+    obj = _new_object(BiPoly)
+    obj.rows = _trim(rows)
     return obj
 
 
@@ -778,9 +798,6 @@ class CFrac:
             raise ValueError("CFrac is not a polynomial")
         return self.num
 
-    def evaluate_complex(self, point: complex) -> complex:
-        return self.num.evaluate_complex(point) / self.den.evaluate_complex(point)
-
     def __repr__(self):
         if self.is_polynomial():
             return repr(self.num)
@@ -796,8 +813,8 @@ class CFrac:
 #   ("t", pi1, pi0)  meaning  t - (pi1*c + pi0)    (pi1, pi0 in Q(i))
 #   ("c",)           meaning  c
 # Factored storage makes products/powers cheap and gcd cancellation exact
-# without a general multivariate gcd.  Numerators are "rows": a list of
-# c-UniPolys indexed by the power of t, the top row nonzero.
+# without a general multivariate gcd.  Numerators are BiPoly rows: a list
+# of c-UniPolys indexed by the power of t, the top row nonzero.
 
 TFactor = tuple
 
@@ -810,10 +827,7 @@ C_FACTOR: TFactor = ("c",)
 
 
 def factor_to_bipoly(factor: TFactor) -> BiPoly:
-    if factor[0] == "t":
-        _, pi1, pi0 = factor
-        return BiPoly({(1, 0): ONE, (0, 1): -pi1, (0, 0): -pi0})
-    return BiPoly({(0, 1): ONE})
+    return _bipoly(_times_factor([_PONE], factor))
 
 
 @lru_cache(maxsize=1024)  # a few distinct factors per problem, met in every product
@@ -821,31 +835,6 @@ def _factor_pi(factor: TFactor) -> UniPoly:
     """The pole location pi(c) of a "t" factor, as a c-polynomial."""
     _, pi1, pi0 = factor
     return UniPoly([pi0, pi1])
-
-
-def _rows_sum(a: list, b: list, sign: int = 1) -> list:
-    """Rows of a + sign*b."""
-    out = list(a) + [_PZERO] * (len(b) - len(a))
-    for k, y in enumerate(b):
-        if y:
-            out[k] = _combine(out[k], y, sign)
-    return out
-
-
-def _rows_mul(a: list, b: list, size: int = None) -> list:
-    """Rows of the product a*b; with ``size``, only the first ``size`` rows."""
-    if not a or not b:
-        return []
-    n = len(a) + len(b) - 1
-    if size is not None and size < n:
-        n = size
-    out = [_PZERO] * n
-    for i, x in enumerate(a[:n]):
-        if x:
-            for j, y in enumerate(b[:n - i], i):
-                if y:
-                    out[j] = out[j] + x * y
-    return out
 
 
 def _times_factor(rows: list, factor: TFactor) -> list:
@@ -909,9 +898,7 @@ def _ratfunc(rows: list, fac: dict, candidates: Iterable[TFactor] = None) -> "Ra
     are tried; the caller vouches that no other factor divides ``rows``.
     Takes ownership of ``rows`` and ``fac``.
     """
-    while rows and not rows[-1]:
-        rows.pop()
-    if not rows:
+    if not _trim(rows):
         return _raw_ratfunc(rows, {})
     for key in list(fac) if candidates is None else candidates:
         rows, e = _cancel(rows, key, fac[key])
@@ -932,10 +919,10 @@ def _raw_ratfunc(rows: list, fac: dict) -> "RatFunc":
 class RatFunc:
     """Rational function N(t, c) / prod(factors), fully cancelled.
 
-    The numerator is ``rows``: c-UniPolys indexed by the power of t, in the
-    layout of ``BiPoly.t_coeff_list``.  Every factor of ``fac`` is
-    irreducible and cancelled as far as it divides N, so the pair
-    (rows, fac) is unique.  ``num`` is a BiPoly view of the numerator.
+    The numerator is ``rows``: c-UniPolys indexed by the power of t, the
+    layout of ``BiPoly.rows``, so ``num`` wraps them as they are.  Every
+    factor of ``fac`` is irreducible and cancelled as far as it divides N,
+    so the pair (rows, fac) is unique.
 
     Cancellation rule for products: a factor of one reduced operand's
     denominator does not divide that operand's numerator, so it can cancel
@@ -951,7 +938,7 @@ class RatFunc:
         fac = {k: int(e) for k, e in dict(fac).items() if e}
         if any(e < 0 for e in fac.values()):
             raise ValueError("denominator factor exponents must be positive")
-        f = _ratfunc(num.t_coeff_list(), fac)
+        f = _ratfunc(list(num.rows), fac)
         self.rows, self.fac = f.rows, f.fac
 
     # -- construction --------------------------------------------------
@@ -976,11 +963,11 @@ class RatFunc:
     # -- views ---------------------------------------------------------
     @property
     def num(self) -> BiPoly:
-        return BiPoly.from_t_coeff_list(self.rows)
+        return _bipoly(self.rows)
 
     @property
     def denominator(self) -> BiPoly:
-        return BiPoly.from_t_coeff_list(_over([_PONE], {}, self.fac))
+        return _bipoly(_over([_PONE], {}, self.fac))
 
     def is_zero(self) -> bool:
         return not self.rows
@@ -1057,10 +1044,7 @@ class RatFunc:
     def derivative(self, slot: int) -> "RatFunc":
         """Partial derivative; slot 0 is t, slot 1 is c."""
         # d(N/prod F^e) = (N' prod F - N sum e_i F_i' prod_{j != i} F_j) / prod F^{e+1}
-        if slot == 0:
-            partial = [r.scale(k) for k, r in enumerate(self.rows) if k]
-        else:
-            partial = [r.derivative() for r in self.rows]
+        partial = _rows_partial(self.rows, slot)
         # A factor with F_k' != 0 leaves N e_k F_k' prod_{j != k} F_j, which it
         # does not divide, in the numerator; only a factor with F_k' = 0 can cancel.
         correction, constant = [], []
@@ -1108,10 +1092,7 @@ class RatFunc:
 
     def eval_at_t(self, point: UniPoly) -> CFrac:
         """Exact evaluation at t = point(c); point must avoid all poles."""
-        num = _PZERO
-        for row in reversed(self.rows):
-            num = num * point + row
-        den = _PONE
+        num, den = _rows_at(self.rows, point), _PONE
         for key, e in self.fac.items():
             if key[0] == "t":
                 base = point - _factor_pi(key)
@@ -1130,41 +1111,7 @@ class RatFunc:
         return f"({num})/({den})"
 
 
-def substitute(poly: BiPoly, sub0: Union[RatFunc, BiPoly], sub1: Union[RatFunc, BiPoly]) -> RatFunc:
-    """Ring-homomorphic substitution of rational functions into a polynomial."""
-    if isinstance(sub0, BiPoly):
-        sub0 = RatFunc(sub0)
-    if isinstance(sub1, BiPoly):
-        sub1 = RatFunc(sub1)
-    pow0 = power_table(sub0, RatFunc.const(ONE))
-    pow1 = power_table(sub1, RatFunc.const(ONE))
-    acc = RatFunc(BiPoly())
-    for (i, j), coeff in poly.terms.items():
-        acc = acc + pow0(i) * pow1(j) * coeff
-    return acc
-
-
-MOVING_POLE = object()  # sentinel: the moving pole t = c
-
-
-def _normalize_pole(pole) -> TFactor:
-    """Accept MOVING_POLE, a GaussRat, a c-UniPoly of degree <= 1, or a factor tuple."""
-    if pole is MOVING_POLE:
-        return t_factor(ONE, ZERO)
-    if isinstance(pole, tuple) and pole and pole[0] == "t":
-        return pole
-    if isinstance(pole, GaussRat):
-        return t_factor(ZERO, pole)
-    if isinstance(pole, int):
-        return t_factor(ZERO, GaussRat(pole))
-    if isinstance(pole, UniPoly):
-        if pole.degree != NEG_INF and pole.degree > 1:
-            raise ValueError("pole location must have degree <= 1 in c")
-        return t_factor(pole[1], pole[0])
-    raise TypeError(f"cannot interpret pole {pole!r}")
-
-
-def laurent_coefficients(f: RatFunc, pole, depth: int) -> list:
+def laurent_coefficients(f: RatFunc, factor: TFactor, depth: int) -> list:
     """Coefficients of (t-pi)^{-depth} ... (t-pi)^{-1}; last entry is the residue.
 
     The declared depth must equal the exact pole order, otherwise
@@ -1176,7 +1123,7 @@ def laurent_coefficients(f: RatFunc, pole, depth: int) -> list:
     S_k = N_k d0^k - sum_{m<k} S_m D1_{k-m} d0^(k-m-1), and each entry is
     reduced once, as CFrac(S_k, d0^(k+1)).
     """
-    series, d0_pows = _laurent_numerators(f, _normalize_pole(pole), depth)
+    series, d0_pows = _laurent_numerators(f, factor, depth)
     return [CFrac(s, d0_pows(k + 1)) for k, s in enumerate(series)]
 
 
@@ -1237,12 +1184,11 @@ def _binomial_row(shift: UniPoly, e: int, depth: int) -> list:
     return row
 
 
-def residue(f: RatFunc, pole) -> CFrac:
+def residue(f: RatFunc, factor: TFactor) -> CFrac:
     """Residue at a linear pole t - pi(c); zero when there is no pole there.
 
     Of the Laurent numerators only the last is reduced to a CFrac.
     """
-    factor = _normalize_pole(pole)
     order = f.pole_order(factor)
     if order == 0:
         return CFrac(_PZERO)
@@ -1250,11 +1196,10 @@ def residue(f: RatFunc, pole) -> CFrac:
     return CFrac(series[-1], d0_pows(order))
 
 
-def residue_via_derivative(f: RatFunc, pole, depth: int) -> CFrac:
+def residue_via_derivative(f: RatFunc, factor: TFactor, depth: int) -> CFrac:
     """Residue by the derivative formula: (1/(depth-1)!) d^{depth-1}/dt^{depth-1}
     of f*(t-pi)^depth evaluated at t = pi.  Independent route used to
     cross-check laurent_coefficients."""
-    factor = _normalize_pole(pole)
     if f.pole_order(factor) != depth:
         raise PoleOrderMismatch(
             f"declared pole order {depth}, actual {f.pole_order(factor)}"

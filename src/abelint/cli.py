@@ -33,7 +33,7 @@ from .errors import (
     NonPolynomialResidue,
     PoleOrderMismatch,
 )
-from .family import FamilyFacts, NormalForm, expand
+from .family import FamilyFacts, NormalForm, hamiltonian
 from .oracle import check_report, locate_roots
 from .rectify import build_rectifier
 from .transform import OneForm, PolyAutomorphism, pushforward_oneform
@@ -209,9 +209,8 @@ def _original_degrees(problem: Problem,
     if problem.automorphism is None:
         return None, None
     aut = problem.automorphism
-    normal_h = expand(problem.normal_form, facts)
     # H_original = sigma^{-1}(normal_H(psi)); degree is what matters here.
-    composed = normal_h.compose(*aut.forward)
+    composed = hamiltonian(problem.normal_form, facts, *aut.forward)[1]
     m_original = int(composed.total_degree) - 1
     n_original = int(problem.one_form.degree)
     return m_original, n_original

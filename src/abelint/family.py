@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from .algebra import ZERO, BiPoly, GaussRat, UniPoly
+from .algebra import ZERO, BiPoly, GaussRat, UniPoly, _horner
 from .errors import InvalidFamily, NoCyclesError
 
 # Puncture kinds of the rectified fiber
@@ -201,15 +201,6 @@ def _bifurcation_candidates_f12(nf: NormalForm, p1: int, q1: int) -> Tuple[Gauss
 def bifurcation_candidates(nf: NormalForm) -> List[GaussRat]:
     """Deduplicated critical-value candidates of the validated normal form."""
     return list(validate(nf).bifurcation_candidates)
-
-
-def _horner(poly: UniPoly, x):
-    """poly(x), evaluated in the ring of x."""
-    const = type(x).const
-    acc = const(ZERO)
-    for coeff in reversed(poly.coeffs):
-        acc = acc * x + const(coeff)
-    return acc
 
 
 def _s(nf: NormalForm, x, y):

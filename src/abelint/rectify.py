@@ -32,6 +32,7 @@ from .algebra import (
     ZERO,
     RatFunc,
     TFactor,
+    _horner,
     power_table,
     t_factor,
 )
@@ -41,7 +42,6 @@ from .family import (
     ZERO_PUNCTURE,
     FamilyFacts,
     NormalForm,
-    _horner,
     hamiltonian,
     validate,
 )

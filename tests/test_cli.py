@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 import time
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import abelint
 from abelint import BiPoly, GaussRat, GoldenMismatch, UniPoly
 from abelint.abelian import AbelianIntegral, full_report
 from abelint.errors import (
@@ -355,9 +357,12 @@ class TestEndToEnd:
         assert payload["oracle"]["passed"]
 
     def test_console_script_installed(self, tmp_path):
+        # The child imports the abelint under test, installed or not.
+        src = str(Path(abelint.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "abelint.cli", "--list-examples"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert result.returncode == 0
         assert "oscillator" in result.stdout
 

@@ -1,10 +1,12 @@
-"""The integer kernel against a list-of-GaussRat reference.
+"""The integer kernel against GaussRat references.
 
 ``UniPoly`` stores Gaussian integers over one denominator; the reference
 below keeps one GaussRat per coefficient and does the textbook operations
-on them.  ``RatFunc`` stores its numerator as rows of c-polynomials; its
-products, sums and cancellations are checked against ``BiPoly`` products
-of the same numerators.
+on them.  ``BiPoly`` stores rows of UniPolys; it is checked against a dict
+of GaussRat per (i, j) term.  ``RatFunc`` stores its numerator in the same
+rows and shares their arithmetic with ``BiPoly``; its products, sums and
+cancellations are checked against ``BiPoly`` products of the same
+numerators.
 """
 
 from math import gcd
@@ -187,15 +189,96 @@ class TestUniPolyAgainstReference:
 
 
 # ---------------------------------------------------------------------------
+# Reference: bivariate polynomials as dicts of GaussRat by (i, j)
+# ---------------------------------------------------------------------------
+
+def ref_bi_trim(a):
+    return {key: c for key, c in a.items() if c}
+
+
+def ref_bi_add(a, b):
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out.get(key, ZERO) + c
+    return ref_bi_trim(out)
+
+
+def ref_bi_neg(a):
+    return {key: -c for key, c in a.items()}
+
+
+def ref_bi_mul(a, b):
+    out = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            key = (i1 + i2, j1 + j2)
+            out[key] = out.get(key, ZERO) + c1 * c2
+    return ref_bi_trim(out)
+
+
+def ref_bi_partial(a, slot):
+    out = {}
+    for (i, j), c in a.items():
+        e = (i, j)[slot]
+        if e:
+            out[(i - 1, j) if slot == 0 else (i, j - 1)] = c * GaussRat(e)
+    return out
+
+
+def ref_bi_compose(a, sub0, sub1):
+    acc = {}
+    for (i, j), c in a.items():
+        term = {(0, 0): c}
+        for sub, e in ((sub0, i), (sub1, j)):
+            for _ in range(e):
+                term = ref_bi_mul(term, sub)
+        acc = ref_bi_add(acc, term)
+    return acc
+
+
+def assert_rows_canonical(p: BiPoly):
+    assert not p.rows or p.rows[-1]
+    for row in p.rows:
+        assert_canonical(row)
+
+
+terms = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), gaussians, max_size=5)
+bipolys = terms.map(BiPoly)
+small_terms = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), gaussians, max_size=3)
+
+
+class TestBiPolyAgainstReference:
+    @PROPERTY
+    @given(terms, terms)
+    def test_sum_difference_product_partials(self, a, b):
+        p, q = BiPoly(a), BiPoly(b)
+        a, b = ref_bi_trim(a), ref_bi_trim(b)
+        assert p.terms == a and BiPoly(p.terms) == p
+        for got, want in ((p + q, ref_bi_add(a, b)), (p - q, ref_bi_add(a, ref_bi_neg(b))),
+                          (-p, ref_bi_neg(a)), (p * q, ref_bi_mul(a, b)),
+                          (p.partial(0), ref_bi_partial(a, 0)),
+                          (p.partial(1), ref_bi_partial(a, 1))):
+            assert_rows_canonical(got)
+            assert got.terms == want
+
+    @PROPERTY
+    @given(terms, small_terms, small_terms)
+    def test_compose(self, a, sub0, sub1):
+        got = BiPoly(a).compose(BiPoly(sub0), BiPoly(sub1))
+        assert_rows_canonical(got)
+        assert got.terms == ref_bi_compose(ref_bi_trim(a), ref_bi_trim(sub0),
+                                           ref_bi_trim(sub1))
+
+
+# ---------------------------------------------------------------------------
 # RatFunc rows against BiPoly products
 # ---------------------------------------------------------------------------
 
 FACTORS = [t_factor(ZERO, ZERO), t_factor(ZERO, ONE), t_factor(ONE, ZERO),
            t_factor(GaussRat(0, 1), GaussRat(-1, 2)), C_FACTOR]
 
-terms = st.dictionaries(
-    st.tuples(st.integers(0, 3), st.integers(0, 3)), gaussians, max_size=5)
-bipolys = terms.map(BiPoly)
 factor_dicts = st.dictionaries(st.sampled_from(FACTORS), st.integers(1, 3), max_size=3)
 
 
@@ -223,7 +306,7 @@ class TestRatFuncRows:
     @given(bipolys, factor_dicts)
     def test_rows_are_the_numerator_layout(self, n, fac):
         f = RatFunc(n, fac)
-        assert f.rows == f.num.t_coeff_list()
+        assert f.rows == f.num.rows
         assert RatFunc(f.num, f.fac).rows == f.rows
         # N / D = f.num / f.denominator as polynomials cross-multiplied
         assert n * f.denominator == f.num * denominator(fac)
