@@ -20,10 +20,8 @@ from .algebra import (
     GaussRat,
     RatFunc,
     UniPoly,
-    laurent_coefficients,
     residue,
     residue_at_infinity,
-    residue_via_derivative,
 )
 from .errors import (
     AbelintError,
@@ -63,7 +61,6 @@ from .rectify import (
 from .transform import (
     OneForm,
     PolyAutomorphism,
-    basis_combination,
     pushforward_oneform,
     pushforward_polynomial,
     reduce_to_nonexact_basis,

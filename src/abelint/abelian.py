@@ -9,7 +9,7 @@ are compared against every applicable bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import CFrac, GaussRat, UniPoly, residue
@@ -170,7 +170,7 @@ class IntegralReport:
     nonconservative: bool
     ledger: BoundLedger
     rectifier: RectifyingMap
-    basis_coeffs: Dict[Tuple[int, int], GaussRat] = field(default_factory=dict)
+    basis_coeffs: Dict[Tuple[int, int], GaussRat]
 
 
 def full_report(nf: NormalForm, w: OneForm,
@@ -187,7 +187,7 @@ def full_report(nf: NormalForm, w: OneForm,
     rm = build_rectifier(nf) if rectifier is None else rectifier
     facts = rm.facts
     coeffs, _ = reduce_to_nonexact_basis(w)
-    n_form = int(w.degree) if not w.is_zero() else 0
+    n_form = w.degree
     if m_original is None:
         m_original = facts.degree - 1
     if n_original is None:
@@ -210,5 +210,4 @@ def full_report(nf: NormalForm, w: OneForm,
     ledger = bound_ledger(facts, nf, n_form, m_original, n_original,
                           integrals, zero_counts, mu=mu, n_bc=n_bc)
     return IntegralReport(facts, tuple(integrals), tuple(zero_counts), n_bc,
-                          tuple(bifurcation), nonconservative, ledger, rm,
-                          dict(coeffs))
+                          tuple(bifurcation), nonconservative, ledger, rm, coeffs)

@@ -299,6 +299,13 @@ class UniPoly:
         im = self.im and [k * v for k, v in enumerate(self.im)][1:]
         return _poly(self.den, [k * v for k, v in enumerate(self.re)][1:], im)
 
+    def antiderivative(self) -> "UniPoly":
+        """The antiderivative that vanishes at 0."""
+        scale = lcm(*range(1, len(self.re) + 1))
+        re = [0] + [scale // k * v for k, v in enumerate(self.re, 1)]
+        im = self.im and [0] + [scale // k * v for k, v in enumerate(self.im, 1)]
+        return _poly(self.den * scale, re, im)
+
     def evaluate(self, point: GaussRat) -> GaussRat:
         acc = ZERO
         for c in reversed(self.coeffs):
@@ -536,14 +543,6 @@ def _rows_partial(rows: list, slot: int) -> list:
     return [r.derivative() for r in rows]
 
 
-def _rows_at(rows: list, point: UniPoly) -> UniPoly:
-    """The rows at v0 = point(v1), by Horner over the rows."""
-    acc = _PZERO
-    for row in reversed(rows):
-        acc = acc * point + row
-    return acc
-
-
 def _trim(rows: list) -> list:
     """``rows`` without its zero top rows, trimmed in place."""
     while rows and not rows[-1]:
@@ -662,10 +661,6 @@ class BiPoly:
 
     def evaluate(self, v0: complex, v1: complex) -> complex:
         return self.compiled()([v0], [v1])[0]
-
-    def eval_at_t(self, point: UniPoly) -> UniPoly:
-        """Substitute a c-polynomial for t in a (t, c) polynomial."""
-        return _rows_at(self.rows, point)
 
     def to_string(self, vars=("x", "y")) -> str:
         if not self.rows:
@@ -824,10 +819,6 @@ def t_factor(pi1: GaussRat, pi0: GaussRat) -> TFactor:
 
 
 C_FACTOR: TFactor = ("c",)
-
-
-def factor_to_bipoly(factor: TFactor) -> BiPoly:
-    return _bipoly(_times_factor([_PONE], factor))
 
 
 @lru_cache(maxsize=1024)  # a few distinct factors per problem, met in every product
@@ -1090,19 +1081,6 @@ class RatFunc:
     def evaluate(self, t_value: complex, c_value: complex) -> complex:
         return self.at_c(c_value)([t_value])[0]
 
-    def eval_at_t(self, point: UniPoly) -> CFrac:
-        """Exact evaluation at t = point(c); point must avoid all poles."""
-        num, den = _rows_at(self.rows, point), _PONE
-        for key, e in self.fac.items():
-            if key[0] == "t":
-                base = point - _factor_pi(key)
-            else:
-                base = UniPoly.x()
-            if base.is_zero():
-                raise ZeroDivisionError("evaluation point is a pole")
-            den = den * (base ** e)
-        return CFrac(num, den)
-
     def __repr__(self):
         num = self.num.to_string(("t", "c"))
         if not self.fac:
@@ -1111,24 +1089,18 @@ class RatFunc:
         return f"({num})/({den})"
 
 
-def laurent_coefficients(f: RatFunc, factor: TFactor, depth: int) -> list:
-    """Coefficients of (t-pi)^{-depth} ... (t-pi)^{-1}; last entry is the residue.
+def _laurent_numerators(f: RatFunc, factor: TFactor, depth: int):
+    """(S_0 .. S_{depth-1}, k -> d0^k): the Laurent numerators at t - pi(c).
 
     The declared depth must equal the exact pole order, otherwise
     PoleOrderMismatch is raised.  depth 0 asserts the absence of a pole.
 
     With u = t - pi(c), f = N(u) / (u^depth D1(u)) for N, D1 in Q(i)[c][u],
-    and entry k is s_k = [u^k] N/D1.  The series is fraction-free: with
-    d0 = D1(0), the numerators S_k = s_k d0^(k+1) obey, in Q(i)[c],
-    S_k = N_k d0^k - sum_{m<k} S_m D1_{k-m} d0^(k-m-1), and each entry is
-    reduced once, as CFrac(S_k, d0^(k+1)).
+    and the coefficient of u^(k - depth) is s_k = [u^k] N/D1.  The series
+    is fraction-free: with d0 = D1(0), the numerators S_k = s_k d0^(k+1)
+    obey, in Q(i)[c], S_k = N_k d0^k - sum_{m<k} S_m D1_{k-m} d0^(k-m-1),
+    so s_k is CFrac(S_k, d0^(k+1)) and the residue is s_{depth-1}.
     """
-    series, d0_pows = _laurent_numerators(f, factor, depth)
-    return [CFrac(s, d0_pows(k + 1)) for k, s in enumerate(series)]
-
-
-def _laurent_numerators(f: RatFunc, factor: TFactor, depth: int):
-    """(S_0 .. S_{depth-1}, k -> d0^k) of ``laurent_coefficients``, unreduced."""
     order = f.pole_order(factor)
     if order != depth:
         raise PoleOrderMismatch(
@@ -1194,26 +1166,6 @@ def residue(f: RatFunc, factor: TFactor) -> CFrac:
         return CFrac(_PZERO)
     series, d0_pows = _laurent_numerators(f, factor, order)
     return CFrac(series[-1], d0_pows(order))
-
-
-def residue_via_derivative(f: RatFunc, factor: TFactor, depth: int) -> CFrac:
-    """Residue by the derivative formula: (1/(depth-1)!) d^{depth-1}/dt^{depth-1}
-    of f*(t-pi)^depth evaluated at t = pi.  Independent route used to
-    cross-check laurent_coefficients."""
-    if f.pole_order(factor) != depth:
-        raise PoleOrderMismatch(
-            f"declared pole order {depth}, actual {f.pole_order(factor)}"
-        )
-    if depth == 0:
-        return CFrac(_PZERO)
-    cleared = f * (factor_to_bipoly(factor) ** depth)
-    for _ in range(depth - 1):
-        cleared = cleared.derivative(0)
-    value = cleared.eval_at_t(_factor_pi(factor))
-    fact = 1
-    for k in range(2, depth):
-        fact *= k
-    return value * GaussRat(Fraction(1, fact))
 
 
 def residue_at_infinity(f: RatFunc) -> CFrac:

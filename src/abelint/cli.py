@@ -39,6 +39,7 @@ from .rectify import build_rectifier
 from .transform import OneForm, PolyAutomorphism, pushforward_oneform
 
 ORACLE_REL_TOL = 1e-8
+ORACLE_C_COUNT = 3  # values of c the oracle checks each cycle at
 EXAMPLE_NAMES = ("oscillator", "broughton", "f2_type03", "f1_type04",
                  "type02_generic")
 
@@ -212,7 +213,7 @@ def _original_degrees(problem: Problem,
     # H_original = sigma^{-1}(normal_H(psi)); degree is what matters here.
     composed = hamiltonian(problem.normal_form, facts, *aut.forward)[1]
     m_original = int(composed.total_degree) - 1
-    n_original = int(problem.one_form.degree)
+    n_original = problem.one_form.degree
     return m_original, n_original
 
 
@@ -220,9 +221,8 @@ def _original_degrees(problem: Problem,
 # Oracle comparison
 # ---------------------------------------------------------------------------
 
-def _generic_c_values(report: IntegralReport, supplied: List[complex],
-                      count: int = 3) -> List[complex]:
-    """The supplied seeds, then fixed generic points, up to count.
+def _generic_c_values(report: IntegralReport, supplied: List[complex]) -> List[complex]:
+    """The supplied seeds, then fixed generic points, ORACLE_C_COUNT in all.
 
     Each keeps more than 1e-6 from the family's bifurcation values, where
     punctures collide; a supplied seed closer than that is a ConfigError.
@@ -240,12 +240,12 @@ def _generic_c_values(report: IntegralReport, supplied: List[complex],
     values = list(supplied)
     base = 1.618 + 0.7071j
     step = 0
-    while len(values) < count:
+    while len(values) < ORACLE_C_COUNT:
         candidate = base + step * (0.911 - 0.333j)
         step += 1
         if nearest_bad(candidate) is None:
             values.append(candidate)
-    return values[:count]
+    return values[:ORACLE_C_COUNT]
 
 
 def run_oracle(problem: Problem, form: OneForm, report: IntegralReport) -> dict:

@@ -37,6 +37,8 @@ TWO_PI_I = 2j * math.pi
 REL_TOL = 1e-10
 MAX_SAMPLES = 2 ** 14
 HORNER_SLACK = 4
+ROOT_TOL = 1e-10
+ROOT_MAX_ITERATIONS = 1000
 
 Column = List[complex]
 # values(points, weights, live): for each integral numbered in live, its
@@ -237,8 +239,7 @@ def check_report(report: IntegralReport, form: OneForm,
     return errors_t, errors_f
 
 
-def locate_roots(p: UniPoly, tol: float = 1e-10,
-                 max_iterations: int = 1000) -> List[complex]:
+def locate_roots(p: UniPoly) -> List[complex]:
     """All complex roots by simultaneous iteration; count equals the degree."""
     if p.is_zero():
         raise ValueError("cannot locate roots of the zero polynomial")
@@ -255,17 +256,17 @@ def locate_roots(p: UniPoly, tol: float = 1e-10,
         return acc
 
     def settled(z: complex) -> bool:
-        # Below tol, or below a few times Horner's rounding bound
+        # Below ROOT_TOL, or below a few times Horner's rounding bound
         # (deg+1) eps sum |a_k| |z|^k: large, widely spread coefficients
         # keep the computed residual of a converged root above any fixed tol.
         rounding = (degree + 1) * sys.float_info.epsilon * sum(
             abs(c) * abs(z) ** k for k, c in enumerate(monic))
-        return abs(evaluate(z)) < max(tol * (1 + abs(z) ** degree),
+        return abs(evaluate(z)) < max(ROOT_TOL * (1 + abs(z) ** degree),
                                       HORNER_SLACK * rounding)
 
     # Standard staggered starting points on a spiral
     roots = [(0.4 + 0.9j) ** (idx + 1) for idx in range(degree)]
-    for _ in range(max_iterations):
+    for _ in range(ROOT_MAX_ITERATIONS):
         shift = 0.0
         for idx in range(degree):
             denom = 1 + 0j
@@ -278,12 +279,12 @@ def locate_roots(p: UniPoly, tol: float = 1e-10,
             delta = evaluate(roots[idx]) / denom
             roots[idx] -= delta
             shift = max(shift, abs(delta))
-        if shift < tol and all(settled(z) for z in roots):
+        if shift < ROOT_TOL and all(settled(z) for z in roots):
             return roots
     # A cluster of close or repeated roots is resolved only to about
-    # sqrt(eps), so the step can stall above tol while every residual is
+    # sqrt(eps), so the step can stall above ROOT_TOL while every residual is
     # already at rounding level.
     if all(settled(z) for z in roots):
         return roots
     raise NonConvergence(
-        f"root finder did not reach residual {tol} in {max_iterations} iterations")
+        f"root finder did not reach residual {ROOT_TOL} in {ROOT_MAX_ITERATIONS} iterations")

@@ -146,9 +146,3 @@ def canonical_cycles(facts: FamilyFacts) -> List[CanonicalCycle]:
         raise ValueError("no cycles exist for rank-zero fibers")
     return [CanonicalCycle(index, kind)
             for index, kind in enumerate(facts.puncture_kinds)]
-
-
-def allowed_pole_factors(rm: RectifyingMap) -> List[TFactor]:
-    """Denominator factors permitted for pushed-forward forms."""
-    return [rm.puncture_factor(kind) for kind in rm.facts.puncture_kinds] \
-        + [C_FACTOR]

@@ -10,10 +10,9 @@ with j >= 1, which is the shape the residue machinery consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Tuple
 
-from .algebra import ONE, ZERO, BiPoly, GaussRat
+from .algebra import ONE, ZERO, _PZERO, BiPoly, GaussRat, _bipoly, _poly
 
 
 class AutomorphismError(ValueError):
@@ -58,11 +57,9 @@ class OneForm:
     B: BiPoly
 
     @property
-    def degree(self):
-        return max(self.A.total_degree, self.B.total_degree)
-
-    def is_zero(self) -> bool:
-        return self.A.is_zero() and self.B.is_zero()
+    def degree(self) -> int:
+        """Total degree; 0 for the zero form."""
+        return max(self.A.total_degree, self.B.total_degree, 0)
 
     def __add__(self, other: "OneForm") -> "OneForm":
         return OneForm(self.A + other.A, self.B + other.B)
@@ -94,35 +91,14 @@ def pushforward_oneform(w: OneForm, aut: PolyAutomorphism) -> OneForm:
 
 
 def reduce_to_nonexact_basis(w: OneForm):
-    """Write w = dQ + sum coeffs[i, j] * x^i y^j dx with j >= 1.
+    """Split w = A dx + B dy into dQ + sum coeffs[i, j] * x^i y^j dx, j >= 1.
 
-    A dx terms with j = 0 integrate directly into Q; each B dy monomial
-    b x^i y^j dy contributes d(b x^i y^{j+1}/(j+1)) minus
-    (i b/(j+1)) x^{i-1} y^{j+1} dx.
+    Returns (coeffs, Q) with Q = int_0^y B dy + int_0^x A(x, 0) dx: each
+    row of B integrated in y, plus A's y^0 column integrated in x.  The
+    basis part A - dQ/dx then has no y^0 column, and ``coeffs`` is its
+    ``terms``, {(i, j): GaussRat}.
     """
-    coeffs: Dict[Tuple[int, int], GaussRat] = {}
-    q_terms: Dict[Tuple[int, int], GaussRat] = {}
-
-    def bump(store, key, value):
-        s = store.get(key, ZERO) + value
-        if s:
-            store[key] = s
-        else:
-            store.pop(key, None)
-
-    for (i, j), a in w.A.terms.items():
-        if j >= 1:
-            bump(coeffs, (i, j), a)
-        else:
-            bump(q_terms, (i + 1, 0), a * GaussRat(Fraction(1, i + 1)))
-    for (i, j), b in w.B.terms.items():
-        inv = GaussRat(Fraction(1, j + 1))
-        bump(q_terms, (i, j + 1), b * inv)
-        if i >= 1:
-            bump(coeffs, (i - 1, j + 1), -b * GaussRat(i) * inv)
-    return coeffs, BiPoly(q_terms)
-
-
-def basis_combination(coeffs: Dict[Tuple[int, int], GaussRat]) -> OneForm:
-    """The 1-form sum coeffs[i, j] * x^i y^j dx."""
-    return OneForm(BiPoly(coeffs), BiPoly())
+    column = [_PZERO] + [_poly(row.den * i, row.re[:1], row.im and row.im[:1])
+                         for i, row in enumerate(w.A.rows, 1)]
+    q_poly = _bipoly(column) + _bipoly([row.antiderivative() for row in w.B.rows])
+    return (w.A - q_poly.partial(0)).terms, q_poly

@@ -333,6 +333,25 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert not (tmp_path / "report.json").exists()
 
+    def test_form_whose_terms_cancel_writes_a_report(self, tmp_path):
+        # x y dx - x y dx is the zero form: its degree is 0, also when an
+        # automorphism asks for the original degrees.
+        config = {
+            "family": {"type": "F2", "p1": 1, "p": 2, "q1": 1, "q": 1,
+                       "k": 1, "P": ["3"], "a": [], "beta": []},
+            "one_form": [{"i": 1, "j": 1, "coeff": "1"},
+                         {"i": 1, "j": 1, "coeff": "-1"}],
+            "automorphism": {"forward": [[[1, 0, "1"], [0, 3, "-1"]], [[0, 1, "1"]]],
+                             "inverse": [[[1, 0, "1"], [0, 3, "1"]], [[0, 1, "1"]]]},
+            "oracle": {"enabled": False},
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "report.json").read_text())
+        observed = {b["name"]: b["observed"] for b in payload["bounds"]}
+        assert observed["transformed_form_degree"] == 0
+
 
 class TestEndToEnd:
     def test_example_writes_reports(self, tmp_path):

@@ -15,8 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abelint import BiPoly, GaussRat, RatFunc, UniPoly, algebra
-from abelint.algebra import (C_FACTOR, ONE, ZERO, _ratfunc, _rows_mul, _rows_sum,
-                             factor_to_bipoly, t_factor)
+from abelint.algebra import C_FACTOR, ONE, ZERO, _ratfunc, _rows_mul, _rows_sum, t_factor
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -282,10 +281,18 @@ FACTORS = [t_factor(ZERO, ZERO), t_factor(ZERO, ONE), t_factor(ONE, ZERO),
 factor_dicts = st.dictionaries(st.sampled_from(FACTORS), st.integers(1, 3), max_size=3)
 
 
+def factor_poly(key) -> BiPoly:
+    """A denominator factor as a polynomial in (t, c): t - (pi1 c + pi0), or c."""
+    if key == C_FACTOR:
+        return BiPoly.var(1)
+    _, pi1, pi0 = key
+    return BiPoly({(1, 0): ONE, (0, 1): -pi1, (0, 0): -pi0})
+
+
 def denominator(fac) -> BiPoly:
     acc = BiPoly.const(ONE)
     for key, e in fac.items():
-        acc = acc * factor_to_bipoly(key) ** e
+        acc = acc * factor_poly(key) ** e
     return acc
 
 
@@ -363,7 +370,7 @@ class TestRatFuncRows:
     def test_cancellation(self, n, fac, factor, k):
         # A numerator carrying factor^k over fac keeps its value, and no
         # factor left in the denominator divides the numerator.
-        numerator = n * factor_to_bipoly(factor) ** k
+        numerator = n * factor_poly(factor) ** k
         f = RatFunc(numerator, fac)
         assert f.num * denominator(fac) == numerator * f.denominator
         if numerator.is_zero():
@@ -446,7 +453,7 @@ def divides(factor, n: BiPoly) -> bool:
     if factor == C_FACTOR:
         return all(j > 0 for _, j in n.terms)
     _, pi1, pi0 = factor
-    return n.eval_at_t(UniPoly([pi0, pi1])).is_zero()
+    return n.compose(UniPoly([pi0, pi1]), UniPoly.x()).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +466,7 @@ CONDITION_CAP = 1e3
 
 
 def exact_at(poly: BiPoly, v0: GaussRat, v1: GaussRat) -> GaussRat:
-    return poly.eval_at_t(UniPoly.const(v0)).evaluate(v1)
+    return poly.compose(UniPoly.const(v0), UniPoly.const(v1))[0]
 
 
 def term_mass(poly: BiPoly, v0: GaussRat, v1: GaussRat) -> float:

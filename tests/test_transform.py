@@ -9,7 +9,6 @@ from abelint import (
     GaussRat,
     OneForm,
     PolyAutomorphism,
-    basis_combination,
     pushforward_oneform,
     pushforward_polynomial,
     reduce_to_nonexact_basis,
@@ -91,13 +90,25 @@ class TestAutomorphism:
             assert back.A == w.A and back.B == w.B
 
 
+def complex_oneform(rng: random.Random, max_degree: int) -> OneForm:
+    """w1 + i w2 for independent random real forms w1 and w2."""
+    i = GaussRat(0, 1)
+    w1, w2 = random_oneform(rng, max_degree), random_oneform(rng, max_degree)
+    return w1 + OneForm(w2.A.scale(i), w2.B.scale(i))
+
+
 class TestBasisReduction:
     def test_round_trip_identity(self):
+        # Real and complex forms, the zero form, and an exact complex form
+        # whose basis part cancels.
         rng = random.Random(53)
-        for _ in range(40):
-            w = random_oneform(rng, 5)
+        forms = [random_oneform(rng, 5) for _ in range(40)]
+        forms += [complex_oneform(rng, 5) for _ in range(40)]
+        exact = random_bipoly(rng, 5) + random_bipoly(rng, 5).scale(GaussRat(0, 1))
+        forms += [OneForm(BiPoly(), BiPoly()), OneForm.d(exact)]
+        for w in forms:
             coeffs, q_poly = reduce_to_nonexact_basis(w)
-            rebuilt = OneForm.d(q_poly) + basis_combination(coeffs)
+            rebuilt = OneForm.d(q_poly) + OneForm(BiPoly(coeffs), BiPoly())
             assert rebuilt.A == w.A and rebuilt.B == w.B
 
     def test_basis_indices_valid(self):
