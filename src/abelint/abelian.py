@@ -1,8 +1,8 @@
 """Assembly of Abelian integrals, zero counting and bound validation.
 
 Each cycle integral is a sum of residues of pushed-forward basis forms at
-the cycle's puncture.  The theory guarantees the sum is a polynomial in c
-(any denominators cancel); its zeros outside the bifurcation set are
+the cycle's puncture.  The theory guarantees each residue, so the sum, is
+a polynomial in c; the sum's zeros outside the bifurcation set are
 counted exactly with multiplicity, and the observed degrees and counts
 are compared against every applicable bound.
 """
@@ -12,16 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import CFrac, GaussRat, UniPoly, residue
+from .algebra import GaussRat, UniPoly, residue
 from .errors import IdenticallyZero, NonPolynomialResidue
-from .family import MOVING_PUNCTURE, FamilyFacts, NormalForm
+from .family import MOVING_PUNCTURE, FamilyFacts, NormalForm, hamiltonian
 from .rectify import (
     CanonicalCycle,
     RectifyingMap,
     build_rectifier,
     canonical_cycles,
 )
-from .transform import OneForm, reduce_to_nonexact_basis
+from .transform import OneForm, PolyAutomorphism, pushforward_oneform, reduce_to_nonexact_basis
 
 
 @dataclass(frozen=True)
@@ -30,23 +30,28 @@ class AbelianIntegral:
 
     cycle: CanonicalCycle
     value: UniPoly
-    identically_zero: bool
+
+    @property
+    def identically_zero(self) -> bool:
+        return self.value.is_zero()
 
 
 def integrate_cycle(rm: RectifyingMap, coeffs: Dict[Tuple[int, int], GaussRat],
                     cycle: CanonicalCycle) -> AbelianIntegral:
-    """Sum of residues at the cycle's puncture, weighted by basis coefficients."""
+    """Sum of residues at the cycle's puncture, weighted by basis coefficients.
+
+    Each basis form's integral, so each residue, is a polynomial in c.
+    """
     factor = rm.puncture_factor(cycle.puncture)
-    total = CFrac(UniPoly())
+    total = UniPoly()
     for (i, j), weight in coeffs.items():
-        total = total + residue(rm.monomial_pushforward(i, j), factor) * weight
-    if not total.is_polynomial():
-        raise NonPolynomialResidue(
-            f"cycle integral at puncture {cycle.puncture} did not cancel to a "
-            f"polynomial: {total!r}"
-        )
-    value = total.as_unipoly()
-    return AbelianIntegral(cycle, value, value.is_zero())
+        value = residue(rm.monomial_pushforward(i, j), factor)
+        if not value.is_polynomial():
+            raise NonPolynomialResidue(
+                f"residue of x^{i} y^{j} dx at puncture {cycle.puncture} is not "
+                f"a polynomial in c: {value!r}")
+        total = total + value.num.scale(weight)
+    return AbelianIntegral(cycle, total)
 
 
 def count_zeros(ai: AbelianIntegral, bifurcation_set: List[GaussRat]) -> int:
@@ -128,16 +133,15 @@ class BoundLedger:
         return [entry for entry in self.entries if not entry.satisfied]
 
 
-def bound_ledger(facts: FamilyFacts, nf: NormalForm, n_form: int,
-                 m_original: int, n_original: int,
+def bound_ledger(facts: FamilyFacts, nf: NormalForm, n_form: int, m: int, n: int,
                  integrals: List[AbelianIntegral],
                  zero_counts: List[Optional[int]],
                  mu: Optional[int] = None,
                  n_bc: Optional[int] = None) -> BoundLedger:
-    """Instantiate and check every applicable bound."""
+    """Instantiate and check every applicable bound; (m, n) are the original pair's."""
     entries: List[BoundEntry] = []
     rank = facts.homology_rank
-    cap = zero_count_cap(m_original, n_original, rank)
+    cap = zero_count_cap(m, n, rank)
     for ai, z in zip(integrals, zero_counts):
         degree = None if ai.identically_zero else int(ai.value.degree)
         entries.append(BoundEntry(
@@ -146,7 +150,7 @@ def bound_ledger(facts: FamilyFacts, nf: NormalForm, n_form: int,
         entries.append(BoundEntry("zero_count_cap", ai.cycle.index, z, cap))
     entries.append(BoundEntry(
         "transformed_form_degree", None, n_form,
-        transformed_form_degree_cap(facts.family, rank, m_original, n_original)))
+        transformed_form_degree_cap(facts.family, rank, m, n)))
     if n_bc is not None:
         entries.append(BoundEntry("total_count_cap", None, n_bc, rank * cap))
         if mu is not None:
@@ -162,36 +166,46 @@ def bound_ledger(facts: FamilyFacts, nf: NormalForm, n_form: int,
 
 @dataclass(frozen=True)
 class IntegralReport:
-    facts: FamilyFacts
+    """What ``full_report`` computed; ``form`` is the form it integrated."""
+
     integrals: Tuple[AbelianIntegral, ...]
     zero_counts: Tuple[Optional[int], ...]
     n_bc: Optional[int]
     bifurcation_set_used: Tuple[GaussRat, ...]
-    nonconservative: bool
     ledger: BoundLedger
     rectifier: RectifyingMap
     basis_coeffs: Dict[Tuple[int, int], GaussRat]
+    form: OneForm
+
+    @property
+    def facts(self) -> FamilyFacts:
+        return self.rectifier.facts
+
+    @property
+    def nonconservative(self) -> bool:
+        return self.n_bc is not None
 
 
 def full_report(nf: NormalForm, w: OneForm,
+                automorphism: Optional[PolyAutomorphism] = None,
                 bifurcation_override: Optional[List[GaussRat]] = None,
                 mu: Optional[int] = None,
-                m_original: Optional[int] = None,
-                n_original: Optional[int] = None,
                 rectifier: Optional[RectifyingMap] = None) -> IntegralReport:
-    """Run the whole pipeline: reduce, rectify, integrate, count, check.
+    """Run the whole pipeline: push forward, reduce, rectify, integrate, count, check.
 
-    ``rectifier`` is ``build_rectifier(nf)`` when the caller has built it.
-    Raises InvalidFamily when the normal form breaks a family constraint.
+    An ``automorphism`` pushes ``w`` forward, and the bounds on the original
+    pair then read the degrees of ``w`` and of ``nf``'s H composed with its
+    forward map; the report's ``form`` is the form integrated.  ``rectifier``
+    is ``build_rectifier(nf)`` when the caller has built it.  Raises
+    InvalidFamily when the normal form breaks a family constraint.
     """
     rm = build_rectifier(nf) if rectifier is None else rectifier
     facts = rm.facts
+    m, n = facts.degree - 1, w.degree
+    if automorphism is not None:
+        m = hamiltonian(nf, facts, *automorphism.forward)[1].total_degree - 1
+        w = pushforward_oneform(w, automorphism)
     coeffs, _ = reduce_to_nonexact_basis(w)
-    n_form = w.degree
-    if m_original is None:
-        m_original = facts.degree - 1
-    if n_original is None:
-        n_original = n_form
 
     bifurcation = list(dict.fromkeys(
         [*facts.bifurcation_candidates,
@@ -205,9 +219,8 @@ def full_report(nf: NormalForm, w: OneForm,
         zero_counts.append(None if ai.identically_zero
                            else count_zeros(ai, bifurcation))
 
-    nonconservative = all(not ai.identically_zero for ai in integrals)
-    n_bc = sum(zero_counts) if nonconservative else None
-    ledger = bound_ledger(facts, nf, n_form, m_original, n_original,
+    n_bc = None if None in zero_counts else sum(zero_counts)
+    ledger = bound_ledger(facts, nf, w.degree, m, n,
                           integrals, zero_counts, mu=mu, n_bc=n_bc)
-    return IntegralReport(facts, tuple(integrals), tuple(zero_counts), n_bc,
-                          tuple(bifurcation), nonconservative, ledger, rm, coeffs)
+    return IntegralReport(tuple(integrals), tuple(zero_counts), n_bc,
+                          tuple(bifurcation), ledger, rm, coeffs, w)

@@ -7,9 +7,9 @@ coefficients as strings, canonical key order) plus report.txt (human
 summary with factored integrals).
 
 Exit codes: 0 success, 1 parse/usage error, 2 invalid family,
-3 bound violation or golden mismatch, 4 oracle mismatch, 5 internal
-invariant breached (ConstructionFailure, NonPolynomialResidue or
-PoleOrderMismatch: a bug in abelint, not bad input).
+3 bound violation or golden mismatch, 4 the contour oracle disagreed or
+did not converge, 5 internal invariant breached (ConstructionFailure,
+NonPolynomialResidue or PoleOrderMismatch: a bug in abelint, not bad input).
 """
 
 from __future__ import annotations
@@ -33,10 +33,10 @@ from .errors import (
     NonPolynomialResidue,
     PoleOrderMismatch,
 )
-from .family import FamilyFacts, NormalForm, hamiltonian
+from .family import NormalForm
 from .oracle import check_report, locate_roots
 from .rectify import build_rectifier
-from .transform import OneForm, PolyAutomorphism, pushforward_oneform
+from .transform import OneForm, PolyAutomorphism
 
 ORACLE_REL_TOL = 1e-8
 ORACLE_C_COUNT = 3  # values of c the oracle checks each cycle at
@@ -204,19 +204,6 @@ class Problem:
             oracle_block.get("seed_c_values", []), "oracle.seed_c_values")]
 
 
-def _original_degrees(problem: Problem,
-                      facts: FamilyFacts) -> Tuple[Optional[int], Optional[int]]:
-    """Degrees (m, n) of the original pair when an automorphism is given."""
-    if problem.automorphism is None:
-        return None, None
-    aut = problem.automorphism
-    # H_original = sigma^{-1}(normal_H(psi)); degree is what matters here.
-    composed = hamiltonian(problem.normal_form, facts, *aut.forward)[1]
-    m_original = int(composed.total_degree) - 1
-    n_original = problem.one_form.degree
-    return m_original, n_original
-
-
 # ---------------------------------------------------------------------------
 # Oracle comparison
 # ---------------------------------------------------------------------------
@@ -248,10 +235,10 @@ def _generic_c_values(report: IntegralReport, supplied: List[complex]) -> List[c
     return values[:ORACLE_C_COUNT]
 
 
-def run_oracle(problem: Problem, form: OneForm, report: IntegralReport) -> dict:
-    """Compare the exact integrals against both numeric contour routes."""
+def run_oracle(problem: Problem, report: IntegralReport) -> dict:
+    """Check the report on both contour routes at the problem's values of c."""
     c_values = _generic_c_values(report, problem.oracle_c_values)
-    errors_t, errors_f = check_report(report, form, c_values)
+    errors_t, errors_f = check_report(report, c_values)
     max_t = max(errors_t, default=0.0)
     max_f = max(errors_f, default=0.0)
     return {
@@ -388,12 +375,18 @@ def report_to_text(report: IntegralReport, oracle_result: dict) -> str:
         if ai.identically_zero:
             lines.append(f"{label} = 0 (identically; conservative on this cycle)")
             continue
-        zeros = _numeric_zeros(ai.value)
-        lines.append(f"{label} = (2*pi*i) * {_factored_string(ai.value, zeros)}")
-        if zeros:
-            lines.append("  numeric zeros: " + ", ".join(
-                f"{r.real:+.6g}{r.imag:+.6g}i"
-                + (f" (multiplicity {k})" if k > 1 else "") for r, k, _ in zeros))
+        try:
+            zeros = _numeric_zeros(ai.value)
+        except NonConvergence as exc:  # the exact integral stands unfactored
+            shown, located = ai.value.to_string("c"), f"not located ({exc})"
+        else:
+            shown = _factored_string(ai.value, zeros)
+            located = ", ".join(f"{r.real:+.6g}{r.imag:+.6g}i"
+                                + (f" (multiplicity {k})" if k > 1 else "")
+                                for r, k, _ in zeros)
+        lines.append(f"{label} = (2*pi*i) * {shown}")
+        if located:
+            lines.append(f"  numeric zeros: {located}")
         lines.append(f"  zeros outside bifurcation set (with multiplicity): {z}")
     lines.append("")
     if report.nonconservative:
@@ -477,22 +470,15 @@ def execute(config: dict, no_oracle: bool = False,
     a normal form that breaks a family constraint.
     """
     problem = Problem(config)
-    form = problem.one_form
-    if problem.automorphism is not None:
-        form = pushforward_oneform(form, problem.automorphism)
-    rm = build_rectifier(problem.normal_form)
-    m_original, n_original = _original_degrees(problem, rm.facts)
-
-    report = full_report(problem.normal_form, form,
+    report = full_report(problem.normal_form, problem.one_form, problem.automorphism,
                          bifurcation_override=problem.bifurcation_override,
                          mu=problem.mu,
-                         m_original=m_original, n_original=n_original,
-                         rectifier=rm)
+                         rectifier=build_rectifier(problem.normal_form))
 
     oracle_result: dict = {"enabled": False}
     run_the_oracle = problem.oracle_enabled and not no_oracle
     if run_the_oracle:
-        oracle_result = run_oracle(problem, form, report)
+        oracle_result = run_oracle(problem, report)
 
     payload = report_to_json(report, oracle_result)
     text = report_to_text(report, oracle_result)

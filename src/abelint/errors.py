@@ -29,9 +29,9 @@ class ConstructionFailure(AbelintError):
 
 
 class NonPolynomialResidue(AbelintError):
-    """A cycle integral failed to cancel to a polynomial in c.
+    """The residue of a basis form at a puncture is not a polynomial in c.
 
-    Internal invariant breach: the theory guarantees cancellation.
+    Internal invariant breach: the theory guarantees a polynomial.
     """
 
 

@@ -205,7 +205,7 @@ def contour_integral_fiber(w: OneForm, rm: RectifyingMap, cycle: CanonicalCycle,
     return _integrate_circle_many(values, 1, spec)[0] / TWO_PI_I
 
 
-def check_report(report: IntegralReport, form: OneForm,
+def check_report(report: IntegralReport,
                  c_values: Sequence[complex]) -> Tuple[List[float], List[float]]:
     """Relative errors (t-route vs exact, fiber vs t-route) per (cycle, c).
 
@@ -216,14 +216,14 @@ def check_report(report: IntegralReport, form: OneForm,
     weighted basis integrals of eta_t = x^i y^j dx/dt, taken in this
     product form rather than from the expanded ``monomial_pushforward``,
     so it checks the pushforward as well as the residues; the fiber route
-    integrates ``form``, A(x,y) dx/dt + B(x,y) dy/dt, from the same
-    columns.  Every integral stops doubling on its own, and a contour that
-    has not settled at 2^14 samples raises NonConvergence.
+    integrates the report's own ``form``, A(x,y) dx/dt + B(x,y) dy/dt,
+    from the same columns.  Every integral stops doubling on its own, and
+    a contour that has not settled at 2^14 samples raises NonConvergence.
     """
     rm = report.rectifier
     monomials = list(report.basis_coeffs)
     coeffs = [w.to_complex() for w in report.basis_coeffs.values()]
-    a_xy, b_xy = _compile_form(form)
+    a_xy, b_xy = _compile_form(report.form)
     per_c = [(c_value, _puncture_locations(rm, c_value),
               _loop_sampler(rm, c_value, monomials, a_xy, b_xy)) for c_value in c_values]
     errors_t, errors_f = [], []

@@ -8,8 +8,11 @@ from abelint import (
     BiPoly,
     GaussRat,
     IdenticallyZero,
+    NonPolynomialResidue,
     NormalForm,
     OneForm,
+    RatFunc,
+    RectifyingMap,
     UniPoly,
     build_rectifier,
     canonical_cycles,
@@ -21,6 +24,7 @@ from abelint import (
     validate,
     zero_count_cap,
 )
+from abelint.algebra import C_FACTOR
 from test_family import cubic_form, oscillator_form, septic_f1, septic_f2
 
 from conftest import random_normal_form, random_oneform
@@ -74,6 +78,20 @@ class TestGoldenIntegrals:
         expected = UniPoly([0, 1]) * UniPoly([-1, 1]) * UniPoly([-2, 1])
         assert report.integrals[0].value == expected.scale(GaussRat(-1))
         assert report.zero_counts == (2,)
+
+
+    def test_non_polynomial_residue_names_its_monomial(self, monkeypatch):
+        # Each basis form's integral is a polynomial in c.  Dividing the
+        # pushforward of x y^2 dx by c^3 turns its residue c^2 into 1/c,
+        # while the residue -c of y dx, taken first, stays a polynomial.
+        original = RectifyingMap.monomial_pushforward
+        over_c3 = RatFunc(BiPoly({(0, 0): GaussRat(1)}), {C_FACTOR: 3})
+        monkeypatch.setattr(
+            RectifyingMap, "monomial_pushforward", lambda self, i, j:
+            original(self, i, j) * (over_c3 if (i, j) == (1, 2) else GaussRat(1)))
+        with pytest.raises(NonPolynomialResidue, match=r"^residue of x\^1 y\^2 dx "
+                           r"at puncture beta1 is not a polynomial in c: "):
+            full_report(oscillator_form(), form_dx((1, 2, 1), (0, 1, 1)))
 
 
 class TestZeroCounting:

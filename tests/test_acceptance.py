@@ -228,7 +228,7 @@ def test_criterion_6_oracle_agreement_on_bundled_examples():
             candidate = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             if all(abs(candidate - b) > 0.3 for b in bad) and abs(candidate) > 0.3:
                 c_values.append(candidate)
-        errors_t, errors_f = check_report(report, problem.one_form, c_values)
+        errors_t, errors_f = check_report(report, c_values)
         assert len(errors_t) == 10 * len(report.integrals), path.name
         assert max(errors_t) <= 1e-8, path.name
         assert max(errors_f) <= 1e-8, path.name

@@ -12,12 +12,19 @@ import pytest
 
 import abelint
 from abelint import BiPoly, GaussRat, GoldenMismatch, UniPoly
-from abelint.abelian import AbelianIntegral, full_report
+from abelint.abelian import (
+    AbelianIntegral,
+    full_report,
+    transformed_form_degree_cap,
+    zero_count_cap,
+)
 from abelint.errors import (
     ConstructionFailure,
     NonPolynomialResidue,
     PoleOrderMismatch,
 )
+from abelint.family import expand
+from abelint.transform import pushforward_oneform
 from abelint.cli import (
     ConfigError,
     Problem,
@@ -31,6 +38,7 @@ from abelint.cli import (
     main,
     parse_family,
     parse_one_form,
+    report_to_json,
     report_to_text,
 )
 
@@ -48,6 +56,32 @@ def minimal_config() -> dict:
         "one_form": [{"i": 0, "j": 1, "coeff": "1", "differential": "dx"}],
         "oracle": {"enabled": False},
     }
+
+
+def readme_config() -> dict:
+    """The configuration schema example of the README."""
+    return {
+        "family": {"type": "F2", "p1": 0, "p": 1, "q1": 1, "q": 2, "k": 1,
+                   "P": ["-1"], "a": [1], "beta": ["1"]},
+        "one_form": [
+            {"i": 0, "j": 3, "coeff": "1", "differential": "dx"},
+            {"i": 1, "j": 2, "coeff": "-108", "differential": "dx"},
+            {"i": 0, "j": 1, "coeff": "-66", "differential": "dx"},
+        ],
+        "automorphism": {
+            "forward": [[[1, 0, "-1"], [0, 0, "1"]], [[0, 1, "1"]]],
+            "inverse": [[[1, 0, "-1"], [0, 0, "1"]], [[0, 1, "1"]]],
+            "sigma": ["1", "0"],
+        },
+        "bifurcation_set": ["3"],
+        "mu": 2,
+        "oracle": {"enabled": True, "seed_c_values": ["3", {"re": "2", "im": "1"}]},
+    }
+
+
+# (x - y^3, y), whose inverse is (x + y^3, y): it raises the degree of H
+SHEAR = {"forward": [[[1, 0, "1"], [0, 3, "-1"]], [[0, 1, "1"]]],
+         "inverse": [[[1, 0, "1"], [0, 3, "1"]], [[0, 1, "1"]]]}
 
 
 def ladder_config(n: int) -> dict:
@@ -93,6 +127,28 @@ class TestParsing:
 
 
 class TestExecution:
+    @pytest.mark.parametrize("shear", [False, True])
+    def test_library_and_cli_agree(self, shear):
+        # The README's configuration, and the same with the shear (x - y^3, y):
+        # full_report on the parsed objects gives the CLI's report, including
+        # the rows that read the degrees of the original pair.
+        config = readme_config()
+        if shear:
+            config["automorphism"] = SHEAR
+        problem = Problem(config)
+        nf, w, aut = problem.normal_form, problem.one_form, problem.automorphism
+        report = full_report(nf, w, aut, bifurcation_override=[GaussRat(3)], mu=2)
+        library = report_to_json(report, {"enabled": False})
+        assert library == execute(config, no_oracle=True)[1]
+        m = expand(nf).compose(*aut.forward).total_degree - 1
+        assert m == (14 if shear else 6)
+        rank = report.facts.homology_rank
+        caps = {b["name"]: b["bound"] for b in library["bounds"]}
+        assert caps["zero_count_cap"] == zero_count_cap(m, w.degree, rank)
+        assert caps["transformed_form_degree"] == transformed_form_degree_cap(
+            "F2", rank, m, w.degree)
+        assert report.form == pushforward_oneform(w, aut)
+
     def test_minimal_run_succeeds(self):
         code, payload, text = execute(minimal_config(), no_oracle=True)
         assert code == 0
@@ -352,6 +408,28 @@ class TestExitCodes:
         observed = {b["name"]: b["observed"] for b in payload["bounds"]}
         assert observed["transformed_form_degree"] == 0
 
+    def test_unlocated_numeric_zeros_still_write_a_report(self, tmp_path):
+        # The root finder does not converge on one square-free part of the
+        # second integral; the text report shows that integral unfactored and
+        # says why its numeric zeros are missing, and the run exits 0.
+        config = {
+            "family": {"type": "F1", "p1": 0, "p": 1, "q1": 1, "q": 2, "k": 1,
+                       "P": [], "a": [1], "beta": ["3"]},
+            "one_form": [{"i": 3, "j": 3, "coeff": "3", "differential": "dx"},
+                         {"i": 1, "j": 2, "coeff": "1", "differential": "dy"}],
+            "automorphism": SHEAR,
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["--config", str(path), "--out", str(tmp_path),
+                     "--no-oracle"]) == 0
+        payload = json.loads((tmp_path / "report.json").read_text())
+        second = UniPoly([GaussRat.parse(v) for v in payload["cycles"][1]["integral_2pii"]])
+        text = (tmp_path / "report.txt").read_text()
+        assert f"I_2(c) = (2*pi*i) * {second.to_string('c')}\n" \
+            "  numeric zeros: not located (root finder did not reach residual" in text
+        assert "I_1(c) = (2*pi*i) * 1/328256967394537077627 * c^5 * (c - 3) * (" in text
+
 
 class TestEndToEnd:
     def test_example_writes_reports(self, tmp_path):
@@ -410,7 +488,7 @@ class TestEndToEnd:
         poly = UniPoly([-9027669600, -6770385424, -18055064102, 733564, 32])
         problem = Problem(minimal_config())
         report = full_report(problem.normal_form, problem.one_form)
-        integral = AbelianIntegral(report.integrals[0].cycle, poly, False)
+        integral = AbelianIntegral(report.integrals[0].cycle, poly)
         report = dataclasses.replace(report, integrals=(integral,))
         text = report_to_text(report, {"enabled": False})
         assert ("I_1(c) = (2*pi*i) * 4 * (c - 29825/2) * (c + 37836)"
@@ -431,7 +509,7 @@ class TestEndToEnd:
     def test_close_roots_are_reported(self, coeffs, factored):
         problem = Problem(minimal_config())
         report = full_report(problem.normal_form, problem.one_form)
-        integral = AbelianIntegral(report.integrals[0].cycle, UniPoly(coeffs), False)
+        integral = AbelianIntegral(report.integrals[0].cycle, UniPoly(coeffs))
         report = dataclasses.replace(report, integrals=(integral,))
         text = report_to_text(report, {"enabled": False})
         assert f"I_1(c) = (2*pi*i) * {factored}\n" in text

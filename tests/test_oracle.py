@@ -167,7 +167,7 @@ class TestContourIntegrals:
             monkeypatch.setattr(RatFunc, "at_c", counting_at_c)
             monkeypatch.setattr(RectifyingMap, "puncture_factor", counting_factor)
             del compiled[:], located[:]
-            check_report(report, form, c_values)
+            check_report(report, c_values)
             monkeypatch.undo()
             assert len(canonical_cycles(report.facts)) == 2
             assert len(compiled) == per_c * len(c_values)
@@ -188,7 +188,7 @@ class TestContourIntegrals:
         report = full_report(septic_f2(), SEPTIC_F2_FORM)
         assert (0, 1) in report.basis_coeffs
         errors_t, errors_f = check_report(
-            report, SEPTIC_F2_FORM, (2.0 + 0.5j, -1.7 + 1.3j, 3.1 - 0.2j))
+            report, (2.0 + 0.5j, -1.7 + 1.3j, 3.1 - 0.2j))
         assert max(errors_t) > 1e-8
         assert max(errors_f) < 1e-8
 
@@ -235,7 +235,7 @@ class TestContourIntegrals:
     def test_exact_engine_agrees_with_contours(self):
         report = full_report(septic_f2(), SEPTIC_F2_FORM)
         errors_t, errors_f = check_report(
-            report, SEPTIC_F2_FORM, (2.0 + 0.5j, -1.7 + 1.3j, 3.1 - 0.2j))
+            report, (2.0 + 0.5j, -1.7 + 1.3j, 3.1 - 0.2j))
         assert len(errors_t) == 6
         assert max(errors_t) < 1e-8
         assert max(errors_f) < 1e-8
