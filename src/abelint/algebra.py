@@ -645,16 +645,24 @@ class BiPoly:
     def compiled(self) -> Callable[[List[complex], List[complex]], List[complex]]:
         """Column evaluator: (v0s, v1s) -> the values at the points (v0s[k], v1s[k]).
 
-        Nested Horner, each step over the whole column; the coefficients
-        are converted to complex once, here.
+        Nested Horner, each step over the whole column, in the variable
+        order that takes fewer column steps: with v0 outermost that is the
+        v0-degree plus every row's v1-degree, with v1 outermost the same
+        count on the transposed grid (ties keep v0 outermost).  The
+        coefficients are converted to complex once, here.
         """
-        rows = [row.complex_coeffs()[::-1] for row in reversed(self.rows)]
+        grid = [row.complex_coeffs() for row in self.rows]  # grid[i][j]: v0^i v1^j
+        transposed = [_trim_zeros([row[j] if j < len(row) else 0j for row in grid])
+                      for j in range(max(map(len, grid), default=0))]
+        v1_outer = _column_steps(transposed) < _column_steps(grid)
+        rows = [row[::-1] for row in reversed(transposed if v1_outer else grid)]
 
         def values(v0s: List[complex], v1s: List[complex]) -> List[complex]:
-            acc = _horner_column(rows[0], v1s) if rows else [0j] * len(v0s)
+            outer, inner = (v1s, v0s) if v1_outer else (v0s, v1s)
+            acc = _horner_column(rows[0], inner) if rows else [0j] * len(outer)
             for row in rows[1:]:
-                product = map(mul, acc, v0s)
-                acc = list(map(add, product, _horner_column(row, v1s)) if row else product)
+                product = map(mul, acc, outer)
+                acc = list(map(add, product, _horner_column(row, inner)) if row else product)
             return acc
 
         return values
@@ -709,6 +717,18 @@ def _horner_column(coeffs: Sequence[complex], points: List[complex]) -> List[com
         product = map(mul, acc, points)
         acc = list(map(add, product, repeat(a, n)) if a else product)
     return acc
+
+
+def _trim_zeros(coeffs: List[complex]) -> List[complex]:
+    """coeffs without its zero top coefficients; low degree first."""
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def _column_steps(grid: List[List[complex]]) -> int:
+    """Column multiplications of nested Horner over grid[i][j] of v^i w^j, v outer."""
+    return len(grid) - 1 + sum(len(row) - 1 for row in grid if row)
 
 
 def _bipoly(rows: list) -> BiPoly:
@@ -1057,8 +1077,17 @@ class RatFunc:
         t-coefficients are its c-rows evaluated at c_value, with the factor
         c^-e folded in, and each "t" factor becomes a complex (pole,
         exponent) pair.  Each Horner step runs over the whole column, and
-        each pole is one division per point.
+        each pole is one division per point.  At c_value = 0 a factor c
+        makes every t a pole, so any point raises ZeroDivisionError on
+        evaluation, as a t-pole does.
         """
+        if C_FACTOR in self.fac and not c_value:
+            def nowhere(points: List[complex]) -> List[complex]:
+                if points:
+                    raise ZeroDivisionError("c = 0 is a pole at every t")
+                return []
+
+            return nowhere
         scale = 1
         poles = []
         for key, e in self.fac.items():

@@ -12,8 +12,21 @@ inverse x, y and dx/dt and locates the punctures once per c; on each
 (the t-route, in product form) and the fiber integrand A dx/dt + B dy/dt
 from one column of each, with the trapezoid weights folded into dx/dt, so
 an integral's level total is one ``sum``.  Each integral stops doubling
-once it settles.  A simultaneous-iteration root finder locates zeros of
-the exact integrals for reporting.
+once it settles.
+
+N trapezoid points on a circle integrate exactly every Laurent term but
+those of order -1 + m N, m != 0, which they fold onto the residue term.
+``check_report`` therefore starts each circle at the first level that
+folds none of its integrands' terms, or next to a neighbouring pole only
+terms below double precision; it reads that level off exact bounds on the
+integrands' pole order at the puncture and degree at infinity.  The
+second level then only confirms the first.  ``ContourSpec``'s default of
+64 starting samples serves direct callers of ``default_contour``,
+``contour_integral_t`` and ``contour_integral_fiber``, which do not know
+their integrand's orders.
+
+A simultaneous-iteration root finder locates zeros of the exact integrals
+for reporting.
 """
 
 from __future__ import annotations
@@ -28,7 +41,7 @@ from operator import add, mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .abelian import IntegralReport
-from .algebra import RatFunc, UniPoly
+from .algebra import RatFunc, TFactor, UniPoly
 from .errors import NonConvergence
 from .rectify import CanonicalCycle, RectifyingMap, canonical_cycles
 from .transform import OneForm
@@ -36,6 +49,7 @@ from .transform import OneForm
 TWO_PI_I = 2j * math.pi
 REL_TOL = 1e-10
 MAX_SAMPLES = 2 ** 14
+ALIAS_FREE_BITS = 53  # next to a neighbour, start where (r/R)^N <= 2^-53
 HORNER_SLACK = 4
 ROOT_TOL = 1e-10
 ROOT_MAX_ITERATIONS = 1000
@@ -48,7 +62,11 @@ Sampler = Callable[[Column, Column, Sequence[int]], List[Column]]
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Circle around one puncture: center, radius and starting sample count."""
+    """Circle around one puncture: center, radius and starting sample count.
+
+    The default of 64 samples is for callers that do not know the
+    integrand's pole orders; ``check_report`` starts at ``_first_level``.
+    """
 
     center: complex
     radius: float
@@ -61,27 +79,62 @@ class ContourSpec:
             raise ValueError("sample count must be a power of two >= 4")
 
 
-def _puncture_locations(rm: RectifyingMap, c_value: complex) -> Dict[str, complex]:
-    """Every finite puncture's position t = pi1 c + pi0 at c_value."""
-    locations = {}
+def _punctures(rm: RectifyingMap, c_value: complex) -> Dict[str, Tuple[TFactor, complex]]:
+    """Every finite puncture's factor t - pi(c) and its position pi(c_value)."""
+    punctures = {}
     for kind in rm.facts.puncture_kinds:
-        _, pi1, pi0 = rm.puncture_factor(kind)
-        locations[kind] = pi1.to_complex() * c_value + pi0.to_complex()
-    return locations
+        factor = rm.puncture_factor(kind)
+        _, pi1, pi0 = factor
+        punctures[kind] = factor, pi1.to_complex() * c_value + pi0.to_complex()
+    return punctures
 
 
-def _contour_around(locations: Dict[str, complex], puncture: str) -> ContourSpec:
-    """Circle around one puncture, radius a quarter of the nearest gap."""
-    center = locations[puncture]
-    gaps = [abs(center - other) for other in locations.values()
+def _first_level(pole_order: int, degree: int, ratio: Optional[float]) -> int:
+    """The first sample count whose trapezoid sum no Laurent term aliases.
+
+    On N points of the circle |t - center| = r the rule returns the t^-1
+    coefficient plus every coefficient of order -1 + m N, m != 0, times
+    r^(m N).  A pole of order at most ``pole_order`` has no term of order
+    -1 - N once N > pole_order.  With a neighbouring singularity at
+    distance R (``ratio`` = r / R) the terms of order -1 + N shrink like
+    (r/R)^N, below double precision once (r/R)^N <= 2^-53.  A lone
+    puncture (``ratio`` None) has a Laurent polynomial of degree at most
+    ``degree`` as integrand, so N > max(pole_order - 1, degree + 1) leaves
+    no aliased term at all.  The result is the smallest such power of two,
+    at least 4.
+    """
+    if ratio is None:
+        bound = max(pole_order - 1, degree + 1)
+    else:
+        bound = max(pole_order, math.ceil(ALIAS_FREE_BITS / -math.log2(ratio)) - 1)
+    samples = 4
+    while samples <= bound:
+        samples *= 2
+    return samples
+
+
+def _contour_around(punctures: Dict[str, Tuple[TFactor, complex]], puncture: str,
+                    orders: Optional[Tuple[int, int]] = None) -> ContourSpec:
+    """Circle around one puncture, radius a quarter of the nearest gap.
+
+    With ``orders`` = (pole order bound, degree bound) of the integrands it
+    starts at their ``_first_level``, otherwise at ContourSpec's default.
+    """
+    center = punctures[puncture][1]
+    gaps = [abs(center - other) for _, other in punctures.values()
             if abs(center - other) > 0]
-    return ContourSpec(center, min(gaps) / 4 if gaps else 1.0)
+    nearest = min(gaps, default=None)
+    radius = 1.0 if nearest is None else nearest / 4
+    if orders is None:
+        return ContourSpec(center, radius)
+    ratio = None if nearest is None else radius / nearest
+    return ContourSpec(center, radius, _first_level(*orders, ratio))
 
 
 def default_contour(rm: RectifyingMap, cycle: CanonicalCycle,
                     c_value: complex) -> ContourSpec:
     """Circle around the cycle's puncture, radius a quarter of the nearest gap."""
-    return _contour_around(_puncture_locations(rm, c_value), cycle.puncture)
+    return _contour_around(_punctures(rm, c_value), cycle.puncture)
 
 
 @lru_cache(maxsize=None)  # one entry per power of two up to MAX_SAMPLES
@@ -205,6 +258,31 @@ def contour_integral_fiber(w: OneForm, rm: RectifyingMap, cycle: CanonicalCycle,
     return _integrate_circle_many(values, 1, spec)[0] / TWO_PI_I
 
 
+def _order_bounds(rm: RectifyingMap, factor: TFactor,
+                  integrands: Sequence[Tuple[RatFunc, List[Tuple[int, int]]]]) -> Tuple[int, int]:
+    """(p, d): bounds on the pole order at ``factor`` and on the degree at
+    infinity of every integrand x^i y^j dz/dt, for each (dz/dt, exponents)
+    pair of ``integrands`` and each (i, j) of its exponents.
+
+    A product's pole order is at most the sum of its factors' and its
+    degree is the sum of theirs, so both bounds come from the exponents in
+    ``.fac`` and the t-degree of the numerator rows, not from
+    ``monomial_pushforward``, which the t-route checks.
+    """
+    def orders(f: RatFunc) -> Tuple[int, int]:
+        poles = sum(e for key, e in f.fac.items() if key[0] == "t")
+        return f.pole_order(factor), len(f.rows) - 1 - poles
+
+    (px, dx), (py, dy) = orders(rm.inverse_x), orders(rm.inverse_y)
+    pole_order = degree = 0
+    for derivative, exponents in integrands:
+        pd, dd = orders(derivative)
+        for i, j in exponents:
+            pole_order = max(pole_order, i * px + j * py + pd)
+            degree = max(degree, i * dx + j * dy + dd)
+    return pole_order, degree
+
+
 def check_report(report: IntegralReport,
                  c_values: Sequence[complex]) -> Tuple[List[float], List[float]]:
     """Relative errors (t-route vs exact, fiber vs t-route) per (cycle, c).
@@ -217,19 +295,35 @@ def check_report(report: IntegralReport,
     product form rather than from the expanded ``monomial_pushforward``,
     so it checks the pushforward as well as the residues; the fiber route
     integrates the report's own ``form``, A(x,y) dx/dt + B(x,y) dy/dt,
-    from the same columns.  Every integral stops doubling on its own, and
-    a contour that has not settled at 2^14 samples raises NonConvergence.
+    from the same columns.
+
+    Each circle starts at the first level that aliases no Laurent term of
+    its integrands (``_first_level``), from the exact bounds on their pole
+    order at the puncture and degree at infinity (``_order_bounds``): the
+    first level is then exact for a lone puncture and within roundoff of
+    exact next to a neighbour, and the second confirms it.  Every integral
+    stops doubling on its own, and a contour that has not settled at 2^14
+    samples raises NonConvergence.
     """
     rm = report.rectifier
     monomials = list(report.basis_coeffs)
     coeffs = [w.to_complex() for w in report.basis_coeffs.values()]
     a_xy, b_xy = _compile_form(report.form)
-    per_c = [(c_value, _puncture_locations(rm, c_value),
+    per_c = [(c_value, _punctures(rm, c_value),
               _loop_sampler(rm, c_value, monomials, a_xy, b_xy)) for c_value in c_values]
+    # the circle's integrands: each basis monomial's and each A term's
+    # x^i y^j dx/dt, and each B term's x^i y^j dy/dt (dy/dt read only for B != 0)
+    integrands = [(rm.dx_dt, monomials + list(report.form.A.terms))]
+    if b_xy is not None:
+        integrands.append((rm.dy_dt, list(report.form.B.terms)))
+    bounds: Dict[TFactor, Tuple[int, int]] = {}
     errors_t, errors_f = [], []
     for cycle, ai in zip(canonical_cycles(report.facts), report.integrals):
-        for c_value, locations, values in per_c:
-            spec = _contour_around(locations, cycle.puncture)
+        for c_value, punctures, values in per_c:
+            factor = punctures[cycle.puncture][0]
+            if factor not in bounds:
+                bounds[factor] = _order_bounds(rm, factor, integrands)
+            spec = _contour_around(punctures, cycle.puncture, bounds[factor])
             *basis, fiber = [v / TWO_PI_I for v in
                              _integrate_circle_many(values, len(monomials) + 1, spec)]
             numeric = sum((w * v for w, v in zip(coeffs, basis)), 0j)

@@ -239,6 +239,30 @@ class TestBiPoly:
             assert abs(value - exact) <= 1e-12 * abs(exact)
             assert poly.evaluate(x0.to_complex(), y0.to_complex()) == value
 
+    def test_compiled_nests_the_cheaper_variable_outermost(self):
+        # broughton's A, x-rows 2y - 2y^2 + y^5, 6y^2, -6y^2, 2y^2: nested
+        # with x outermost it takes 3 + 5 + 2 + 2 + 2 = 14 column steps,
+        # with y outermost 5 + 3 = 8.  Its transpose takes the same 8 with
+        # x outermost.  A step is one pass over the v0 or the v1 column.
+        class Column(list):
+            passes = 0
+
+            def __iter__(self):
+                self.passes += 1
+                return super().__iter__()
+
+        a = BiPoly({(0, 1): GaussRat(2), (0, 2): GaussRat(-2), (1, 2): GaussRat(6),
+                    (2, 2): GaussRat(-6), (0, 5): GaussRat(1), (3, 2): GaussRat(2)})
+        transposed = BiPoly({(j, i): c for (i, j), c in a.terms.items()})
+        x0 = GaussRat(Fraction(7, 10), Fraction(1, 3))
+        y0 = GaussRat(Fraction(-6, 5), Fraction(2, 7))
+        for poly, (v0, v1) in ((a, (x0, y0)), (transposed, (y0, x0))):
+            v0s, v1s = Column([v0.to_complex()]), Column([v1.to_complex()])
+            value = poly.compiled()(v0s, v1s)[0]
+            assert v0s.passes + v1s.passes == 8
+            exact = poly.compose(UniPoly.const(v0), UniPoly.const(v1))[0].to_complex()
+            assert abs(value - exact) <= 1e-12 * abs(exact)
+
     def test_terms_round_trip(self):
         rng = random.Random(17)
         from conftest import random_bipoly
@@ -273,6 +297,16 @@ class TestRatFunc:
             assert abs((f + g).evaluate(t0, c0) - (fv + gv)) < 1e-8
             assert abs((f * g).evaluate(t0, c0) - fv * gv) < 1e-8
             assert abs((f - g).evaluate(t0, c0) - (fv - gv)) < 1e-8
+
+    def test_at_c_compiles_at_a_pole_in_c(self):
+        # 1 / (t c) at c = 0 has a pole at every t: the evaluator compiles,
+        # takes an empty column, and raises on any point.
+        f = RatFunc(BiPoly.const(GaussRat(1)),
+                    {C_FACTOR: 1, t_factor(GaussRat(0), GaussRat(0)): 1})
+        column = f.at_c(0j)
+        assert column([]) == []
+        with pytest.raises(ZeroDivisionError):
+            column([1 + 0j])
 
     def test_at_c_matches_exact_value(self):
         # Constant, complex and moving poles plus the factor c, at rational

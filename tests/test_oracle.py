@@ -24,10 +24,12 @@ from abelint import (
     validate,
 )
 from abelint.algebra import RatFunc, t_factor
-from abelint.oracle import _integrate_circle, _integrate_circle_many
+from abelint import cli, oracle
+from abelint.oracle import _first_level, _integrate_circle, _integrate_circle_many
 from abelint.rectify import RectifyingMap
 from test_family import cubic_form, oscillator_form, septic_f2
 from test_abelian import SEPTIC_F2_FORM, form_dx
+from test_cli import load_bundle, readme_config
 
 from conftest import cached_rectifier, random_normal_form, random_oneform
 
@@ -258,6 +260,91 @@ class TestContourIntegrals:
             # reparametrized value line: evaluate at sigma(c), divide by sigma'
             scaled = report.integrals[0].value.scale(GaussRat(2))
             assert abs(scaled.evaluate_complex(c0) / 2 - exact) < 1e-12
+
+
+def _oracle_circles(monkeypatch, config: dict):
+    """(starting samples, samples evaluated) of every circle the CLI's oracle runs."""
+    circles = []
+
+    def counting(values, count, spec):
+        evaluated = [0]
+
+        def counted(points, weights, live):
+            evaluated[0] += len(points)
+            return values(points, weights, live)
+
+        result = _integrate_circle_many(counted, count, spec)
+        circles.append((spec.samples, evaluated[0]))
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_integrate_circle_many", counting)
+        code, payload, _ = cli.execute(config)
+    assert code == 0 and payload["oracle"]["passed"]
+    return circles
+
+
+class TestStartLevel:
+    def test_fixed_start_settles_on_an_aliased_value(self):
+        # 1/z + z^127 on the unit circle: 64 and 128 samples both fold z^127
+        # onto the residue term, agree, and settle on 4 pi i.  A lone
+        # puncture with pole order 1 and degree 127 starts at 256, which
+        # aliases no term.
+        def integrand(points):
+            return [1 / z + z ** 127 for z in points]
+
+        fixed = _integrate_circle(integrand, ContourSpec(0j, 1.0, samples=64))
+        assert abs(fixed - 4j * math.pi) < 1e-10
+        start = _first_level(1, 127, None)
+        assert start == 256
+        derived = _integrate_circle(integrand, ContourSpec(0j, 1.0, samples=start))
+        assert abs(derived - 2j * math.pi) < 1e-10
+
+    def test_start_rule(self, monkeypatch):
+        # Next to a neighbour at r = R/4 the floor is 32 and N0 > p; a lone
+        # puncture needs N0 > max(p - 1, d + 1) and at least 4.
+        assert _first_level(70, 0, 0.25) == 128
+        assert _first_level(0, 0, 0.25) == 32
+        assert _first_level(0, -3, None) == 4
+        oscillator = _oracle_circles(monkeypatch, load_bundle("oscillator")["config"])
+        assert {start for start, _ in oscillator} == {4}  # its one circle, around beta1
+        f1_type04 = _oracle_circles(monkeypatch, load_bundle("f1_type04")["config"])
+        assert len(f1_type04) == 9
+        assert {start for start, _ in f1_type04} == {32}
+
+    @pytest.mark.parametrize("name, per_circle", [
+        ("oscillator", 8), ("broughton", 32), ("type02_generic", 16),
+        ("f2_type03", 64), ("f1_type04", 64), ("readme", 64)])
+    def test_samples_per_circle(self, monkeypatch, name, per_circle):
+        # The first level is exact or within roundoff, so every circle
+        # settles on its second level: 2 N0 samples.
+        config = readme_config() if name == "readme" else load_bundle(name)["config"]
+        circles = _oracle_circles(monkeypatch, config)
+        assert {evaluated for _, evaluated in circles} == {per_circle}
+
+    def test_random_inputs_pass_or_stop_unsettled(self):
+        # The oracle on random inputs with a nonempty basis either agrees
+        # with the exact integrals or raises NonConvergence (a pole too
+        # close to its circle); it never settles on a disagreeing value.
+        rng = random.Random(2029)
+        outcomes = {"pass": 0, "unsettled": 0, "fail": 0}
+        checked = 0
+        while checked < 100:
+            nf = random_normal_form(rng)
+            w = random_oneform(rng, rng.randint(1, 5))
+            report = full_report(nf, w, rectifier=cached_rectifier(nf))
+            if not report.basis_coeffs:
+                continue
+            checked += 1
+            try:
+                errors_t, errors_f = check_report(
+                    report, cli._generic_c_values(report, []))
+            except NonConvergence:
+                outcomes["unsettled"] += 1
+                continue
+            outcomes["pass" if max(errors_t + errors_f) <= 1e-8 else "fail"] += 1
+        assert outcomes["fail"] == 0
+        assert outcomes["pass"] > outcomes["unsettled"]
 
 
 class TestOriginalCoordinates:
