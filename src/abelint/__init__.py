@@ -45,11 +45,9 @@ from .family import (
     validate,
 )
 from .oracle import (
-    ContourSpec,
     check_report,
     contour_integral_fiber,
     contour_integral_t,
-    default_contour,
     locate_roots,
 )
 from .rectify import (

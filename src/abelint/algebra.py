@@ -564,10 +564,9 @@ class BiPoly:
 
     def __init__(self, terms: Mapping = ()):
         grid = {}
-        for key, value in dict(terms).items():
-            i, j = int(key[0]), int(key[1])
-            if i < 0 or j < 0:
-                raise ValueError(f"negative exponent in term {(i, j)}")
+        for (i, j), value in dict(terms).items():
+            if not (isinstance(i, int) and isinstance(j, int) and i >= 0 and j >= 0):
+                raise ValueError(f"negative or non-integer exponent in term {(i, j)}")
             grid.setdefault(i, {})[j] = value
         rows = [_PZERO] * (max(grid) + 1 if grid else 0)
         for i, row in grid.items():

@@ -209,7 +209,7 @@ class Problem:
 # ---------------------------------------------------------------------------
 
 def _generic_c_values(report: IntegralReport, supplied: List[complex]) -> List[complex]:
-    """The supplied seeds, then fixed generic points, ORACLE_C_COUNT in all.
+    """Every supplied seed, then fixed generic points up to ORACLE_C_COUNT in all.
 
     Each keeps more than 1e-6 from the family's bifurcation values, where
     punctures collide; a supplied seed closer than that is a ConfigError.
@@ -232,7 +232,7 @@ def _generic_c_values(report: IntegralReport, supplied: List[complex]) -> List[c
         step += 1
         if nearest_bad(candidate) is None:
             values.append(candidate)
-    return values[:ORACLE_C_COUNT]
+    return values
 
 
 def run_oracle(problem: Problem, report: IntegralReport) -> dict:
@@ -496,8 +496,8 @@ def execute(config: dict, no_oracle: bool = False,
 def run(config_path: str, out_dir: str = ".", no_oracle: bool = False) -> int:
     """File-based entry: parse, execute, write report.json and report.txt."""
     try:
-        config = json.loads(Path(config_path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        config = json.loads(Path(config_path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
         print(f"error: cannot parse config {config_path}: {exc}", file=sys.stderr)
         return 1
     return _execute_and_write(config, out_dir, no_oracle)

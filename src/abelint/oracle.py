@@ -20,10 +20,11 @@ those of order -1 + m N, m != 0, which they fold onto the residue term.
 folds none of its integrands' terms, or next to a neighbouring pole only
 terms below double precision; it reads that level off exact bounds on the
 integrands' pole order at the puncture and degree at infinity.  The
-second level then only confirms the first.  ``ContourSpec``'s default of
-64 starting samples serves direct callers of ``default_contour``,
-``contour_integral_t`` and ``contour_integral_fiber``, which do not know
-their integrand's orders.
+second level then only confirms the first.  ``_contour_around`` is the
+one place that chooses a circle and its first level: ``check_report``
+and the one-integral routes ``contour_integral_t`` (an eta_t, with its
+own orders) and ``contour_integral_fiber`` (a form on the fiber loop,
+with the bounds ``check_report`` uses) all take their circle from it.
 
 A simultaneous-iteration root finder locates zeros of the exact integrals
 for reporting.
@@ -62,15 +63,11 @@ Sampler = Callable[[Column, Column, Sequence[int]], List[Column]]
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Circle around one puncture: center, radius and starting sample count.
-
-    The default of 64 samples is for callers that do not know the
-    integrand's pole orders; ``check_report`` starts at ``_first_level``.
-    """
+    """Circle around one puncture: center, radius and starting sample count."""
 
     center: complex
     radius: float
-    samples: int = 64
+    samples: int
 
     def __post_init__(self):
         if self.radius <= 0:
@@ -114,27 +111,19 @@ def _first_level(pole_order: int, degree: int, ratio: Optional[float]) -> int:
 
 
 def _contour_around(punctures: Dict[str, Tuple[TFactor, complex]], puncture: str,
-                    orders: Optional[Tuple[int, int]] = None) -> ContourSpec:
+                    orders: Tuple[int, int]) -> ContourSpec:
     """Circle around one puncture, radius a quarter of the nearest gap.
 
-    With ``orders`` = (pole order bound, degree bound) of the integrands it
-    starts at their ``_first_level``, otherwise at ContourSpec's default.
+    It starts at the ``_first_level`` of ``orders`` = (pole order bound,
+    degree bound) of the integrands.
     """
     center = punctures[puncture][1]
     gaps = [abs(center - other) for _, other in punctures.values()
             if abs(center - other) > 0]
     nearest = min(gaps, default=None)
     radius = 1.0 if nearest is None else nearest / 4
-    if orders is None:
-        return ContourSpec(center, radius)
     ratio = None if nearest is None else radius / nearest
     return ContourSpec(center, radius, _first_level(*orders, ratio))
-
-
-def default_contour(rm: RectifyingMap, cycle: CanonicalCycle,
-                    c_value: complex) -> ContourSpec:
-    """Circle around the cycle's puncture, radius a quarter of the nearest gap."""
-    return _contour_around(_punctures(rm, c_value), cycle.puncture)
 
 
 @lru_cache(maxsize=None)  # one entry per power of two up to MAX_SAMPLES
@@ -183,14 +172,6 @@ def _integrate_circle_many(values: Sampler, count: int,
         f"too close to the contour")
 
 
-def _integrate_circle(integrand: Callable[[Column], Column],
-                      spec: ContourSpec) -> complex:
-    """One trapezoidal contour integral of a column evaluator."""
-    return _integrate_circle_many(
-        lambda points, weights, live: [list(map(mul, integrand(points), weights))],
-        1, spec)[0]
-
-
 def _compile_form(form: OneForm) -> Tuple[Callable, Optional[Callable]]:
     """Column evaluators of A and B; None for the B of a dx-only form."""
     return form.A.compiled(), None if form.B.is_zero() else form.B.compiled()
@@ -236,51 +217,66 @@ def _loop_sampler(rm: RectifyingMap, c_value: complex,
     return values
 
 
-def contour_integral_t(eta_t: RatFunc, c_value: complex,
-                       spec: ContourSpec) -> complex:
-    """Numeric loop integral of eta_t dt, divided by 2*pi*sqrt(-1)."""
-    return _integrate_circle(eta_t.at_c(c_value), spec) / TWO_PI_I
-
-
-def contour_integral_fiber(w: OneForm, rm: RectifyingMap, cycle: CanonicalCycle,
-                           c_value: complex,
-                           spec: Optional[ContourSpec] = None) -> complex:
-    """Numeric integral of w along the fiber loop R^{-1}(circle), over 2*pi*i.
-
-    The loop is parametrized through the inverse map: for t on the circle,
-    (x, y) = (inverse_x, inverse_y)(t, c) and dx = (d inverse_x / dt) dt,
-    dy likewise.
-    """
-    if spec is None:
-        spec = default_contour(rm, cycle, c_value)
-    a_xy, b_xy = _compile_form(w)
-    values = _loop_sampler(rm, c_value, (), a_xy, b_xy)
-    return _integrate_circle_many(values, 1, spec)[0] / TWO_PI_I
+def _orders(f: RatFunc, factor: TFactor) -> Tuple[int, int]:
+    """f's pole order at ``factor`` and its degree in t at infinity."""
+    poles = sum(e for key, e in f.fac.items() if key[0] == "t")
+    return f.pole_order(factor), len(f.rows) - 1 - poles
 
 
 def _order_bounds(rm: RectifyingMap, factor: TFactor,
-                  integrands: Sequence[Tuple[RatFunc, List[Tuple[int, int]]]]) -> Tuple[int, int]:
+                  monomials: Sequence[Tuple[int, int]], form: OneForm) -> Tuple[int, int]:
     """(p, d): bounds on the pole order at ``factor`` and on the degree at
-    infinity of every integrand x^i y^j dz/dt, for each (dz/dt, exponents)
-    pair of ``integrands`` and each (i, j) of its exponents.
+    infinity of a circle's integrands: each basis monomial's and each A
+    term's x^i y^j dx/dt, and each B term's x^i y^j dy/dt (dy/dt is read
+    only when B != 0).
 
     A product's pole order is at most the sum of its factors' and its
     degree is the sum of theirs, so both bounds come from the exponents in
     ``.fac`` and the t-degree of the numerator rows, not from
     ``monomial_pushforward``, which the t-route checks.
     """
-    def orders(f: RatFunc) -> Tuple[int, int]:
-        poles = sum(e for key, e in f.fac.items() if key[0] == "t")
-        return f.pole_order(factor), len(f.rows) - 1 - poles
-
-    (px, dx), (py, dy) = orders(rm.inverse_x), orders(rm.inverse_y)
+    integrands = [(rm.dx_dt, [*monomials, *form.A.terms])]
+    if not form.B.is_zero():
+        integrands.append((rm.dy_dt, form.B.terms))
+    (px, dx), (py, dy) = _orders(rm.inverse_x, factor), _orders(rm.inverse_y, factor)
     pole_order = degree = 0
     for derivative, exponents in integrands:
-        pd, dd = orders(derivative)
+        pd, dd = _orders(derivative, factor)
         for i, j in exponents:
             pole_order = max(pole_order, i * px + j * py + pd)
             degree = max(degree, i * dx + j * dy + dd)
     return pole_order, degree
+
+
+def contour_integral_t(eta_t: RatFunc, rm: RectifyingMap, cycle: CanonicalCycle,
+                       c_value: complex) -> complex:
+    """Numeric loop integral of eta_t dt around the cycle's puncture, over 2*pi*i.
+
+    The circle starts at the first level of eta_t's own pole order at the
+    puncture and degree at infinity.
+    """
+    punctures = _punctures(rm, c_value)
+    orders = _orders(eta_t, punctures[cycle.puncture][0])
+    integrand = eta_t.at_c(c_value)
+    return _integrate_circle_many(
+        lambda points, weights, live: [list(map(mul, integrand(points), weights))],
+        1, _contour_around(punctures, cycle.puncture, orders))[0] / TWO_PI_I
+
+
+def contour_integral_fiber(w: OneForm, rm: RectifyingMap, cycle: CanonicalCycle,
+                           c_value: complex) -> complex:
+    """Numeric integral of w along the fiber loop R^{-1}(circle), over 2*pi*i.
+
+    The loop is parametrized through the inverse map: for t on the circle,
+    (x, y) = (inverse_x, inverse_y)(t, c) and dx = (d inverse_x / dt) dt,
+    dy likewise.  The circle starts where ``check_report``'s would for a
+    report of w with no basis monomials.
+    """
+    punctures = _punctures(rm, c_value)
+    orders = _order_bounds(rm, punctures[cycle.puncture][0], (), w)
+    values = _loop_sampler(rm, c_value, (), *_compile_form(w))
+    return _integrate_circle_many(
+        values, 1, _contour_around(punctures, cycle.puncture, orders))[0] / TWO_PI_I
 
 
 def check_report(report: IntegralReport,
@@ -311,18 +307,13 @@ def check_report(report: IntegralReport,
     a_xy, b_xy = _compile_form(report.form)
     per_c = [(c_value, _punctures(rm, c_value),
               _loop_sampler(rm, c_value, monomials, a_xy, b_xy)) for c_value in c_values]
-    # the circle's integrands: each basis monomial's and each A term's
-    # x^i y^j dx/dt, and each B term's x^i y^j dy/dt (dy/dt read only for B != 0)
-    integrands = [(rm.dx_dt, monomials + list(report.form.A.terms))]
-    if b_xy is not None:
-        integrands.append((rm.dy_dt, list(report.form.B.terms)))
     bounds: Dict[TFactor, Tuple[int, int]] = {}
     errors_t, errors_f = [], []
     for cycle, ai in zip(canonical_cycles(report.facts), report.integrals):
         for c_value, punctures, values in per_c:
             factor = punctures[cycle.puncture][0]
             if factor not in bounds:
-                bounds[factor] = _order_bounds(rm, factor, integrands)
+                bounds[factor] = _order_bounds(rm, factor, monomials, report.form)
             spec = _contour_around(punctures, cycle.puncture, bounds[factor])
             *basis, fiber = [v / TWO_PI_I for v in
                              _integrate_circle_many(values, len(monomials) + 1, spec)]

@@ -18,6 +18,7 @@ from abelint import (
     canonical_cycles,
     count_zeros,
     degree_row_bound,
+    expand,
     full_report,
     integrate_cycle,
     reduce_to_nonexact_basis,
@@ -27,7 +28,7 @@ from abelint import (
 from abelint.algebra import C_FACTOR
 from test_family import cubic_form, oscillator_form, septic_f1, septic_f2
 
-from conftest import random_normal_form, random_oneform
+from conftest import cached_rectifier, random_bipoly, random_normal_form, random_oneform
 
 
 def form_dx(*terms):
@@ -187,3 +188,20 @@ class TestBounds:
             w = random_oneform(rng, 4)
             report = full_report(nf, w)
             assert report.ledger.all_satisfied, (nf, w)
+
+
+def test_relatively_exact_forms_add_nothing():
+    # g dH vanishes on every level curve H = c, so adding it to w changes
+    # no cycle integral: full_report(nf, w + g dH) has exactly the
+    # integrals of full_report(nf, w).
+    rng = random.Random(7)
+    for _ in range(100):
+        nf = random_normal_form(rng)
+        h = expand(nf)
+        rm = cached_rectifier(nf)
+        w = random_oneform(rng, rng.randint(1, 4))
+        g = random_bipoly(rng, 2)
+        g_dh = OneForm(g * h.partial(0), g * h.partial(1))
+        base = full_report(nf, w, rectifier=rm)
+        moved = full_report(nf, w + g_dh, rectifier=rm)
+        assert [ai.value for ai in moved.integrals] == [ai.value for ai in base.integrals], (nf, w, g)

@@ -224,6 +224,11 @@ class TestBiPoly:
         with pytest.raises(ValueError, match=r"\(-1, 1\)"):
             BiPoly({(-1, 1): GaussRat(1)})
 
+    def test_non_integer_exponent_rejected(self):
+        # read as 1, the exponent 1.5 would merge its term with the x term
+        with pytest.raises(ValueError, match=r"non-integer exponent in term \(1\.5, 0\)"):
+            BiPoly({(1.5, 0): GaussRat(1), (1, 0): GaussRat(2)})
+
     def test_compiled_matches_exact_value(self):
         rng = random.Random(47)
         from conftest import random_bipoly

@@ -155,6 +155,17 @@ class TestExecution:
         assert payload["cycles"][0]["integral_2pii"] == ["0", "-1"]
         assert "I_1(c)" in text
 
+    def test_oracle_checks_every_seed(self):
+        # The README configuration has two cycles: five seeds are five
+        # checks each, and one seed is filled up to three values of c.
+        config = readme_config()
+        config["oracle"]["seed_c_values"] = ["3", {"re": "2", "im": "1"}, "5", "7", "11"]
+        code, payload, _ = execute(config)
+        assert code == 0 and payload["oracle"]["passed"]
+        assert payload["oracle"]["checks"] == 10
+        config["oracle"]["seed_c_values"] = ["5"]
+        assert execute(config)[1]["oracle"]["checks"] == 6
+
     def test_mu_adds_vanishing_cycle_bound(self):
         config = minimal_config()
         config["mu"] = 0
@@ -237,6 +248,16 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["--config", str(bad), "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("content", [b'\xff\xfe{"mu": 2}', b"[" * 200000],
+                             ids=["not-utf8", "nested-past-recursion-limit"])
+    def test_unreadable_config_is_one_line_parse_error(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert main(["--config", str(bad), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot parse config {bad}: ")
+        assert err.count("\n") == 1
 
     def test_invalid_family_is_two(self, tmp_path):
         config = minimal_config()

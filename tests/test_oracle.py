@@ -3,12 +3,12 @@
 import cmath
 import math
 import random
+from operator import mul
 
 import pytest
 
 from abelint import (
     BiPoly,
-    ContourSpec,
     GaussRat,
     NonConvergence,
     OneForm,
@@ -18,14 +18,21 @@ from abelint import (
     check_report,
     contour_integral_fiber,
     contour_integral_t,
-    default_contour,
     full_report,
     locate_roots,
     validate,
 )
 from abelint.algebra import RatFunc, t_factor
 from abelint import cli, oracle
-from abelint.oracle import _first_level, _integrate_circle, _integrate_circle_many
+from abelint.oracle import (
+    TWO_PI_I,
+    ContourSpec,
+    _contour_around,
+    _first_level,
+    _integrate_circle_many,
+    _loop_sampler,
+    _punctures,
+)
 from abelint.rectify import RectifyingMap
 from test_family import cubic_form, oscillator_form, septic_f2
 from test_abelian import SEPTIC_F2_FORM, form_dx
@@ -34,10 +41,17 @@ from test_cli import load_bundle, readme_config
 from conftest import cached_rectifier, random_normal_form, random_oneform
 
 
+def _circle(integrand, spec: ContourSpec) -> complex:
+    """One trapezoidal contour integral of a column evaluator, from spec.samples."""
+    return _integrate_circle_many(
+        lambda points, weights, live: [list(map(mul, integrand(points), weights))],
+        1, spec)[0]
+
+
 class TestContourSpec:
     def test_radius_positive(self):
         with pytest.raises(ValueError):
-            ContourSpec(0j, 0.0)
+            ContourSpec(0j, 0.0, 4)
 
     def test_samples_power_of_two(self):
         with pytest.raises(ValueError):
@@ -46,28 +60,30 @@ class TestContourSpec:
     def test_default_radius_quarter_gap(self):
         rm = build_rectifier(septic_f2())
         cycles = canonical_cycles(validate(septic_f2()))
-        spec = default_contour(rm, cycles[0], 2.0 + 0j)
+        spec = _contour_around(_punctures(rm, 2.0 + 0j), cycles[0].puncture, (0, 0))
         # punctures at t = 0 and t = 1: gap 1, radius 1/4
         assert spec.center == 0j
         assert math.isclose(spec.radius, 0.25)
+        assert spec.samples == _first_level(0, 0, 0.25) == 32
 
     def test_sole_puncture_radius_one(self):
         rm = build_rectifier(oscillator_form())
         cycles = canonical_cycles(validate(oscillator_form()))
-        spec = default_contour(rm, cycles[0], 2.0 + 0j)
+        spec = _contour_around(_punctures(rm, 2.0 + 0j), cycles[0].puncture, (0, 0))
         assert spec.radius == 1.0
+        assert spec.samples == _first_level(0, 0, None) == 4
 
 
 class TestContourIntegrals:
     def test_simple_pole_unit_residue(self):
         f = RatFunc(BiPoly.const(GaussRat(1)),
                     {t_factor(GaussRat(0), GaussRat(0)): 1})
-        value = contour_integral_t(f, 1.0 + 0j, ContourSpec(0j, 0.5))
+        value = _circle(f.at_c(1.0 + 0j), ContourSpec(0j, 0.5, 64)) / TWO_PI_I
         assert abs(value - 1) < 1e-10
 
     def test_pole_free_integrand_vanishes(self):
         f = RatFunc(BiPoly({(2, 0): GaussRat(1)}))
-        value = contour_integral_t(f, 1.0 + 0j, ContourSpec(0j, 0.5))
+        value = _circle(f.at_c(1.0 + 0j), ContourSpec(0j, 0.5, 64)) / TWO_PI_I
         assert abs(value) < 1e-10
 
     def test_oscillator_known_value(self):
@@ -75,9 +91,8 @@ class TestContourIntegrals:
         rm = build_rectifier(oscillator_form())
         cycle = canonical_cycles(validate(oscillator_form()))[0]
         c0 = 2.0 + 0j
-        spec = default_contour(rm, cycle, c0)
         eta_t = rm.monomial_pushforward(0, 1)
-        assert abs(contour_integral_t(eta_t, c0, spec) - (-2)) < 1e-9
+        assert abs(contour_integral_t(eta_t, rm, cycle, c0) - (-2)) < 1e-9
 
     def test_fiber_route_matches_t_route(self):
         rng = random.Random(89)
@@ -86,12 +101,11 @@ class TestContourIntegrals:
             rm = cached_rectifier(nf)
             cycle = canonical_cycles(validate(nf))[0]
             c0 = 2.37 + 1.11j
-            spec = default_contour(rm, cycle, c0)
             i, j = rng.randint(0, 2), rng.randint(1, 2)
             w = OneForm(BiPoly({(i, j): GaussRat(1)}), BiPoly())
             eta_t = rm.monomial_pushforward(i, j)
-            t_side = contour_integral_t(eta_t, c0, spec)
-            fiber_side = contour_integral_fiber(w, rm, cycle, c0, spec)
+            t_side = contour_integral_t(eta_t, rm, cycle, c0)
+            fiber_side = contour_integral_fiber(w, rm, cycle, c0)
             assert abs(t_side - fiber_side) < 1e-8 * (1 + abs(t_side))
 
     def test_doubling_reuses_previous_samples(self):
@@ -104,8 +118,8 @@ class TestContourIntegrals:
             calls.append(z)
             return 1 / z + z ** 63
 
-        value = _integrate_circle(lambda points: [integrand(z) for z in points],
-                                  ContourSpec(0j, 1.0, samples=64))
+        value = _circle(lambda points: [integrand(z) for z in points],
+                        ContourSpec(0j, 1.0, samples=64))
         assert abs(value - 2j * math.pi) < 1e-10
         assert len(calls) == 256
 
@@ -123,7 +137,7 @@ class TestContourIntegrals:
             lambda points, weights, live: [[integrands[k](t) * w for t, w in zip(points, weights)]
                                            for k in live],
             3, spec)
-        assert shared == [_integrate_circle(lambda points, f=f: [f(t) for t in points], spec)
+        assert shared == [_circle(lambda points, f=f: [f(t) for t in points], spec)
                           for f in integrands]
 
     def test_settled_integral_is_not_sampled_again(self):
@@ -202,15 +216,15 @@ class TestContourIntegrals:
         assert "dy_dt" not in rm.__dict__
 
     def test_coefficients_converted_once_per_call(self, monkeypatch):
-        # Both routes convert each exact coefficient to complex once per
-        # call, so the count does not grow with the number of samples.
-        # Conversions happen in GaussRat.to_complex (scalars, pole
-        # locations) and UniPoly.complex_coeffs (polynomial rows).
+        # Both routes' samplers convert each exact coefficient to complex
+        # once per integral, so the count does not grow with the number of
+        # samples.  Conversions happen in GaussRat.to_complex (scalars,
+        # pole locations) and UniPoly.complex_coeffs (polynomial rows).
         nf = septic_f2()
         rm = build_rectifier(nf)
         cycle = canonical_cycles(validate(nf))[0]
         c0 = 2.0 + 0.5j
-        spec = default_contour(rm, cycle, c0)
+        spec = _contour_around(_punctures(rm, c0), cycle.puncture, (0, 0))
         eta_t = rm.monomial_pushforward(1, 1)
         w = OneForm(BiPoly({(1, 1): GaussRat(1)}), BiPoly({(1, 1): GaussRat(2)}))
         calls = []
@@ -226,10 +240,11 @@ class TestContourIntegrals:
         for samples in (64, 1024):
             fixed = ContourSpec(spec.center, spec.radius, samples=samples)
             del calls[:]
-            contour_integral_t(eta_t, c0, fixed)
+            _circle(eta_t.at_c(c0), fixed)
             t_calls = len(calls)
             del calls[:]
-            contour_integral_fiber(w, rm, cycle, c0, fixed)
+            values = _loop_sampler(rm, c0, (), w.A.compiled(), w.B.compiled())
+            _integrate_circle_many(values, 1, fixed)
             counts[samples] = (t_calls, len(calls))
         assert counts[64] == counts[1024]
         assert min(counts[64]) > 0
@@ -253,8 +268,7 @@ class TestContourIntegrals:
         rng = random.Random(97)
         for _ in range(10):
             c0 = complex(rng.uniform(1, 3), rng.uniform(-1, 1))
-            spec = default_contour(rm, cycle, c0)
-            direct = contour_integral_fiber(w, rm, cycle, c0, spec)
+            direct = contour_integral_fiber(w, rm, cycle, c0)
             exact = report.integrals[0].value.evaluate_complex(c0)
             assert abs(direct - exact) < 1e-8 * (1 + abs(exact))
             # reparametrized value line: evaluate at sigma(c), divide by sigma'
@@ -293,11 +307,11 @@ class TestStartLevel:
         def integrand(points):
             return [1 / z + z ** 127 for z in points]
 
-        fixed = _integrate_circle(integrand, ContourSpec(0j, 1.0, samples=64))
+        fixed = _circle(integrand, ContourSpec(0j, 1.0, samples=64))
         assert abs(fixed - 4j * math.pi) < 1e-10
         start = _first_level(1, 127, None)
         assert start == 256
-        derived = _integrate_circle(integrand, ContourSpec(0j, 1.0, samples=start))
+        derived = _circle(integrand, ContourSpec(0j, 1.0, samples=start))
         assert abs(derived - 2j * math.pi) < 1e-10
 
     def test_start_rule(self, monkeypatch):
@@ -311,6 +325,26 @@ class TestStartLevel:
         f1_type04 = _oracle_circles(monkeypatch, load_bundle("f1_type04")["config"])
         assert len(f1_type04) == 9
         assert {start for start, _ in f1_type04} == {32}
+
+    def test_public_routes_start_at_the_derived_level(self, monkeypatch):
+        # Around the oscillator's lone puncture y dx pulls back to
+        # eta_t = -c / (t - 1), pole order 1 and degree -1, and the fiber
+        # route bounds it by pole order 1 and degree 0: both one-integral
+        # routes start at the 4 samples _contour_around derives, not 64.
+        rm = build_rectifier(oscillator_form())
+        cycle = canonical_cycles(rm.facts)[0]
+        starts = []
+
+        def recording(values, count, spec):
+            starts.append(spec.samples)
+            return _integrate_circle_many(values, count, spec)
+
+        monkeypatch.setattr(oracle, "_integrate_circle_many", recording)
+        y_dx = OneForm(BiPoly({(0, 1): GaussRat(1)}), BiPoly())
+        t_route = contour_integral_t(rm.monomial_pushforward(0, 1), rm, cycle, 3.0 + 0j)
+        fiber = contour_integral_fiber(y_dx, rm, cycle, 3.0 + 0j)
+        assert abs(t_route + 3) < 1e-12 and abs(fiber + 3) < 1e-12
+        assert starts == [4, 4]
 
     @pytest.mark.parametrize("name, per_circle", [
         ("oscillator", 8), ("broughton", 32), ("type02_generic", 16),
@@ -352,10 +386,7 @@ class TestOriginalCoordinates:
         # H = (u^2 + v^2)/2 carried to y(1 - x) by an explicit automorphism:
         # integrating omega along the original-coordinates loop must match
         # the exact engine applied to the pushed-forward form.
-        import cmath
-
         from abelint import pushforward_oneform
-        from abelint.oracle import TWO_PI_I
         from test_transform import oscillator_automorphism
 
         aut = oscillator_automorphism()
@@ -375,7 +406,7 @@ class TestOriginalCoordinates:
         step = 2 * math.pi / samples
         for _ in range(10):
             c0 = complex(rng.uniform(1, 3), rng.uniform(-1, 1))
-            spec = default_contour(rm, cycle, c0)
+            spec = _contour_around(_punctures(rm, c0), cycle.puncture, (0, 0))
             rotations = [spec.radius * cmath.exp(1j * step * idx) for idx in range(samples)]
             ts = [spec.center + rotation for rotation in rotations]
             xs, ys = rm.inverse_x.at_c(c0)(ts), rm.inverse_y.at_c(c0)(ts)
@@ -435,4 +466,4 @@ class TestRootFinder:
         f = RatFunc(BiPoly.const(GaussRat(1)),
                     {t_factor(GaussRat(0), GaussRat(0)): 1})
         with pytest.raises(NonConvergence):
-            contour_integral_t(f, 1.0 + 0j, ContourSpec(1.0 + 0j, 1.0))
+            _circle(f.at_c(1.0 + 0j), ContourSpec(1.0 + 0j, 1.0, 64))
