@@ -37,10 +37,8 @@ from .errors import (
 from .family import (
     FamilyFacts,
     NormalForm,
-    bifurcation_candidates,
     expand,
     hamiltonian,
-    s_poly,
     synthesize_qq,
     validate,
 )

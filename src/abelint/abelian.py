@@ -129,9 +129,6 @@ class BoundLedger:
     def all_satisfied(self) -> bool:
         return all(entry.satisfied for entry in self.entries)
 
-    def violations(self) -> List[BoundEntry]:
-        return [entry for entry in self.entries if not entry.satisfied]
-
 
 def bound_ledger(facts: FamilyFacts, nf: NormalForm, n_form: int, m: int, n: int,
                  integrals: List[AbelianIntegral],

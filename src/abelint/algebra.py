@@ -90,22 +90,18 @@ class GaussRat:
     def to_json(self):
         """Serialize as an exact string (or {re, im} when truly complex)."""
         if self.im == 0:
-            return _q_str(self.re)
-        return {"re": _q_str(self.re), "im": _q_str(self.im)}
+            return str(self.re)
+        return {"re": str(self.re), "im": str(self.im)}
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other):
         other = _coerce(other)
-        if not self.im and not other.im:
-            return _gauss(self.re + other.re, self.im)
         return _gauss(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = _coerce(other)
-        if not self.im and not other.im:
-            return _gauss(self.re - other.re, self.im)
         return _gauss(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
@@ -113,8 +109,6 @@ class GaussRat:
 
     def __mul__(self, other):
         other = _coerce(other)
-        if not self.im and not other.im:
-            return _gauss(self.re * other.re, self.im)
         return _gauss(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -165,15 +159,11 @@ class GaussRat:
 
     def __repr__(self):
         if self.im == 0:
-            return _q_str(self.re)
+            return str(self.re)
         if self.re == 0:
-            return f"{_q_str(self.im)}i"
+            return f"{self.im}i"
         sign = "+" if self.im > 0 else "-"
-        return f"{_q_str(self.re)}{sign}{_q_str(abs(self.im))}i"
-
-
-def _q_str(q) -> str:
-    return str(q)
+        return f"{self.re}{sign}{abs(self.im)}i"
 
 
 _new_object = object.__new__
@@ -543,11 +533,11 @@ def _rows_partial(rows: list, slot: int) -> list:
     return [r.derivative() for r in rows]
 
 
-def _trim(rows: list) -> list:
-    """``rows`` without its zero top rows, trimmed in place."""
-    while rows and not rows[-1]:
-        rows.pop()
-    return rows
+def _trim(items: list) -> list:
+    """``items`` without its zero top entries (rows or coefficients), in place."""
+    while items and not items[-1]:
+        items.pop()
+    return items
 
 
 class BiPoly:
@@ -651,7 +641,7 @@ class BiPoly:
         coefficients are converted to complex once, here.
         """
         grid = [row.complex_coeffs() for row in self.rows]  # grid[i][j]: v0^i v1^j
-        transposed = [_trim_zeros([row[j] if j < len(row) else 0j for row in grid])
+        transposed = [_trim([row[j] if j < len(row) else 0j for row in grid])
                       for j in range(max(map(len, grid), default=0))]
         v1_outer = _column_steps(transposed) < _column_steps(grid)
         rows = [row[::-1] for row in reversed(transposed if v1_outer else grid)]
@@ -716,13 +706,6 @@ def _horner_column(coeffs: Sequence[complex], points: List[complex]) -> List[com
         product = map(mul, acc, points)
         acc = list(map(add, product, repeat(a, n)) if a else product)
     return acc
-
-
-def _trim_zeros(coeffs: List[complex]) -> List[complex]:
-    """coeffs without its zero top coefficients; low degree first."""
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
 
 
 def _column_steps(grid: List[List[complex]]) -> int:
@@ -806,11 +789,6 @@ class CFrac:
 
     def is_polynomial(self) -> bool:
         return self.den.degree == 0
-
-    def as_unipoly(self) -> UniPoly:
-        if not self.is_polynomial():
-            raise ValueError("CFrac is not a polynomial")
-        return self.num
 
     def __repr__(self):
         if self.is_polynomial():
@@ -1045,8 +1023,7 @@ class RatFunc:
             other = RatFunc(other)
         if not isinstance(other, RatFunc):
             return NotImplemented
-        n1, n2, _ = self._common(other)
-        return n1 == n2
+        return self.rows == other.rows and self.fac == other.fac  # the pair is canonical
 
     def __hash__(self):
         return hash((tuple(self.rows), frozenset(self.fac.items())))

@@ -6,9 +6,9 @@ every cycle with the numeric oracle, and writes report.json (exact
 coefficients as strings, canonical key order) plus report.txt (human
 summary with factored integrals).
 
-Exit codes: 0 success, 1 parse/usage error, 2 invalid family,
-3 bound violation or golden mismatch, 4 the contour oracle disagreed or
-did not converge, 5 internal invariant breached (ConstructionFailure,
+Exit codes: 0 success, 1 parse/usage error or unwritable --out, 2 invalid
+family, 3 bound violation or golden mismatch, 4 the oracle disagreed, did
+not converge or overflowed, 5 internal invariant breached (ConstructionFailure,
 NonPolynomialResidue or PoleOrderMismatch: a bug in abelint, not bad input).
 """
 
@@ -200,8 +200,14 @@ class Problem:
         if type(self.oracle_enabled) is not bool:
             raise ConfigError(f"oracle.enabled: expected true or false, "
                               f"got {self.oracle_enabled!r}")
-        self.oracle_c_values = [v.to_complex() for v in _read_exacts(
-            oracle_block.get("seed_c_values", []), "oracle.seed_c_values")]
+        self.oracle_c_values = []
+        seeds = _read_exacts(oracle_block.get("seed_c_values", []), "oracle.seed_c_values")
+        for pos, seed in enumerate(seeds):
+            try:
+                self.oracle_c_values.append(seed.to_complex())
+            except OverflowError:
+                raise ConfigError(f"oracle.seed_c_values[{pos}]: beyond the double range") \
+                    from None
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +383,7 @@ def report_to_text(report: IntegralReport, oracle_result: dict) -> str:
             continue
         try:
             zeros = _numeric_zeros(ai.value)
-        except NonConvergence as exc:  # the exact integral stands unfactored
+        except (NonConvergence, OverflowError) as exc:  # the exact integral stands unfactored
             shown, located = ai.value.to_string("c"), f"not located ({exc})"
         else:
             shown = _factored_string(ai.value, zeros)
@@ -425,10 +431,6 @@ def _example_resource(name: str) -> dict:
         raise ConfigError(f"unknown example {name!r}; "
                           f"available: {', '.join(EXAMPLE_NAMES)}")
     return json.loads(path.read_text())
-
-
-def list_examples() -> List[str]:
-    return list(EXAMPLE_NAMES)
 
 
 def compare_golden(report_json: dict, golden: dict, name: str) -> None:
@@ -531,13 +533,20 @@ def _execute_and_write(config: dict, out_dir: str, no_oracle: bool,
     except NonConvergence as exc:
         print(f"error: oracle failed to converge: {exc}", file=sys.stderr)
         return 4
+    except OverflowError as exc:  # only the oracle samples in floating point
+        print(f"error: oracle cannot sample beyond the double range: {exc}", file=sys.stderr)
+        return 4
     except (ConstructionFailure, NonPolynomialResidue, PoleOrderMismatch) as exc:
         print(f"error: internal invariant breached: {exc}", file=sys.stderr)
         return 5
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(canonical_json(payload))
-    (out / "report.txt").write_text(text)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "report.json").write_text(canonical_json(payload))
+        (out / "report.txt").write_text(text)
+    except OSError as exc:
+        print(f"error: cannot write reports to {out_dir}: {exc}", file=sys.stderr)
+        return 1
     if code == 3:
         print("error: bound violation recorded in report", file=sys.stderr)
     elif code == 4:
@@ -564,7 +573,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list_examples:
-        for name in list_examples():
+        for name in EXAMPLE_NAMES:
             print(name)
         return 0
     if bool(args.config) == bool(args.example):

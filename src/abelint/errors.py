@@ -12,10 +12,6 @@ class PoleOrderMismatch(AbelintError):
 class InvalidFamily(AbelintError):
     """A normal-form parameter set violates a family constraint."""
 
-    def __init__(self, constraint: str):
-        self.constraint = constraint
-        super().__init__(constraint)
-
 
 class NoCyclesError(InvalidFamily):
     """The fiber carries no cycles at all (homology rank zero)."""

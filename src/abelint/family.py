@@ -64,11 +64,15 @@ class FamilyFacts:
 
     family: str
     degree: int                       # total degree of the Hamiltonian
-    homology_rank: int
     puncture_kinds: Tuple[str, ...]   # ordered finite punctures of the fiber
     bifurcation_candidates: Tuple[GaussRat, ...]
     sign_case: Optional[int]          # p q1 - q p1 for F1/F2; None for F3
     effective: Tuple[int, int, int, int]  # (p1, p, q1, q) after synthesis
+
+    @property
+    def homology_rank(self) -> int:
+        """One canonical cycle per finite puncture."""
+        return len(self.puncture_kinds)
 
 
 def synthesize_qq(p1: int, p: int) -> Tuple[int, int]:
@@ -149,17 +153,12 @@ def validate(nf: NormalForm) -> FamilyFacts:
     total_a = sum(nf.a)
     degree = p1 + p * (nf.k + 1) + (q1 + q * (nf.k + 1)) * total_a
 
+    punctures = (ZERO_PUNCTURE,) + tuple(beta_puncture(i + 1) for i in range(r - 1))
     if nf.family == "F1":
-        rank = r + 1
-        punctures = (ZERO_PUNCTURE,) + tuple(beta_puncture(i + 1) for i in range(r - 1)) \
-            + (MOVING_PUNCTURE,)
-    else:
-        rank = r
-        punctures = (ZERO_PUNCTURE,) + tuple(beta_puncture(i + 1) for i in range(r - 1))
+        punctures += (MOVING_PUNCTURE,)
 
     candidates = _bifurcation_candidates_f12(nf, p1, q1)
-    return FamilyFacts(nf.family, degree, rank, punctures, candidates, sign,
-                       (p1, p, q1, q))
+    return FamilyFacts(nf.family, degree, punctures, candidates, sign, (p1, p, q1, q))
 
 
 def _validate_f3(nf: NormalForm) -> FamilyFacts:
@@ -173,8 +172,7 @@ def _validate_f3(nf: NormalForm) -> FamilyFacts:
     degree = 1 + total_a
     punctures = tuple(beta_puncture(i + 1) for i in range(r - 1))
     candidates = tuple(dict.fromkeys(nf.h.evaluate(b) for b in nf.beta))
-    return FamilyFacts("F3", degree, r - 1, punctures, candidates, None,
-                       (0, 0, 0, 0))
+    return FamilyFacts("F3", degree, punctures, candidates, None, (0, 0, 0, 0))
 
 
 def _bifurcation_candidates_f12(nf: NormalForm, p1: int, q1: int) -> Tuple[GaussRat, ...]:
@@ -186,31 +184,21 @@ def _bifurcation_candidates_f12(nf: NormalForm, p1: int, q1: int) -> Tuple[Gauss
     """
     values: List[GaussRat] = []
     if p1 == 0:
-        value = nf.P.evaluate(ZERO)
+        value = nf.P[0]
         for b, a in zip(nf.beta, nf.a):
             value = value * b ** a
         values.append(value)
     elif q1 == 0 and nf.family == "F1":
-        values.append(nf.P.evaluate(ZERO))
+        values.append(nf.P[0])
     values.append(ZERO)
     if nf.family == "F1":
         values.extend(nf.beta)
     return tuple(dict.fromkeys(values))
 
 
-def bifurcation_candidates(nf: NormalForm) -> List[GaussRat]:
-    """Deduplicated critical-value candidates of the validated normal form."""
-    return list(validate(nf).bifurcation_candidates)
-
-
 def _s(nf: NormalForm, x, y):
     """S = x^k y + P(x), evaluated in the ring of x and y."""
     return x ** nf.k * y + _horner(nf.P, x)
-
-
-def s_poly(nf: NormalForm) -> BiPoly:
-    """S(x, y) = x^k y + P(x) as a bivariate polynomial."""
-    return _s(nf, BiPoly.var(0), BiPoly.var(1))
 
 
 def hamiltonian(nf: NormalForm, facts: FamilyFacts, x, y):

@@ -43,11 +43,6 @@ class PolyAutomorphism:
         if g1.compose(f1, f2) != x or g2.compose(f1, f2) != y:
             raise AutomorphismError("inverse(forward) is not the identity")
 
-    @classmethod
-    def identity(cls) -> "PolyAutomorphism":
-        x, y = BiPoly.var(0), BiPoly.var(1)
-        return cls((x, y), (x, y))
-
 
 @dataclass(frozen=True)
 class OneForm:

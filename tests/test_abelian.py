@@ -11,6 +11,7 @@ from abelint import (
     NonPolynomialResidue,
     NormalForm,
     OneForm,
+    PolyAutomorphism,
     RatFunc,
     RectifyingMap,
     UniPoly,
@@ -28,7 +29,13 @@ from abelint import (
 from abelint.algebra import C_FACTOR
 from test_family import cubic_form, oscillator_form, septic_f1, septic_f2
 
-from conftest import cached_rectifier, random_bipoly, random_normal_form, random_oneform
+from conftest import (
+    cached_rectifier,
+    random_bipoly,
+    random_gauss,
+    random_normal_form,
+    random_oneform,
+)
 
 
 def form_dx(*terms):
@@ -174,7 +181,6 @@ class TestBounds:
                       (septic_f1(), SEPTIC_F1_FORM)):
             report = full_report(nf, w)
             assert report.ledger.all_satisfied
-            assert not report.ledger.violations()
 
     def test_vanishing_cycle_entry_present_with_mu(self):
         report = full_report(septic_f2(), SEPTIC_F2_FORM, mu=2)
@@ -205,3 +211,34 @@ def test_relatively_exact_forms_add_nothing():
         base = full_report(nf, w, rectifier=rm)
         moved = full_report(nf, w + g_dh, rectifier=rm)
         assert [ai.value for ai in moved.integrals] == [ai.value for ai in base.integrals], (nf, w, g)
+
+
+def random_triangular_automorphism(rng: random.Random) -> PolyAutomorphism:
+    """(x, y + a x^d) or (x + a y^d, y) for d in {2, 3}, with its inverse."""
+    x, y = BiPoly.var(0), BiPoly.var(1)
+    a, d = random_gauss(rng, nonzero=True), rng.choice((2, 3))
+    if rng.random() < 0.5:
+        shift = (x ** d).scale(a)
+        return PolyAutomorphism((x, y + shift), (x, y - shift))
+    shift = (y ** d).scale(a)
+    return PolyAutomorphism((x + shift, y), (x - shift, y))
+
+
+def test_original_coordinates_metamorphic_identity():
+    # With H_orig = H o psi, the forms w, w + dQ and w + g dH_orig on the
+    # original side push forward to forms that differ by an exact and a
+    # relatively exact form, so full_report gives the same integrals.
+    rng = random.Random(11)
+    for _ in range(100):
+        nf = random_normal_form(rng)
+        psi = random_triangular_automorphism(rng)
+        h_orig = expand(nf).compose(*psi.forward)
+        rm = cached_rectifier(nf)
+        w = random_oneform(rng, rng.randint(1, 3))
+        q = random_bipoly(rng, 3)
+        g = random_bipoly(rng, 2)
+        g_dh = OneForm(g * h_orig.partial(0), g * h_orig.partial(1))
+        base = [ai.value for ai in full_report(nf, w, psi, rectifier=rm).integrals]
+        for moved in (w + OneForm.d(q), w + g_dh):
+            report = full_report(nf, moved, psi, rectifier=rm)
+            assert [ai.value for ai in report.integrals] == base, (nf, psi.forward, w, q, g)

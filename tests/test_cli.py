@@ -1,14 +1,20 @@
 """Configuration parsing, report serialization, exit codes and examples."""
 
+import contextlib
+import copy
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import abelint
 from abelint import BiPoly, GaussRat, GoldenMismatch, UniPoly
@@ -26,6 +32,7 @@ from abelint.errors import (
 from abelint.family import expand
 from abelint.transform import pushforward_oneform
 from abelint.cli import (
+    EXAMPLE_NAMES,
     ConfigError,
     Problem,
     _execute_and_write,
@@ -34,7 +41,6 @@ from abelint.cli import (
     canonical_json,
     compare_golden,
     execute,
-    list_examples,
     main,
     parse_family,
     parse_one_form,
@@ -44,6 +50,7 @@ from abelint.cli import (
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "src/abelint/examples"
 GOLDEN_TEXT_DIR = Path(__file__).resolve().parent / "golden_text"
+README_CONFIG = Path(__file__).resolve().parent.parent / "perfbench/inputs/readme_config.json"
 
 
 def load_bundle(name: str) -> dict:
@@ -221,7 +228,7 @@ class TestExecution:
 
 class TestGoldenComparison:
     def test_all_bundled_examples_pass(self, tmp_path):
-        for name in list_examples():
+        for name in EXAMPLE_NAMES:
             bundle = load_bundle(name)
             code, payload, _ = execute(bundle["config"], no_oracle=True,
                                        golden=bundle["golden"],
@@ -451,6 +458,98 @@ class TestExitCodes:
             "  numeric zeros: not located (root finder did not reach residual" in text
         assert "I_1(c) = (2*pi*i) * 1/328256967394537077627 * c^5 * (c - 3) * (" in text
 
+    @pytest.mark.parametrize("target", ["file", "file/sub"])
+    def test_out_that_is_not_a_directory_is_one(self, tmp_path, capsys, target):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / target
+        assert main(["--example", "oscillator", "--no-oracle", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write reports to {out}: ")
+        assert err.count("\n") == 1
+
+    def test_seed_beyond_double_range_is_config_error(self, tmp_path, capsys):
+        config = minimal_config()
+        config["oracle"] = {"enabled": True, "seed_c_values": ["2", "1e400"]}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == ("error: invalid configuration: "
+                                           "oracle.seed_c_values[1]: beyond the double range\n")
+
+    def test_coefficient_beyond_double_range_writes_an_unfactored_report(
+            self, tmp_path, capsys):
+        # -10^400 c cannot be sampled in double precision: the integral is
+        # shown unfactored with the reason, and both reports are written.
+        config = minimal_config()
+        config["one_form"][0]["coeff"] = "1e400"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["--config", str(path), "--out", str(tmp_path), "--no-oracle"]) == 0
+        assert capsys.readouterr().err == ""
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert payload["cycles"][0]["integral_2pii"] == ["0", str(-10 ** 400)]
+        text = (tmp_path / "report.txt").read_text()
+        assert f"I_1(c) = (2*pi*i) * {-10 ** 400}*c\n  numeric zeros: not located (" in text
+
+    @pytest.mark.parametrize("block, key, value", [("form", "coeff", "1e400"),
+                                                    ("family", "beta", ["1e400"])])
+    def test_number_beyond_double_range_with_the_oracle_is_four(
+            self, tmp_path, capsys, block, key, value):
+        config = minimal_config()
+        config["oracle"] = {"enabled": True}
+        {"form": config["one_form"][0], "family": config["family"]}[block][key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: oracle cannot sample beyond the double range: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "report.json").exists()
+
+
+def _slots(node):
+    """Every (container, key) of a JSON tree, each container before its children."""
+    for key, child in list(node.items() if isinstance(node, dict) else enumerate(node)):
+        yield node, key
+        if isinstance(child, (dict, list)):
+            yield from _slots(child)
+
+
+# Wrong types, exact numbers that fail to parse or to fit a double, and
+# small ints: a large exponent or degree would only time the pipeline.
+MUTANTS = [None, True, 1.5, "x", "1/0", "1e400", {"re": "1", "zz": "2"}, [], {},
+           -1, 0, 1, 2, 3]
+FUZZ_CONFIGS = [load_bundle(name)["config"] for name in EXAMPLE_NAMES] \
+    + [json.loads(README_CONFIG.read_text())]
+
+
+class TestNoTraceback:
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_mutated_config_ends_in_a_report_or_one_line(self, data):
+        # Each mutation deletes a key or list entry, or replaces a value.
+        config = copy.deepcopy(data.draw(st.sampled_from(FUZZ_CONFIGS)))
+        for _ in range(data.draw(st.integers(1, 2))):
+            container, key = data.draw(st.sampled_from(list(_slots(config))))
+            if data.draw(st.booleans()):
+                del container[key]
+            else:
+                container[key] = copy.deepcopy(data.draw(st.sampled_from(MUTANTS)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+            path.write_text(json.dumps(config))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(["--config", str(path), "--out", str(out), "--no-oracle"])
+            assert code in range(6)
+            if code:
+                assert err.getvalue().startswith("error: ")
+                assert err.getvalue().count("\n") == 1
+            else:
+                assert err.getvalue() == ""
+            if code in (0, 3):
+                assert (out / "report.json").is_file() and (out / "report.txt").is_file()
+
 
 class TestEndToEnd:
     def test_example_writes_reports(self, tmp_path):
@@ -540,7 +639,7 @@ class TestEndToEnd:
         text = (tmp_path / "report.txt").read_text()
         assert "3 * (c + 1) * (4*c^6 + 3*c^5 - 36*c - 58)" in text
 
-    @pytest.mark.parametrize("name", list_examples())
+    @pytest.mark.parametrize("name", EXAMPLE_NAMES)
     def test_report_text_matches_golden(self, tmp_path, name):
         assert main(["--example", name, "--out", str(tmp_path),
                      "--no-oracle"]) == 0

@@ -11,12 +11,11 @@ from abelint import (
     NoCyclesError,
     NormalForm,
     UniPoly,
-    bifurcation_candidates,
     expand,
     synthesize_qq,
     validate,
 )
-from abelint.family import MOVING_PUNCTURE, ZERO_PUNCTURE, s_poly
+from abelint.family import MOVING_PUNCTURE, ZERO_PUNCTURE
 
 from conftest import random_normal_form
 
@@ -161,36 +160,38 @@ class TestExpansion:
             NormalForm("F2", p1=2, p=3, k=2, P=UniPoly([0, 1])),
         ]
         for nf in cases:
-            expected = BiPoly({(nf.p1, 0): GaussRat(1)}) * s_poly(nf) ** nf.p
+            s = BiPoly({(nf.k, 1): GaussRat(1),
+                        **{(i, 0): c for i, c in enumerate(nf.P.coeffs)}})
+            expected = BiPoly({(nf.p1, 0): GaussRat(1)}) * s ** nf.p
             assert expand(nf) == expected
 
 
 class TestBifurcationCandidates:
     def test_oscillator(self):
-        assert bifurcation_candidates(oscillator_form()) == [GaussRat(0)]
+        assert list(validate(oscillator_form()).bifurcation_candidates) == [GaussRat(0)]
 
     def test_septic_f2(self):
         # p1 = 0: P(0) * prod beta^a = -1, plus 0
-        assert set(bifurcation_candidates(septic_f2())) == \
+        assert set(validate(septic_f2()).bifurcation_candidates) == \
             {GaussRat(-1), GaussRat(0)}
 
     def test_septic_f1(self):
-        assert set(bifurcation_candidates(septic_f1())) == \
+        assert set(validate(septic_f1()).bifurcation_candidates) == \
             {GaussRat(-1), GaussRat(0), GaussRat(1)}
 
     def test_f3_h_values(self):
         nf = NormalForm("F3", a=(1, 1), beta=(GaussRat(1), GaussRat(2)),
                         h=UniPoly([0, 1]))
-        assert set(bifurcation_candidates(nf)) == {GaussRat(1), GaussRat(2)}
+        assert set(validate(nf).bifurcation_candidates) == {GaussRat(1), GaussRat(2)}
 
     def test_positive_p1_f2_only_zero(self):
         nf = NormalForm("F2", p1=1, p=2, q1=0, q=1, k=1,
                         a=(1,), beta=(GaussRat(1),))
-        assert bifurcation_candidates(nf) == [GaussRat(0)]
+        assert list(validate(nf).bifurcation_candidates) == [GaussRat(0)]
 
     def test_f1_positive_p1_zero_q1_adds_p0(self):
         # the x = 0 component contributes P(0) = 3, then 0 and the betas
         nf = NormalForm("F1", p1=1, p=2, q1=0, q=1, k=1, P=UniPoly([3]),
                         a=(1, 2), beta=(GaussRat(2), GaussRat(3)))
-        assert bifurcation_candidates(nf) == [GaussRat(3), GaussRat(0),
-                                              GaussRat(2)]
+        assert list(validate(nf).bifurcation_candidates) == [GaussRat(3), GaussRat(0),
+                                                             GaussRat(2)]

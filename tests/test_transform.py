@@ -40,7 +40,8 @@ def oscillator_automorphism():
 
 class TestAutomorphism:
     def test_identity(self):
-        aut = PolyAutomorphism.identity()
+        x, y = BiPoly.var(0), BiPoly.var(1)
+        aut = PolyAutomorphism((x, y), (x, y))
         poly = BiPoly({(2, 1): GaussRat(3)})
         assert pushforward_polynomial(poly, aut) == poly
 
