@@ -8,19 +8,24 @@ oracle and the renderer read (``evaluate_complex`` and the column
 evaluators ``RatFunc.at_c`` and ``BiPoly.compiled``).
 
 ``GaussRat`` (two reduced rationals) is the public scalar.  Arithmetic is
-on Python ints: a ``UniPoly`` is Gaussian integers over one denominator,
-``(den, re, im)``, canonical (top coefficient nonzero, gcd(den, *re, *im)
-= 1).  A ``BiPoly`` is ``rows``, one UniPoly in the second variable per
-power of the first, and a ``RatFunc`` numerator is the same rows in (t, c),
-so both use one row arithmetic.  GaussRat views (``UniPoly.coeffs``,
-``BiPoly.terms``) are built only for I/O.
+on Python ints, with one denominator per polynomial (a content and a
+primitive part).  A ``UniPoly`` is ``(den, re, im)``: Gaussian integers,
+low degree first, canonical when the top coefficient is nonzero and
+gcd(den, *re, *im) = 1.  A ``BiPoly`` is the same in two variables, an
+integer grid ``(den, re, im)`` whose rows ``re[i]`` and ``im[i]`` hold the
+int coefficients of v0^i; ``im`` is None when the polynomial is real.  A
+``RatFunc`` numerator is a BiPoly in (t, c), so both use one grid
+arithmetic, int loops with one normalisation per result.  UniPoly rows are
+cut from the grid only where c-polynomials leave it, in the residues.
+GaussRat views (``UniPoly.coeffs``, ``BiPoly.terms``) are built only for
+I/O.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, repeat, zip_longest
 from math import comb, gcd, lcm
 from operator import add, mul, sub, truediv
 from typing import Callable, Iterable, List, Mapping, Sequence
@@ -213,14 +218,6 @@ class UniPoly:
         d, r, i = _scalar(value if isinstance(value, int) else GaussRat.parse(value))
         return _poly(d, [r], i and [i])
 
-    @classmethod
-    def x(cls) -> "UniPoly":
-        return _raw_poly(1, [0, 1], None)
-
-    @classmethod
-    def monomial(cls, power: int, coeff=ONE) -> "UniPoly":
-        return cls([ZERO] * power + [coeff])
-
     @property
     def degree(self):
         return len(self.re) - 1 if self.re else NEG_INF
@@ -237,7 +234,7 @@ class UniPoly:
         re, im = self.re[k], self.im[k] if self.im else 0
         if not re and not im:
             return ZERO
-        return _gauss(Fraction(re, self.den), Fraction(im, self.den) if im else ZERO.im)
+        return _gauss_of(self.den, re, im)
 
     @property
     def coeffs(self) -> tuple:
@@ -245,10 +242,7 @@ class UniPoly:
 
     def complex_coeffs(self) -> list:
         """The coefficients as complex numbers, rounded like float(Fraction)."""
-        den = self.den
-        if self.im is None:
-            return [complex(r / den, 0.0) for r in self.re]
-        return [complex(r / den, i / den) for r, i in zip(self.re, self.im)]
+        return _complex_coeffs(self.den, self.re, self.im)
 
     def __eq__(self, other):
         if not isinstance(other, UniPoly):
@@ -273,14 +267,17 @@ class UniPoly:
             return self.scale(other)
         if not self.re or not other.re:
             return _PZERO
-        return _poly(self.den * other.den, *_cmul(self.re, self.im, other.re, other.im))
+        if self.im is None and other.im is None:
+            return _poly(self.den * other.den, _mac(None, self.re, other.re))
+        return _poly(self.den * other.den,
+                     *_cmac(None, None, self.re, self.im, other.re, other.im))
 
     __rmul__ = __mul__
 
     def scale(self, factor) -> "UniPoly":
         """self * factor for a GaussRat or int factor."""
         d, r, i = _scalar(factor)
-        return _poly(self.den * d, *_cmul(self.re, self.im, [r], i and [i]))
+        return _poly(self.den * d, *_cmac(None, None, self.re, self.im, [r], i and [i]))
 
     def __pow__(self, n: int):
         return _pow(self, n, _PONE)
@@ -289,13 +286,6 @@ class UniPoly:
         im = self.im and [k * v for k, v in enumerate(self.im)][1:]
         return _poly(self.den, [k * v for k, v in enumerate(self.re)][1:], im)
 
-    def antiderivative(self) -> "UniPoly":
-        """The antiderivative that vanishes at 0."""
-        scale = lcm(*range(1, len(self.re) + 1))
-        re = [0] + [scale // k * v for k, v in enumerate(self.re, 1)]
-        im = self.im and [0] + [scale // k * v for k, v in enumerate(self.im, 1)]
-        return _poly(self.den * scale, re, im)
-
     def evaluate(self, point: GaussRat) -> GaussRat:
         acc = ZERO
         for c in reversed(self.coeffs):
@@ -303,10 +293,7 @@ class UniPoly:
         return acc
 
     def evaluate_complex(self, point: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.complex_coeffs()):
-            acc = acc * point + c
-        return acc
+        return _horner_complex(self.complex_coeffs(), point)
 
     def divmod(self, divisor: "UniPoly"):
         """Exact long division over Q(i), by pseudo-division on the integers.
@@ -418,6 +405,27 @@ def _scalar(value):
             int(im.numerator) * (den // int(im.denominator)) or None)
 
 
+def _gauss_of(den: int, re: int, im: int) -> GaussRat:
+    """The GaussRat (re + i*im) / den."""
+    return _gauss(Fraction(re, den), Fraction(im, den) if im else ZERO.im)
+
+
+def _complex_coeffs(den: int, re: list, im) -> list:
+    """(re + i*im) / den as complex numbers; r / den is correctly rounded,
+    so the values do not depend on the scale of den."""
+    if im is None:
+        return [complex(r / den, 0.0) for r in re]
+    return [complex(r / den, i / den) for r, i in zip(re, im)]
+
+
+def _horner_complex(coeffs: Sequence[complex], point: complex) -> complex:
+    """sum coeffs[k] point^k by Horner, low degree first in coeffs."""
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * point + c
+    return acc
+
+
 def _raw_poly(den: int, re: list, im) -> UniPoly:
     """UniPoly from parts already in canonical form."""
     obj = _new_object(UniPoly)
@@ -467,28 +475,59 @@ def _combine(p: UniPoly, q: UniPoly, sign: int) -> UniPoly:
     return _poly(p.den * a, _axpy(a, p.re, b, q.re), im)
 
 
-def _conv(a, b) -> list:
-    """Schoolbook product of two int coefficient vectors."""
-    if len(b) == 1:
-        a, b = b, a
-    if len(a) == 1:  # a scalar times a vector
-        x = a[0]
-        return [x * y for y in b]
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    return out
+def _mac(acc, x: list, y: list) -> list:
+    """acc + x*y for int vectors x and y.
+
+    A nonempty ``acc`` grows and is updated in place; an empty one, or
+    None, is replaced by a new list, so no zero accumulator is added to.
+    """
+    nx, ny = len(x), len(y)
+    if nx > ny:
+        x, y, nx = y, x, ny
+    if not acc:
+        if nx == 1:
+            a = x[0]
+            return [a * v for v in y]
+        acc = [0] * (nx + len(y) - 1)
+    else:
+        short = nx + len(y) - 1 - len(acc)
+        if short > 0:
+            acc += [0] * short
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y, i):
+                acc[j] += a * b
+    return acc
 
 
-def _cmul(ar, ai, br, bi):
-    """(re, im) of (ar + i*ai)(br + i*bi); an im of None is zero."""
-    re = _conv(ar, br)
-    if ai is None and bi is None:
-        return re, None
-    ai, bi = ai or [0] * len(ar), bi or [0] * len(br)
-    return _axpy(1, re, -1, _conv(ai, bi)), _axpy(1, _conv(ar, bi), 1, _conv(ai, br))
+def _cmac(ar, ai, xr, xi, yr, yi):
+    """(ar + i*ai) + (xr + i*xi)(yr + i*yi) for int vectors, as ``_mac`` does.
+
+    An imaginary part that is None or empty is zero.  A nonempty imaginary
+    part of the result comes out as long as the real part.
+    """
+    if not xi or not yi:
+        if xi:  # only x is complex: make it y
+            xr, xi, yr, yi = yr, yi, xr, xi
+        ar = _mac(ar, xr, yr)
+        if yi:
+            ai = _mac(ai, xr, yi)
+    else:
+        n = max(len(xr) + len(yr) - 1, len(ar or ()), len(ai or ()))
+        ar = ar + [0] * (n - len(ar)) if ar else [0] * n
+        ai = ai + [0] * (n - len(ai)) if ai else [0] * n
+        for i, (a, b) in enumerate(zip(xr, xi)):
+            if a or b:
+                for j, (c, d) in enumerate(zip(yr, yi), i):
+                    ar[j] += a * c - b * d
+                    ai[j] += a * d + b * c
+    if ai:
+        short = len(ar) - len(ai)
+        if short > 0:
+            ai += [0] * short
+        elif short < 0:
+            ar += [0] * -short
+    return ar, ai
 
 
 def _lead_inverse(p: UniPoly) -> UniPoly:
@@ -501,38 +540,6 @@ _PZERO = _raw_poly(1, [], None)
 _PONE = _raw_poly(1, [1], None)
 
 
-def _rows_sum(a: list, b: list, sign: int = 1) -> list:
-    """Rows of a + sign*b."""
-    out = list(a) + [_PZERO] * (len(b) - len(a))
-    for k, y in enumerate(b):
-        if y:
-            out[k] = _combine(out[k], y, sign)
-    return out
-
-
-def _rows_mul(a: list, b: list, size: int = None) -> list:
-    """Rows of the product a*b; with ``size``, only the first ``size`` rows."""
-    if not a or not b:
-        return []
-    n = len(a) + len(b) - 1
-    if size is not None and size < n:
-        n = size
-    out = [_PZERO] * n
-    for i, x in enumerate(a[:n]):
-        if x:
-            for j, y in enumerate(b[:n - i], i):
-                if y:
-                    out[j] = out[j] + x * y
-    return out
-
-
-def _rows_partial(rows: list, slot: int) -> list:
-    """Rows of the partial derivative in v0 (slot 0) or v1 (slot 1)."""
-    if slot == 0:
-        return [r.scale(k) for k, r in enumerate(rows) if k]
-    return [r.derivative() for r in rows]
-
-
 def _trim(items: list) -> list:
     """``items`` without its zero top entries (rows or coefficients), in place."""
     while items and not items[-1]:
@@ -540,96 +547,287 @@ def _trim(items: list) -> list:
     return items
 
 
-class BiPoly:
-    """Bivariate polynomial over Q(i), stored as ``rows``.
+# ---------------------------------------------------------------------------
+# Integer grids: polynomials in two variables over one denominator
+# ---------------------------------------------------------------------------
 
-    ``rows[i]`` is the UniPoly in the second variable that multiplies v0^i,
-    the top row nonzero: the layout of a ``RatFunc`` numerator, so both
-    share one arithmetic.  Variable slots are positional; callers fix the
-    meaning, either (x, y) in the plane or (t, c) in the rectified plane.
-    ``terms`` is a GaussRat view {(i, j): coefficient of v0^i v1^j}.
+def _pair_rows(re: list, im: list):
+    """Pad and trim the rows of re and im together; im, or None when it is zero.
+
+    Replaces rows of the outer lists ``re`` and ``im`` (an im row may be
+    None) and drops their zero top rows; no row is changed in place.
+    """
+    n = max(len(re), len(im))
+    re += [[]] * (n - len(re))
+    im += [None] * (n - len(im))
+    imaginary = False
+    for k in range(n):
+        r, m = re[k], im[k] or []
+        if len(m) < len(r):
+            m = m + [0] * (len(r) - len(m))
+        elif len(r) < len(m):
+            r = r + [0] * (len(m) - len(r))
+        j = len(r)
+        while j and not r[j - 1] and not m[j - 1]:
+            j -= 1
+        if j < len(r):
+            r, m = r[:j], m[:j]
+        re[k], im[k] = r, m
+        imaginary = imaginary or any(m)
+    while re and not re[-1]:
+        re.pop()
+        im.pop()
+    return im if imaginary else None
+
+
+def _bipoly(den: int, re: list, im=None) -> "BiPoly":
+    """The canonical BiPoly (re + i*im) / den, for den > 0.
+
+    Rows may have zero tops, and ``im`` may be shorter than ``re`` with
+    rows that are None or of any length.  Takes ownership of the outer
+    lists ``re`` and ``im``; no row is changed in place.
+    """
+    if im is not None:
+        im = _pair_rows(re, im)
+    else:
+        for k, row in enumerate(re):
+            if row and not row[-1]:
+                re[k] = _trim(list(row))
+        _trim(re)
+    if not re:
+        return _BZERO
+    if den != 1:
+        g = den
+        for row in re if im is None else chain(re, im):
+            g = gcd(g, *row)
+            if g == 1:
+                break
+        if g != 1:
+            den, re = den // g, [[v // g for v in row] for row in re]
+            im = im and [[v // g for v in row] for row in im]
+    return _raw_bipoly(den, re, im)
+
+
+def _raw_bipoly(den: int, re: list, im) -> "BiPoly":
+    """BiPoly from parts already in canonical form."""
+    obj = _new_object(BiPoly)
+    obj.den, obj.re, obj.im = den, re, im
+    return obj
+
+
+def _const(value) -> "BiPoly":
+    """The constant BiPoly ``value``, an int or an exact number."""
+    d, r, i = _scalar(value if isinstance(value, int) else GaussRat.parse(value))
+    return _bipoly(d, [[r]], i and [[i]])
+
+
+def _im_rows(p: "BiPoly") -> list:
+    """p's imaginary rows, None where a row is real."""
+    if p.im is None:
+        return [None] * len(p.re)
+    return [m if any(m) else None for m in p.im]
+
+
+def _grid_mul(a: "BiPoly", b: "BiPoly", size: int = None) -> "BiPoly":
+    """a*b over den(a) den(b), normalised once; with ``size``, only the
+    rows below v0^size.  Zero rows are skipped, and products of one-entry
+    rows, the most common ones, are formed inline."""
+    ar, br = a.re, b.re
+    if not ar or not br:
+        return _BZERO
+    n = len(ar) + len(br) - 1
+    if size is not None and size < n:
+        n = size
+    re = [[] for _ in range(n)]
+    if a.im is None and b.im is None:
+        b_single = [y[0] if len(y) == 1 else None for y in br]
+        for i, x in enumerate(ar[:n]):
+            if not x:
+                continue
+            x0 = x[0] if len(x) == 1 else None
+            for j, y in enumerate(br[:n - i], i):
+                if not y:
+                    continue
+                y0 = b_single[j - i]
+                if x0 is None or y0 is None:
+                    re[j] = _mac(re[j], x, y)
+                elif re[j]:
+                    re[j][0] += x0 * y0
+                else:
+                    re[j] = [x0 * y0]
+        return _bipoly(a.den * b.den, re)
+    ai, bi = _im_rows(a), _im_rows(b)
+    im = [None] * n
+    for i, x in enumerate(ar[:n]):
+        if x:
+            xi = ai[i]
+            for j, y in enumerate(br[:n - i], i):
+                if y:
+                    re[j], im[j] = _cmac(re[j], im[j], x, xi, y, bi[j - i])
+    return _bipoly(a.den * b.den, re, im)
+
+
+def _grid_sum(a: "BiPoly", b: "BiPoly", sign: int = 1) -> "BiPoly":
+    """a + sign*b over the least common denominator."""
+    if not b.re:
+        return a
+    if not a.re:
+        return b if sign == 1 else -b
+    g = gcd(a.den, b.den)
+    sa, sb = b.den // g, sign * (a.den // g)
+    re = [_axpy(sa, x, sb, y) for x, y in zip_longest(a.re, b.re, fillvalue=())]
+    im = None
+    if a.im is not None or b.im is not None:
+        im = [_axpy(sa, x, sb, y)
+              for x, y in zip_longest(a.im or (), b.im or (), fillvalue=())]
+    return _bipoly(a.den * sa, re, im)
+
+
+def _grid_partial(p: "BiPoly", slot: int) -> "BiPoly":
+    """The partial derivative in v0 (slot 0) or v1 (slot 1)."""
+    if slot == 0:
+        def partial(rows):
+            return [[k * v for v in row] for k, row in enumerate(rows) if k]
+    else:
+        def partial(rows):
+            return [[k * v for k, v in enumerate(row)][1:] for row in rows]
+    return _bipoly(p.den, partial(p.re), p.im and partial(p.im))
+
+
+def _grid_integral(p: "BiPoly", slot: int) -> "BiPoly":
+    """The antiderivative in v0 (slot 0) or v1 (slot 1) that vanishes where
+    that variable is 0, over den times lcm(1, ..., top power + 1)."""
+    if slot == 0:
+        scale = lcm(*range(1, len(p.re) + 1))
+
+        def integral(rows):
+            return [[]] + [[scale // k * v for v in row] for k, row in enumerate(rows, 1)]
+    else:
+        scale = lcm(*range(1, max(map(len, p.re), default=0) + 1))
+
+        def integral(rows):
+            return [[0] + [scale // k * v for k, v in enumerate(row, 1)] if row else row
+                    for row in rows]
+    return _bipoly(p.den * scale, integral(p.re), p.im and integral(p.im))
+
+
+def _unipoly_rows(p: "BiPoly") -> List[UniPoly]:
+    """p's rows as c-polynomials, where they leave the grid."""
+    return [_poly(p.den, list(r), m and list(m))
+            for r, m in zip(p.re, p.im or repeat(None))]
+
+
+class BiPoly:
+    """Bivariate polynomial over Q(i): the integer grid (re + i*im) / den.
+
+    ``re[i]`` and ``im[i]`` are the int coefficients of v0^i, by power of
+    v1, low first; ``im`` is None when every coefficient is real.
+    Canonical form: every row trimmed (a zero row is empty), ``im[i]`` as
+    long as ``re[i]``, the top row nonzero and gcd(den, every int) = 1, so
+    ``==`` and ``hash`` compare ints.  A ``RatFunc`` numerator is a BiPoly
+    in (t, c), so both share one arithmetic: int loops with one
+    normalisation per result.  Variable slots are positional; callers fix
+    the meaning, either (x, y) in the plane or (t, c) in the rectified
+    plane.  ``terms`` is a GaussRat view {(i, j): coefficient of v0^i v1^j}.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("den", "re", "im")
 
     def __init__(self, terms: Mapping = ()):
-        grid = {}
+        parts = {}
         for (i, j), value in dict(terms).items():
             if not (isinstance(i, int) and isinstance(j, int) and i >= 0 and j >= 0):
                 raise ValueError(f"negative or non-integer exponent in term {(i, j)}")
-            grid.setdefault(i, {})[j] = value
-        rows = [_PZERO] * (max(grid) + 1 if grid else 0)
-        for i, row in grid.items():
-            rows[i] = UniPoly([row.get(j, ZERO) for j in range(max(row) + 1)])
-        self.rows = _trim(rows)
+            parts[i, j] = _scalar(GaussRat.parse(value))
+        den = lcm(*(d for d, _, _ in parts.values()))
+        n = max((i for i, _ in parts), default=-1) + 1
+        re, im = [[] for _ in range(n)], [[] for _ in range(n)]
+        for (i, j), (d, r, m) in parts.items():
+            for rows in (re, im):
+                rows[i] += [0] * (j + 1 - len(rows[i]))
+            re[i][j], im[i][j] = r * (den // d), (m or 0) * (den // d)
+        p = _bipoly(den, re, im)
+        self.den, self.re, self.im = p.den, p.re, p.im
 
     @classmethod
     def const(cls, value) -> "BiPoly":
-        return _bipoly([UniPoly.const(value)])
+        return _const(value)
 
     @classmethod
     def var(cls, slot: int) -> "BiPoly":
-        return _bipoly([_PZERO, _PONE] if slot == 0 else [UniPoly.x()])
+        return _raw_bipoly(1, [[], [1]] if slot == 0 else [[0, 1]], None)
 
     @property
     def terms(self) -> dict:
-        return {(i, j): c for i, row in enumerate(self.rows)
-                for j, c in enumerate(row.coeffs) if c}
+        den, out = self.den, {}
+        for i, (r_row, m_row) in enumerate(zip(self.re, self.im or repeat(None))):
+            for j, r in enumerate(r_row):
+                m = m_row[j] if m_row else 0
+                if r or m:
+                    out[i, j] = _gauss_of(den, r, m)
+        return out
 
     def is_zero(self) -> bool:
-        return not self.rows
+        return not self.re
 
     def __bool__(self):
-        return bool(self.rows)
+        return bool(self.re)
 
     def __eq__(self, other):
         if not isinstance(other, BiPoly):
             return NotImplemented
-        return self.rows == other.rows
+        return self.den == other.den and self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash(tuple(self.rows))
+        return hash((self.den, tuple(map(tuple, self.re)),
+                     self.im and tuple(map(tuple, self.im))))
 
     @property
     def total_degree(self):
-        return max((i + row.degree for i, row in enumerate(self.rows) if row), default=NEG_INF)
+        return max((i + len(row) - 1 for i, row in enumerate(self.re) if row),
+                   default=NEG_INF)
 
     def __add__(self, other):
-        return _bipoly(_rows_sum(self.rows, other.rows))
+        return _grid_sum(self, other)
 
     def __sub__(self, other):
-        return _bipoly(_rows_sum(self.rows, other.rows, -1))
+        return _grid_sum(self, other, -1)
 
     def __neg__(self):
-        return _bipoly([-r for r in self.rows])
+        return _raw_bipoly(self.den, [[-v for v in row] for row in self.re],
+                           self.im and [[-v for v in row] for row in self.im])
 
     def __mul__(self, other):
         if isinstance(other, GaussRat):
             return self.scale(other)
         if not isinstance(other, BiPoly):  # a RatFunc multiplies from the right
             return NotImplemented
-        return _bipoly(_rows_mul(self.rows, other.rows))
+        return _grid_mul(self, other)
 
     __rmul__ = __mul__
 
     def scale(self, factor: GaussRat) -> "BiPoly":
-        return _bipoly([r.scale(factor) for r in self.rows])
+        return _grid_mul(self, _const(factor))
 
     def __pow__(self, n: int):
-        return _pow(self, n, BiPoly.const(ONE))
+        return _pow(self, n, _BONE)
 
     def partial(self, slot: int) -> "BiPoly":
-        return _bipoly(_rows_partial(self.rows, slot))
+        return _grid_partial(self, slot)
 
     def compose(self, sub0, sub1):
         """Substitute sub0 and sub1 for the two variables, in their ring:
-        BiPolys give a BiPoly, RatFuncs a RatFunc.  Horner over the rows."""
+        BiPolys give a BiPoly, RatFuncs a RatFunc.  Horner over the rows,
+        each row's ints in the ring of sub1, then one scale by 1/den."""
         acc = type(sub0).const(ZERO)
-        for row in reversed(self.rows):
+        for k in range(len(self.re) - 1, -1, -1):
             acc = acc * sub0
+            row = self.re[k]
             if row:
+                if self.im is not None:
+                    row = [GaussRat(r, m) for r, m in zip(row, self.im[k])]
                 acc = acc + _horner(row, sub1)
-        return acc
+        return acc if self.den == 1 else acc * GaussRat(Fraction(1, self.den))
 
     def compiled(self) -> Callable[[List[complex], List[complex]], List[complex]]:
         """Column evaluator: (v0s, v1s) -> the values at the points (v0s[k], v1s[k]).
@@ -640,7 +838,8 @@ class BiPoly:
         count on the transposed grid (ties keep v0 outermost).  The
         coefficients are converted to complex once, here.
         """
-        grid = [row.complex_coeffs() for row in self.rows]  # grid[i][j]: v0^i v1^j
+        grid = [_complex_coeffs(self.den, r, m)  # grid[i][j]: v0^i v1^j
+                for r, m in zip(self.re, self.im or repeat(None))]
         transposed = [_trim([row[j] if j < len(row) else 0j for row in grid])
                       for j in range(max(map(len, grid), default=0))]
         v1_outer = _column_steps(transposed) < _column_steps(grid)
@@ -660,7 +859,7 @@ class BiPoly:
         return self.compiled()([v0], [v1])[0]
 
     def to_string(self, vars=("x", "y")) -> str:
-        if not self.rows:
+        if not self.re:
             return "0"
         parts = []
         for (i, j), c in sorted(self.terms.items(), key=lambda kc: (sum(kc[0]), kc[0])):
@@ -685,11 +884,15 @@ class BiPoly:
         return self.to_string()
 
 
-def _horner(poly: UniPoly, x):
-    """poly(x), evaluated in the ring of x; zero coefficients are skipped."""
+_BZERO = _raw_bipoly(1, [], None)
+_BONE = _raw_bipoly(1, [[1]], None)
+
+
+def _horner(coeffs: Sequence, x):
+    """sum coeffs[k] x^k, evaluated in the ring of x; zero coefficients are skipped."""
     const = type(x).const
     acc = const(ZERO)
-    for coeff in reversed(poly.coeffs):
+    for coeff in reversed(coeffs):
         acc = acc * x
         if coeff:
             acc = acc + const(coeff)
@@ -711,13 +914,6 @@ def _horner_column(coeffs: Sequence[complex], points: List[complex]) -> List[com
 def _column_steps(grid: List[List[complex]]) -> int:
     """Column multiplications of nested Horner over grid[i][j] of v^i w^j, v outer."""
     return len(grid) - 1 + sum(len(row) - 1 for row in grid if row)
-
-
-def _bipoly(rows: list) -> BiPoly:
-    """BiPoly from rows, its zero top rows trimmed; takes ownership of ``rows``."""
-    obj = _new_object(BiPoly)
-    obj.rows = _trim(rows)
-    return obj
 
 
 class CFrac:
@@ -805,8 +1001,8 @@ class CFrac:
 #   ("t", pi1, pi0)  meaning  t - (pi1*c + pi0)    (pi1, pi0 in Q(i))
 #   ("c",)           meaning  c
 # Factored storage makes products/powers cheap and gcd cancellation exact
-# without a general multivariate gcd.  Numerators are BiPoly rows: a list
-# of c-UniPolys indexed by the power of t, the top row nonzero.
+# without a general multivariate gcd.  Numerators are BiPolys in (t, c):
+# row i of the grid holds the c-coefficients of t^i.
 
 TFactor = tuple
 
@@ -825,92 +1021,144 @@ def _factor_pi(factor: TFactor) -> UniPoly:
     return UniPoly([pi0, pi1])
 
 
-def _times_factor(rows: list, factor: TFactor) -> list:
-    """Rows of the numerator times one denominator factor."""
-    if factor[0] == "c":
-        return [_raw_poly(r.den, [0] + r.re, r.im and [0] + r.im) if r else r
-                for r in rows]
-    pi = _factor_pi(factor)
-    out = [_PZERO] + rows  # t * rows
-    if pi:
-        for k, r in enumerate(rows):
-            if r:
-                out[k] = out[k] - r * pi
-    return out
+@lru_cache(maxsize=4096)  # the denominators of a problem recur in its sums
+def _factor_product(powers: tuple) -> BiPoly:
+    """prod (t - pi(c))^e over the ("t" factor, e) pairs, as a grid in (t, c)."""
+    product = _BONE
+    for factor, e in powers:
+        pi = _factor_pi(factor)  # t - P / d = (d t - P) / d
+        base = _bipoly(pi.den, [[-v for v in pi.re], [pi.den]],
+                       pi.im and [[-v for v in pi.im], [0]])
+        product = _grid_mul(product, _pow(base, e, _BONE))
+    return product
 
 
-def _over(rows: list, fac: Mapping, target: Mapping) -> list:
-    """Rows over the denominator ``fac`` rewritten over its multiple ``target``."""
+def _over(p: BiPoly, fac: Mapping, target: Mapping) -> BiPoly:
+    """The numerator p over the denominator ``fac`` rewritten over its multiple
+    ``target``: p times the missing "t" factors, as one product, and the
+    missing power of c, as a shift of every row."""
+    shift, missing = 0, []
     for key, e in target.items():
-        for _ in range(e - fac.get(key, 0)):
-            rows = _times_factor(rows, key)
-    return rows
+        e -= fac.get(key, 0)
+        if e:
+            if key[0] == "c":
+                shift = e
+            else:
+                missing.append((key, e))
+    if missing:
+        p = _grid_mul(p, _factor_product(tuple(missing)))
+    if shift and p.re:
+        zeros = [0] * shift
+        p = _raw_bipoly(p.den, [zeros + row if row else row for row in p.re],
+                        p.im and [zeros + row if row else row for row in p.im])
+    return p
 
 
-def _synthetic_division(rows: list, pi: UniPoly):
-    """(quotient rows, remainder) of nonzero rows by t - pi; a shift for pi = 0."""
+def _carries(p: BiPoly, pi: UniPoly):
+    """Horner on the integers for a nonzero p and t - pi with pi != 0.
+
+    For pi = P / d the carries C_(n-1) = N_(n-1) and C_k = d^(n-1-k) N_k +
+    P C_(k+1) are den d^(n-1-k) times the exact ones, so quotient row k is
+    d^k C_(k+1) over den d^(n-2) and the remainder is C_0 over den d^(n-1).
+    Returns the parts unnormalised: (den, re, im) of the quotient, then of
+    the remainder.
+    """
+    re, im, n = p.re, p.im, len(p.re)
+    d, pr, pim = pi.den, pi.re, pi.im
+    qr, qi = [None] * (n - 1), [None] * (n - 1)
+    cr, ci, scale = re[-1], im and im[-1], 1
+    if im is None and pim is None:
+        for k in range(n - 2, -1, -1):
+            qr[k] = cr
+            scale *= d
+            nr = [scale * v for v in re[k]] if scale != 1 else list(re[k])
+            cr = _mac(nr, pr, cr) if cr else nr
+    else:
+        rows_i = im or [None] * n
+        for k in range(n - 2, -1, -1):
+            qr[k], qi[k] = cr, ci
+            scale *= d
+            nr, ni = [scale * v for v in re[k]], rows_i[k] and [scale * v for v in rows_i[k]]
+            cr, ci = _cmac(nr, ni, pr, pim, cr, ci) if cr else (nr, ni)
+    if d != 1:
+        for k in range(1, n - 1):
+            f = d ** k
+            qr[k], qi[k] = [f * v for v in qr[k]], qi[k] and [f * v for v in qi[k]]
+    quotient = (p.den * scale // d if n > 1 else 1, qr,
+                qi if im is not None or pim is not None else None)
+    return quotient, (p.den * scale, list(cr), ci and list(ci))
+
+
+def _synthetic_division(p: BiPoly, pi: UniPoly):
+    """(quotient, remainder) of a nonzero p by t - pi: a BiPoly and a
+    c-polynomial.  For pi = 0 this is a shift."""
+    re, im = p.re, p.im
     if not pi:
-        return rows[1:], rows[0]
-    quot = [_PZERO] * (len(rows) - 1)
-    carry = rows[-1]
-    for k in range(len(rows) - 2, -1, -1):
-        quot[k] = carry
-        carry = rows[k] + carry * pi if carry else rows[k]
-    return quot, carry
+        return (_bipoly(p.den, re[1:], im and im[1:]),
+                _poly(p.den, list(re[0]), im and list(im[0])))
+    quotient, remainder = _carries(p, pi)
+    return _bipoly(*quotient), _poly(*remainder)
 
 
-def _divide_factor(rows: list, factor: TFactor):
-    """Rows of the exact quotient by one denominator factor, or None."""
+def _divide_factor(p: BiPoly, factor: TFactor):
+    """The exact quotient of a nonzero p by one denominator factor, or None.
+
+    A failed trial normalises nothing."""
+    re, im = p.re, p.im
     if factor[0] == "c":
-        if any(r and (r.re[0] or r.im and r.im[0]) for r in rows):
+        if any(row and row[0] for row in re) or im and any(row and row[0] for row in im):
             return None
-        return [_raw_poly(r.den, r.re[1:], r.im and r.im[1:]) if r else r for r in rows]
-    quot, rem = _synthetic_division(rows, _factor_pi(factor))
-    return None if rem else quot
+        return _raw_bipoly(p.den, [row[1:] for row in re], im and [row[1:] for row in im])
+    pi = _factor_pi(factor)
+    if not pi:  # t divides when row 0 is zero, and the rest keeps its content
+        return None if re[0] else _raw_bipoly(p.den, re[1:], im and im[1:])
+    quotient, (_, rem_r, rem_i) = _carries(p, pi)
+    if any(rem_r) or rem_i and any(rem_i):
+        return None
+    return _bipoly(*quotient)
 
 
-def _cancel(rows: list, factor: TFactor, e: int):
-    """(rows / factor^m, e - m) for the largest m <= e with factor^m | rows."""
+def _cancel(p: BiPoly, factor: TFactor, e: int):
+    """(p / factor^m, e - m) for the largest m <= e with factor^m | p."""
     while e:
-        quotient = _divide_factor(rows, factor)
+        quotient = _divide_factor(p, factor)
         if quotient is None:
             break
-        rows, e = quotient, e - 1
-    return rows, e
+        p, e = quotient, e - 1
+    return p, e
 
 
-def _ratfunc(rows: list, fac: dict, candidates: Iterable[TFactor] = None) -> "RatFunc":
-    """rows / prod(fac), with each factor cancelled as often as it divides.
+def _ratfunc(num: BiPoly, fac: dict, candidates: Iterable[TFactor] = None) -> "RatFunc":
+    """num / prod(fac), with each factor cancelled as often as it divides.
 
     Only the factors in ``candidates`` (by default every factor of ``fac``)
-    are tried; the caller vouches that no other factor divides ``rows``.
-    Takes ownership of ``rows`` and ``fac``.
+    are tried; the caller vouches that no other factor divides ``num``.
+    Takes ownership of ``fac``.
     """
-    if not _trim(rows):
-        return _raw_ratfunc(rows, {})
+    if not num.re:
+        return _raw_ratfunc(_BZERO, {})
     for key in list(fac) if candidates is None else candidates:
-        rows, e = _cancel(rows, key, fac[key])
+        num, e = _cancel(num, key, fac[key])
         if e:
             fac[key] = e
         else:
             del fac[key]
-    return _raw_ratfunc(rows, fac)
+    return _raw_ratfunc(num, fac)
 
 
-def _raw_ratfunc(rows: list, fac: dict) -> "RatFunc":
-    """RatFunc from rows and factors already cancelled against each other."""
+def _raw_ratfunc(num: BiPoly, fac: dict) -> "RatFunc":
+    """RatFunc from a numerator and factors already cancelled against each other."""
     obj = _new_object(RatFunc)
-    obj.rows, obj.fac = rows, fac
+    obj.num, obj.fac = num, fac
     return obj
 
 
 class RatFunc:
     """Rational function N(t, c) / prod(factors), fully cancelled.
 
-    The numerator is ``rows``: c-UniPolys indexed by the power of t, the
-    layout of ``BiPoly.rows``, so ``num`` wraps them as they are.  Every
-    factor of ``fac`` is irreducible and cancelled as far as it divides N,
-    so the pair (rows, fac) is unique.
+    The numerator ``num`` is a BiPoly in (t, c).  Every factor of ``fac``
+    is irreducible and cancelled as far as it divides N, so the pair
+    (num, fac) is unique.
 
     Cancellation rule for products: a factor of one reduced operand's
     denominator does not divide that operand's numerator, so it can cancel
@@ -920,48 +1168,44 @@ class RatFunc:
     other numerator only, before the product is formed.
     """
 
-    __slots__ = ("rows", "fac")
+    __slots__ = ("num", "fac")
 
     def __init__(self, num: BiPoly, fac: Mapping = ()):
         fac = {k: int(e) for k, e in dict(fac).items() if e}
         if any(e < 0 for e in fac.values()):
             raise ValueError("denominator factor exponents must be positive")
-        f = _ratfunc(list(num.rows), fac)
-        self.rows, self.fac = f.rows, f.fac
+        f = _ratfunc(num, fac)
+        self.num, self.fac = f.num, f.fac
 
     # -- construction --------------------------------------------------
     @classmethod
     def const(cls, value) -> "RatFunc":
-        return _ratfunc([UniPoly.const(value)], {})
+        return _raw_ratfunc(_const(value), {})
 
     @classmethod
     def t(cls) -> "RatFunc":
-        return _raw_ratfunc([_PZERO, _PONE], {})
+        return _raw_ratfunc(BiPoly.var(0), {})
 
     @classmethod
     def c(cls) -> "RatFunc":
-        return _raw_ratfunc([UniPoly.x()], {})
+        return _raw_ratfunc(BiPoly.var(1), {})
 
     @classmethod
     def factor_product(cls, exps: Mapping[TFactor, int], sign: int) -> "RatFunc":
         """sign * prod factor^e; a factor with e < 0 goes in the denominator."""
-        rows = _over([UniPoly.const(sign)], {}, {k: e for k, e in exps.items() if e > 0})
-        return _raw_ratfunc(rows, {k: -e for k, e in exps.items() if e < 0})
+        num = _over(_const(sign), {}, {k: e for k, e in exps.items() if e > 0})
+        return _raw_ratfunc(num, {k: -e for k, e in exps.items() if e < 0})
 
     # -- views ---------------------------------------------------------
     @property
-    def num(self) -> BiPoly:
-        return _bipoly(self.rows)
-
-    @property
     def denominator(self) -> BiPoly:
-        return _bipoly(_over([_PONE], {}, self.fac))
+        return _over(_BONE, {}, self.fac)
 
     def is_zero(self) -> bool:
-        return not self.rows
+        return not self.num.re
 
     def __bool__(self):
-        return bool(self.rows)
+        return bool(self.num.re)
 
     def is_polynomial(self) -> bool:
         return not self.fac
@@ -974,7 +1218,7 @@ class RatFunc:
         fac = dict(self.fac)
         for k, e in other.fac.items():
             fac[k] = max(e, fac.get(k, 0))
-        return (_over(self.rows, self.fac, fac), _over(other.rows, other.fac, fac), fac)
+        return _over(self.num, self.fac, fac), _over(other.num, other.fac, fac), fac
 
     def _sum(self, other: "RatFunc", sign: int) -> "RatFunc":
         # A factor with unequal exponents in the two reduced operands divides
@@ -982,7 +1226,7 @@ class RatFunc:
         # exponents can cancel from the sum.
         n1, n2, fac = self._common(other)
         shared = [k for k, e in self.fac.items() if other.fac.get(k) == e]
-        return _ratfunc(_rows_sum(n1, n2, sign), fac, shared)
+        return _ratfunc(_grid_sum(n1, n2, sign), fac, shared)
 
     def __add__(self, other):
         return self._sum(other, 1)
@@ -991,18 +1235,18 @@ class RatFunc:
         return self._sum(other, -1)
 
     def __neg__(self):
-        return _raw_ratfunc([-r for r in self.rows], dict(self.fac))
+        return _raw_ratfunc(-self.num, dict(self.fac))
 
     def __mul__(self, other):
         if isinstance(other, GaussRat):
             if not other:
-                return _raw_ratfunc([], {})
-            return _raw_ratfunc([r.scale(other) for r in self.rows], dict(self.fac))
+                return _raw_ratfunc(_BZERO, {})
+            return _raw_ratfunc(self.num.scale(other), dict(self.fac))
         if isinstance(other, BiPoly):
             other = RatFunc(other)
-        if not self.rows or not other.rows:
-            return _raw_ratfunc([], {})
-        a, b, fac = self.rows, other.rows, dict(self.fac)
+        if not self.num.re or not other.num.re:
+            return _raw_ratfunc(_BZERO, {})
+        a, b, fac = self.num, other.num, dict(self.fac)
         for k, e in other.fac.items():
             fac[k] = fac.get(k, 0) + e
         for k, e in self.fac.items():  # see the cancellation rule above
@@ -1011,39 +1255,45 @@ class RatFunc:
         for k, e in other.fac.items():
             if k not in self.fac:
                 a, fac[k] = _cancel(a, k, e)
-        return _raw_ratfunc(_rows_mul(a, b), {k: e for k, e in fac.items() if e})
+        return _raw_ratfunc(_grid_mul(a, b), {k: e for k, e in fac.items() if e})
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        return _pow(self, n, _raw_ratfunc([_PONE], {}))
+        return _pow(self, n, _raw_ratfunc(_BONE, {}))
 
     def __eq__(self, other):
         if isinstance(other, BiPoly):
             other = RatFunc(other)
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return self.rows == other.rows and self.fac == other.fac  # the pair is canonical
+        return self.num == other.num and self.fac == other.fac  # the pair is canonical
 
     def __hash__(self):
-        return hash((tuple(self.rows), frozenset(self.fac.items())))
+        return hash((self.num, frozenset(self.fac.items())))
 
     def derivative(self, slot: int) -> "RatFunc":
         """Partial derivative; slot 0 is t, slot 1 is c."""
         # d(N/prod F^e) = (N' prod F - N sum e_i F_i' prod_{j != i} F_j) / prod F^{e+1}
-        partial = _rows_partial(self.rows, slot)
+        partial = _grid_partial(self.num, slot)
         # A factor with F_k' != 0 leaves N e_k F_k' prod_{j != k} F_j, which it
         # does not divide, in the numerator; only a factor with F_k' = 0 can cancel.
-        correction, constant = [], []
+        correction, constant = _BZERO, []
         for k, e in self.fac.items():  # F_k' is 1 or -pi1 for "t", 0 or 1 for "c"
-            slope = (-k[1] if slot else ONE) if k[0] == "t" else GaussRat(slot)
-            if slope:
+            if k[0] == "c":
+                d, r, i = 1, slot, None
+            elif slot:
+                d, r, i = _scalar(-k[1])
+            else:
+                d, r, i = 1, 1, None
+            if r or i:
                 rest = {other: 1 for other in self.fac if other != k}
-                correction = _rows_sum(correction, _over([UniPoly.const(slope * e)], {}, rest))
+                term = _bipoly(d, [[e * r]], i and [[e * i]])  # e F_k'
+                correction = _grid_sum(correction, _over(term, {}, rest))
             else:
                 constant.append(k)
         partial = _over(partial, {}, {k: 1 for k in self.fac})
-        numerator = _rows_sum(partial, _rows_mul(self.rows, correction), -1)
+        numerator = _grid_sum(partial, _grid_mul(self.num, correction), -1)
         return _ratfunc(numerator, {k: e + 1 for k, e in self.fac.items()}, constant)
 
     def at_c(self, c_value: complex) -> Callable[[List[complex]], List[complex]]:
@@ -1072,7 +1322,9 @@ class RatFunc:
                 poles.append((pi1.to_complex() * c_value + pi0.to_complex(), e))
             else:
                 scale = c_value ** -e
-        coeffs = [row.evaluate_complex(c_value) * scale for row in reversed(self.rows)]
+        num = self.num
+        coeffs = [_horner_complex(_complex_coeffs(num.den, r, m), c_value) * scale
+                  for r, m in zip(reversed(num.re), reversed(num.im or [None] * len(num.re)))]
 
         def values(points: List[complex]) -> List[complex]:
             acc, n = _horner_column(coeffs, points), len(points)
@@ -1117,22 +1369,22 @@ def _laurent_numerators(f: RatFunc, factor: TFactor, depth: int):
 
     # N(u + pi) below u^depth: the remainders of repeated synthetic division
     # by t - pi, which are the rows themselves when pi = 0.
-    shifted, rows = [], f.rows
-    while rows and len(shifted) < depth:
-        rows, rem = _synthetic_division(rows, pi)
+    shifted, rest = [], f.num
+    while rest.re and len(shifted) < depth:
+        rest, rem = _synthetic_division(rest, pi)
         shifted.append(rem)
     shifted += [_PZERO] * (depth - len(shifted))
 
     # Remaining denominator D1(u) below u^depth: c^e for the factor c and
-    # the binomial row of (u + pi - pi')^e for every other t - pi'.
-    d1 = [_PONE]
+    # the binomial rows of (u + pi - pi')^e for every other t - pi'.
+    d1 = _BONE
     for key, e in f.fac.items():
         if key[0] == "c":
-            d1 = [p * UniPoly.monomial(e) for p in d1]
+            d1 = _over(d1, {}, {key: e})
         elif key != factor:
-            d1 = _rows_mul(d1, _binomial_row(pi - _factor_pi(key), e, depth), depth)
-
-    if d1[0].is_zero():
+            d1 = _grid_mul(d1, _binomial_grid(pi - _factor_pi(key), e, depth), depth)
+    d1 = _unipoly_rows(d1)
+    if not d1 or d1[0].is_zero():
         raise PoleOrderMismatch("pole locations collide; pole order is not generic")
 
     # S_k = N_k d0^k - sum_{j>=1} S_{k-j} E_j with E_j = D1_j d0^(j-1).
@@ -1150,15 +1402,25 @@ def _laurent_numerators(f: RatFunc, factor: TFactor, depth: int):
     return series, d0_pows
 
 
-def _binomial_row(shift: UniPoly, e: int, depth: int) -> list:
-    """The coefficients of (u + shift)^e below u^depth, by power of u."""
+def _binomial_grid(shift: UniPoly, e: int, depth: int) -> BiPoly:
+    """(u + shift)^e below u^depth, a grid in (u, c).
+
+    For shift = S / d, row m is comb(e, m) d^m S^(e-m) over d^e.
+    """
     top = min(e, depth - 1)
-    power, row = shift ** (e - top), [_PZERO] * (top + 1)
+    if not shift:
+        return _raw_bipoly(1, [[]] * e + [[1]], None) if e <= top else _BZERO
+    d, sr, si = shift.den, shift.re, shift.im
+    power_r, power_i = [1], None  # S^(e - top), then S^(e - m)
+    for _ in range(e - top):
+        power_r, power_i = _cmac(None, None, power_r, power_i, sr, si)
+    re, im = [None] * (top + 1), [None] * (top + 1)
     for m in range(top, -1, -1):
-        row[m] = power.scale(comb(e, m))
+        f = comb(e, m) * d ** m
+        re[m], im[m] = [f * v for v in power_r], power_i and [f * v for v in power_i]
         if m:
-            power = power * shift
-    return row
+            power_r, power_i = _cmac(None, None, power_r, power_i, sr, si)
+    return _bipoly(d ** e, re, im if si else None)
 
 
 def residue(f: RatFunc, factor: TFactor) -> CFrac:
@@ -1175,8 +1437,8 @@ def residue(f: RatFunc, factor: TFactor) -> CFrac:
 
 def residue_at_infinity(f: RatFunc) -> CFrac:
     """Residue at t = infinity: minus the 1/t coefficient of the expansion."""
-    den_rows = [CFrac(p) for p in _over([_PONE], {}, f.fac)]
-    num_rows = [CFrac(p) for p in f.rows]
+    den_rows = [CFrac(p) for p in _unipoly_rows(f.denominator)]
+    num_rows = [CFrac(p) for p in _unipoly_rows(f.num)]
     if not den_rows:
         raise ZeroDivisionError("zero denominator")
     if not num_rows:

@@ -198,7 +198,7 @@ def _bifurcation_candidates_f12(nf: NormalForm, p1: int, q1: int) -> Tuple[Gauss
 
 def _s(nf: NormalForm, x, y):
     """S = x^k y + P(x), evaluated in the ring of x and y."""
-    return x ** nf.k * y + _horner(nf.P, x)
+    return x ** nf.k * y + _horner(nf.P.coeffs, x)
 
 
 def hamiltonian(nf: NormalForm, facts: FamilyFacts, x, y):
@@ -216,7 +216,7 @@ def hamiltonian(nf: NormalForm, facts: FamilyFacts, x, y):
         prod = y
         for b, a in zip(nf.beta, nf.a):
             prod = prod * (const(b) - x) ** a
-        return x, prod + _horner(nf.h, x)
+        return x, prod + _horner(nf.h.coeffs, x)
     p1, p, q1, q = facts.effective
     s = _s(nf, x, y)
     g = x ** q1 * s ** q

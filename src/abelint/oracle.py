@@ -220,7 +220,7 @@ def _loop_sampler(rm: RectifyingMap, c_value: complex,
 def _orders(f: RatFunc, factor: TFactor) -> Tuple[int, int]:
     """f's pole order at ``factor`` and its degree in t at infinity."""
     poles = sum(e for key, e in f.fac.items() if key[0] == "t")
-    return f.pole_order(factor), len(f.rows) - 1 - poles
+    return f.pole_order(factor), len(f.num.re) - 1 - poles
 
 
 def _order_bounds(rm: RectifyingMap, factor: TFactor,

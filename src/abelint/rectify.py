@@ -117,14 +117,14 @@ def build_rectifier(nf: NormalForm) -> RectifyingMap:
     facts = validate(nf)
     if nf.family == "F3":
         inverse_x = RatFunc.t()
-        inverse_y = (RatFunc.c() - _horner(nf.h, inverse_x)) * _product(nf, 0, -1)
+        inverse_y = (RatFunc.c() - _horner(nf.h.coeffs, inverse_x)) * _product(nf, 0, -1)
     else:
         p1, p, q1, q = facts.effective
         s, k = facts.sign_case, nf.k  # x = M^s, S = N^s, y = (S - P(x)) x^-k
         inverse_x = _product(nf, s * p, s * q, -s * q)
         big_s = _product(nf, -s * p1, -s * q1, s * q1)
         x_to_minus_k = _product(nf, -s * p * k, -s * q * k, s * q * k)
-        inverse_y = x_to_minus_k * (big_s - _horner(nf.P, inverse_x))
+        inverse_y = x_to_minus_k * (big_s - _horner(nf.P.coeffs, inverse_x))
 
     rm = RectifyingMap(nf, facts, inverse_x, inverse_y)
     _verify(rm)

@@ -12,11 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from .algebra import ONE, ZERO, _PZERO, BiPoly, GaussRat, _bipoly, _poly
+from .algebra import ONE, ZERO, BiPoly, GaussRat, _bipoly, _grid_integral
+
+
+# The cap on deg f * deg g for the compositions a pair is checked by.  A
+# dense pair of degrees 8 and 8 takes 0.6 s to check on a 2-core VM, and the
+# time grows with about the fourth power of the degrees.
+MAX_COMPOSED_DEGREE = 64
 
 
 class AutomorphismError(ValueError):
-    """The supplied forward/inverse pair does not compose to the identity."""
+    """The supplied forward/inverse pair is not a plane automorphism."""
 
 
 @dataclass(frozen=True)
@@ -24,7 +30,11 @@ class PolyAutomorphism:
     """Plane automorphism with explicit inverse, plus an affine value map.
 
     forward = (psi1, psi2), inverse = (phi1, phi2), sigma(c) = s1*c + s0.
-    Both compositions are verified symbolically at construction.
+    Both compositions are verified symbolically at construction.  Before
+    composing, the largest forward degree times the largest inverse degree,
+    which bounds every composition's degree, must be at most
+    MAX_COMPOSED_DEGREE, and the forward map's Jacobian determinant must be
+    a nonzero constant.
     """
 
     forward: Tuple[BiPoly, BiPoly]
@@ -38,6 +48,16 @@ class PolyAutomorphism:
         x, y = BiPoly.var(0), BiPoly.var(1)
         f1, f2 = self.forward
         g1, g2 = self.inverse
+        deg_f = max(f1.total_degree, f2.total_degree, 0)
+        deg_g = max(g1.total_degree, g2.total_degree, 0)
+        if deg_f * deg_g > MAX_COMPOSED_DEGREE:
+            raise AutomorphismError(
+                f"forward degree {deg_f} times inverse degree {deg_g} exceeds "
+                f"the cap {MAX_COMPOSED_DEGREE} on composed degrees")
+        jacobian = f1.partial(0) * f2.partial(1) - f1.partial(1) * f2.partial(0)
+        if jacobian.total_degree != 0:
+            raise AutomorphismError(
+                "the forward map's Jacobian determinant is not a nonzero constant")
         if f1.compose(g1, g2) != x or f2.compose(g1, g2) != y:
             raise AutomorphismError("forward(inverse) is not the identity")
         if g1.compose(f1, f2) != x or g2.compose(f1, f2) != y:
@@ -88,12 +108,12 @@ def pushforward_oneform(w: OneForm, aut: PolyAutomorphism) -> OneForm:
 def reduce_to_nonexact_basis(w: OneForm):
     """Split w = A dx + B dy into dQ + sum coeffs[i, j] * x^i y^j dx, j >= 1.
 
-    Returns (coeffs, Q) with Q = int_0^y B dy + int_0^x A(x, 0) dx: each
-    row of B integrated in y, plus A's y^0 column integrated in x.  The
-    basis part A - dQ/dx then has no y^0 column, and ``coeffs`` is its
-    ``terms``, {(i, j): GaussRat}.
+    Returns (coeffs, Q) with Q = int_0^y B dy + int_0^x A(x, 0) dx: B
+    integrated in y, plus A's y^0 column integrated in x.  The basis part
+    A - dQ/dx then has no y^0 column, and ``coeffs`` is its ``terms``,
+    {(i, j): GaussRat}.
     """
-    column = [_PZERO] + [_poly(row.den * i, row.re[:1], row.im and row.im[:1])
-                         for i, row in enumerate(w.A.rows, 1)]
-    q_poly = _bipoly(column) + _bipoly([row.antiderivative() for row in w.B.rows])
-    return (w.A - q_poly.partial(0)).terms, q_poly
+    a = w.A
+    column = _bipoly(a.den, [row[:1] for row in a.re], a.im and [row[:1] for row in a.im])
+    q_poly = _grid_integral(column, 0) + _grid_integral(w.B, 1)
+    return (a - q_poly.partial(0)).terms, q_poly

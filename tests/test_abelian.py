@@ -224,14 +224,49 @@ def random_triangular_automorphism(rng: random.Random) -> PolyAutomorphism:
     return PolyAutomorphism((x + shift, y), (x - shift, y))
 
 
-def test_original_coordinates_metamorphic_identity():
+def random_elementary_map(rng: random.Random):
+    """(map, inverse): an invertible affine map, or (x, y + q(x)) or
+    (x + q(y), y) for a random q of degree 1 or 2."""
+    x, y = BiPoly.var(0), BiPoly.var(1)
+    one = BiPoly.const(GaussRat(1))
+    if rng.random() < 0.5:
+        a, b, c, d = (random_gauss(rng) for _ in range(4))
+        while not a * d - b * c:
+            a, b, c, d = (random_gauss(rng) for _ in range(4))
+        e, f = random_gauss(rng), random_gauss(rng)
+        forward = (x.scale(a) + y.scale(b) + one.scale(e),
+                   x.scale(c) + y.scale(d) + one.scale(f))
+        u, v = x - one.scale(e), y - one.scale(f)
+        inv_det = (a * d - b * c).inverse()
+        inverse = ((u.scale(d) - v.scale(b)).scale(inv_det),
+                   (v.scale(a) - u.scale(c)).scale(inv_det))
+        return forward, inverse
+    var, d = rng.choice((x, y)), rng.randint(1, 2)
+    q = sum(((var ** k).scale(random_gauss(rng)) for k in range(d)),
+            (var ** d).scale(random_gauss(rng, nonzero=True)))
+    if var is x:
+        return (x, y + q), (x, y - q)
+    return (x + q, y), (x - q, y)
+
+
+def random_tame_automorphism(rng: random.Random) -> PolyAutomorphism:
+    """Two or three elementary maps composed through BiPoly.compose: each
+    step S makes forward S o forward and inverse inverse o S^-1."""
+    forward = inverse = (BiPoly.var(0), BiPoly.var(1))
+    for _ in range(rng.randint(2, 3)):
+        step, step_inverse = random_elementary_map(rng)
+        forward = tuple(p.compose(*forward) for p in step)
+        inverse = tuple(p.compose(*step_inverse) for p in inverse)
+    return PolyAutomorphism(forward, inverse)
+
+
+def assert_metamorphic_identity(rng: random.Random, draw_automorphism, count: int):
     # With H_orig = H o psi, the forms w, w + dQ and w + g dH_orig on the
     # original side push forward to forms that differ by an exact and a
     # relatively exact form, so full_report gives the same integrals.
-    rng = random.Random(11)
-    for _ in range(100):
+    for _ in range(count):
         nf = random_normal_form(rng)
-        psi = random_triangular_automorphism(rng)
+        psi = draw_automorphism(rng)
         h_orig = expand(nf).compose(*psi.forward)
         rm = cached_rectifier(nf)
         w = random_oneform(rng, rng.randint(1, 3))
@@ -242,3 +277,13 @@ def test_original_coordinates_metamorphic_identity():
         for moved in (w + OneForm.d(q), w + g_dh):
             report = full_report(nf, moved, psi, rectifier=rm)
             assert [ai.value for ai in report.integrals] == base, (nf, psi.forward, w, q, g)
+
+
+def test_original_coordinates_metamorphic_identity():
+    assert_metamorphic_identity(random.Random(11), random_triangular_automorphism, 100)
+
+
+def test_tame_automorphisms_metamorphic_identity():
+    # Compositions of affine and triangular maps, forward and inverse both
+    # written through BiPoly.compose.
+    assert_metamorphic_identity(random.Random(13), random_tame_automorphism, 60)

@@ -166,7 +166,7 @@ def test_criterion_4_cubic_sharpness():
         w = _cubic_extremal_form(n)
         report = full_report(nf, w)
         # integral is s(c^s - 1): zeros are the s-th roots of unity
-        expected = UniPoly.monomial(s, GaussRat(s)) - UniPoly.const(GaussRat(s))
+        expected = UniPoly([-s] + [0] * (s - 1) + [s])
         assert report.integrals[0].value == expected, f"n={n}"
         assert report.zero_counts == (s,), f"n={n}"
 

@@ -384,12 +384,12 @@ class TestRatFunc:
 
 def eval_at_t(f: RatFunc, point: UniPoly) -> CFrac:
     """Exact evaluation of f at t = point(c); point must avoid all poles."""
-    num, den = f.num.compose(point, UniPoly.x()), UniPoly.const(1)
+    num, den = f.num.compose(point, UniPoly([0, 1])), UniPoly.const(1)
     for key, e in f.fac.items():
         if key[0] == "t":
             base = point - _factor_pi(key)
         else:
-            base = UniPoly.x()
+            base = UniPoly([0, 1])
         if base.is_zero():
             raise ZeroDivisionError("evaluation point is a pole")
         den = den * (base ** e)

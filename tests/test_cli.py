@@ -397,6 +397,21 @@ class TestExitCodes:
             f"error: invalid configuration: {block}.{key}: unknown key\n"
 
 
+    @pytest.mark.parametrize("n", [1000, 10000])
+    def test_high_degree_automorphism_is_one_line_at_once(self, tmp_path, capsys, n):
+        # The README's forward y-component mutated to x^n y: the degree cap
+        # rejects the pair before anything is composed.
+        config = readme_config()
+        config["automorphism"]["forward"][1] = [[n, 1, "1"]]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        start = time.perf_counter()
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration: automorphism: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("name, seed", [
         ("type02_generic", "0"),
         ("f2_type03", "0"),

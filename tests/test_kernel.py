@@ -2,20 +2,35 @@
 
 ``UniPoly`` stores Gaussian integers over one denominator; the reference
 below keeps one GaussRat per coefficient and does the textbook operations
-on them.  ``BiPoly`` stores rows of UniPolys; it is checked against a dict
-of GaussRat per (i, j) term.  ``RatFunc`` stores its numerator in the same
-rows and shares their arithmetic with ``BiPoly``; its products, sums and
+on them.  ``BiPoly`` stores an integer grid over one denominator; it and
+the grid helpers are checked against a dict of GaussRat per (i, j) term.
+A ``RatFunc`` numerator is a ``BiPoly``, so its products, sums and
 cancellations are checked against ``BiPoly`` products of the same
 numerators.
 """
 
-from math import gcd
+from fractions import Fraction
+from math import comb, gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abelint import BiPoly, GaussRat, RatFunc, UniPoly, algebra
-from abelint.algebra import C_FACTOR, ONE, ZERO, _ratfunc, _rows_mul, _rows_sum, t_factor
+from abelint.algebra import (
+    C_FACTOR,
+    ONE,
+    ZERO,
+    _binomial_grid,
+    _divide_factor,
+    _factor_pi,
+    _grid_integral,
+    _grid_mul,
+    _grid_sum,
+    _over,
+    _ratfunc,
+    _synthetic_division,
+    t_factor,
+)
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -235,10 +250,21 @@ def ref_bi_compose(a, sub0, sub1):
     return acc
 
 
-def assert_rows_canonical(p: BiPoly):
-    assert not p.rows or p.rows[-1]
-    for row in p.rows:
-        assert_canonical(row)
+def assert_grid_canonical(p: BiPoly):
+    """Trimmed rows, im rows as long as re rows, a nonzero top row and
+    gcd(den, every int) = 1; im is None exactly when p is real."""
+    re_ints = [v for row in p.re for v in row]
+    im_ints = [v for row in p.im or [] for v in row]
+    assert p.den > 0 and all(type(v) is int for v in re_ints + im_ints)
+    if not p.re:
+        assert p.den == 1 and p.im is None
+        return
+    assert p.re[-1] and gcd(p.den, *re_ints, *im_ints) == 1
+    assert p.im is None or (len(p.im) == len(p.re) and any(im_ints))
+    for k, row in enumerate(p.re):
+        m = p.im[k] if p.im is not None else [0] * len(row)
+        assert len(m) == len(row)
+        assert not row or row[-1] or m[-1]
 
 
 terms = st.dictionaries(
@@ -259,14 +285,14 @@ class TestBiPolyAgainstReference:
                           (-p, ref_bi_neg(a)), (p * q, ref_bi_mul(a, b)),
                           (p.partial(0), ref_bi_partial(a, 0)),
                           (p.partial(1), ref_bi_partial(a, 1))):
-            assert_rows_canonical(got)
+            assert_grid_canonical(got)
             assert got.terms == want
 
     @PROPERTY
     @given(terms, small_terms, small_terms)
     def test_compose(self, a, sub0, sub1):
         got = BiPoly(a).compose(BiPoly(sub0), BiPoly(sub1))
-        assert_rows_canonical(got)
+        assert_grid_canonical(got)
         assert got.terms == ref_bi_compose(ref_bi_trim(a), ref_bi_trim(sub0),
                                            ref_bi_trim(sub1))
 
@@ -275,8 +301,10 @@ class TestBiPolyAgainstReference:
 # RatFunc rows against BiPoly products
 # ---------------------------------------------------------------------------
 
-FACTORS = [t_factor(ZERO, ZERO), t_factor(ZERO, ONE), t_factor(ONE, ZERO),
-           t_factor(GaussRat(0, 1), GaussRat(-1, 2)), C_FACTOR]
+# t, t - 1, t - 1/2, t - (1 + i), t - c, t - (i c - 1/2) and c
+FACTORS = [t_factor(ZERO, ZERO), t_factor(ZERO, ONE), t_factor(ZERO, GaussRat(Fraction(1, 2))),
+           t_factor(ZERO, GaussRat(1, 1)), t_factor(ONE, ZERO),
+           t_factor(GaussRat(0, 1), GaussRat(Fraction(-1, 2))), C_FACTOR]
 
 factor_dicts = st.dictionaries(st.sampled_from(FACTORS), st.integers(1, 3), max_size=3)
 
@@ -305,16 +333,18 @@ def add_factors(f1, f2):
 
 def reference_product(f, g):
     """f * g with every merged factor tried against the whole product."""
-    return _ratfunc(_rows_mul(f.rows, g.rows), add_factors(f.fac, g.fac))
+    return _ratfunc(_grid_mul(f.num, g.num), add_factors(f.fac, g.fac))
 
 
 class TestRatFuncRows:
     @PROPERTY
     @given(bipolys, factor_dicts)
     def test_rows_are_the_numerator_layout(self, n, fac):
+        # The numerator is a canonical grid, and a RatFunc built from its
+        # own numerator and factors keeps that grid.
         f = RatFunc(n, fac)
-        assert f.rows == f.num.rows
-        assert RatFunc(f.num, f.fac).rows == f.rows
+        assert_grid_canonical(f.num)
+        assert RatFunc(f.num, f.fac).num == f.num
         # N / D = f.num / f.denominator as polynomials cross-multiplied
         assert n * f.denominator == f.num * denominator(fac)
 
@@ -343,7 +373,7 @@ class TestRatFuncRows:
         f, g = RatFunc(n1, fac1), RatFunc(n2, fac2)
         for a, b in ((f, g), (g, f), (f, f)):
             got, want = a * b, reference_product(a, b)
-            assert got.rows == want.rows
+            assert got.num == want.num
             assert list(got.fac.items()) == list(want.fac.items())
 
     def test_square_of_a_factor_product_tries_no_division(self, monkeypatch):
@@ -353,16 +383,16 @@ class TestRatFuncRows:
         calls = []
         original = algebra._divide_factor
 
-        def counting(rows, factor):
+        def counting(num, factor):
             calls.append(factor)
-            return original(rows, factor)
+            return original(num, factor)
 
         monkeypatch.setattr(algebra, "_divide_factor", counting)
         square = x * x
         assert calls == []
         monkeypatch.undo()
         want = reference_product(x, x)
-        assert square.rows == want.rows
+        assert square.num == want.num
         assert list(square.fac.items()) == list(want.fac.items())
 
     @PROPERTY
@@ -390,8 +420,8 @@ class TestRatFuncRows:
         assert calls == [t1]
         monkeypatch.undo()
         n1, n2, fac = f._common(g)
-        want = _ratfunc(_rows_sum(n1, n2), fac)  # every factor tried
-        assert total.rows == want.rows
+        want = _ratfunc(_grid_sum(n1, n2), fac)  # every factor tried
+        assert total.num == want.num
         assert list(total.fac.items()) == list(want.fac.items())
 
     def test_t_derivative_tries_only_the_c_factor(self, monkeypatch):
@@ -405,7 +435,7 @@ class TestRatFuncRows:
         assert calls and set(calls) == {C_FACTOR}
         monkeypatch.undo()
         want = quotient_rule(f, 0)
-        assert derivative.rows == want.rows
+        assert derivative.num == want.num
         assert list(derivative.fac.items()) == list(want.fac.items())
         assert derivative.pole_order(C_FACTOR) == 2
 
@@ -419,12 +449,12 @@ class TestRatFuncRows:
         n2 = n2 * denominator({key: data.draw(lifts) for key in fac1})
         f, g = RatFunc(n1, fac1), RatFunc(n2, fac2)
         a, b, fac = f._common(g)
-        pairs = [(f + g, _ratfunc(_rows_sum(a, b), dict(fac))),
-                 (f - g, _ratfunc(_rows_sum(a, b, -1), dict(fac))),
-                 (f + f, _ratfunc(_rows_sum(f.rows, f.rows), dict(f.fac)))]
+        pairs = [(f + g, _ratfunc(_grid_sum(a, b), dict(fac))),
+                 (f - g, _ratfunc(_grid_sum(a, b, -1), dict(fac))),
+                 (f + f, _ratfunc(_grid_sum(f.num, f.num), dict(f.fac)))]
         pairs += [(f.derivative(slot), quotient_rule(f, slot)) for slot in (0, 1)]
         for got, want in pairs:
-            assert got.rows == want.rows
+            assert got.num == want.num
             assert list(got.fac.items()) == list(want.fac.items())
 
 
@@ -433,9 +463,9 @@ def count_divisions(monkeypatch) -> list:
     calls = []
     original = algebra._divide_factor
 
-    def counting(rows, factor):
+    def counting(num, factor):
         calls.append(factor)
-        return original(rows, factor)
+        return original(num, factor)
 
     monkeypatch.setattr(algebra, "_divide_factor", counting)
     return calls
@@ -453,7 +483,81 @@ def divides(factor, n: BiPoly) -> bool:
     if factor == C_FACTOR:
         return all(j > 0 for _, j in n.terms)
     _, pi1, pi0 = factor
-    return n.compose(UniPoly([pi0, pi1]), UniPoly.x()).is_zero()
+    return n.compose(UniPoly([pi0, pi1]), UniPoly([0, 1])).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# Grid helpers against the GaussRat references
+# ---------------------------------------------------------------------------
+
+T_FACTORS = [key for key in FACTORS if key != C_FACTOR]
+nonzero_bipolys = bipolys.filter(bool)
+
+
+class TestGridKernel:
+    @PROPERTY
+    @given(terms, terms, st.integers(0, 5), st.sampled_from((1, -1)))
+    def test_truncated_product_and_signed_sum(self, a, b, size, sign):
+        p, q = BiPoly(a), BiPoly(b)
+        a, b = ref_bi_trim(a), ref_bi_trim(b)
+        product, total = _grid_mul(p, q, size), _grid_sum(p, q, sign)
+        assert_grid_canonical(product)
+        assert_grid_canonical(total)
+        assert product.terms == {key: c for key, c in ref_bi_mul(a, b).items() if key[0] < size}
+        assert total.terms == ref_bi_add(a, b if sign == 1 else ref_bi_neg(b))
+
+    @PROPERTY
+    @given(nonzero_bipolys, st.sampled_from(T_FACTORS))
+    def test_synthetic_division(self, p, factor):
+        # p = (t - pi) quotient + remainder, the remainder free of t.
+        quot, rem = _synthetic_division(p, _factor_pi(factor))
+        assert_grid_canonical(quot)
+        assert_canonical(rem)
+        remainder = {(0, j): c for j, c in enumerate(rem.coeffs) if c}
+        assert ref_bi_add(ref_bi_mul(quot.terms, factor_poly(factor).terms), remainder) \
+            == p.terms
+
+    @PROPERTY
+    @given(bipolys, st.sampled_from(FACTORS), st.integers(0, 3))
+    def test_factor_products_and_exact_division(self, n, factor, e):
+        # _over multiplies by factor^e, e divisions take it back out, and a
+        # further division succeeds exactly when the factor divides n.
+        multiple = _over(n, {}, {factor: e})
+        assert_grid_canonical(multiple)
+        assert multiple.terms == ref_bi_mul(n.terms, (factor_poly(factor) ** e).terms)
+        if n.is_zero():
+            return
+        for _ in range(e):
+            multiple = _divide_factor(multiple, factor)
+            assert_grid_canonical(multiple)
+        assert multiple == n
+        quotient = _divide_factor(n, factor)
+        assert (quotient is not None) == divides(factor, n)
+        if quotient is not None:
+            assert_grid_canonical(quotient)
+            assert ref_bi_mul(quotient.terms, factor_poly(factor).terms) == n.terms
+
+    @PROPERTY
+    @given(bipolys, st.sampled_from((0, 1)))
+    def test_integral_inverts_the_partial(self, p, slot):
+        integral = _grid_integral(p, slot)
+        assert_grid_canonical(integral)
+        assert integral.partial(slot) == p
+        assert all(key[slot] for key in integral.terms)  # zero where v_slot = 0
+
+    @PROPERTY
+    @given(gaussians, gaussians, st.integers(0, 6), st.integers(1, 5))
+    def test_binomial_grid(self, s0, s1, e, depth):
+        # (u + s1 c + s0)^e below u^depth
+        shift = UniPoly([s0, s1])
+        got = _binomial_grid(shift, e, depth)
+        assert_grid_canonical(got)
+        want = {}
+        for m in range(min(e, depth - 1) + 1):
+            for j, c in enumerate((shift ** (e - m)).coeffs):
+                if c:
+                    want[m, j] = c * GaussRat(comb(e, m))
+        assert got.terms == want
 
 
 # ---------------------------------------------------------------------------

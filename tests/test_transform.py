@@ -50,6 +50,18 @@ class TestAutomorphism:
         with pytest.raises(AutomorphismError):
             PolyAutomorphism((x, y + x * x), (x, y + x * x))
 
+    def test_degree_cap_and_jacobian_reject_before_composing(self, monkeypatch):
+        # x^k y over the affine (1 - x, y): the Jacobian is -x^k, and for
+        # k = 64 the degrees 65 * 1 exceed the cap.  Neither pair is composed.
+        x, y = BiPoly.var(0), BiPoly.var(1)
+        one = BiPoly.const(GaussRat(1))
+        monkeypatch.setattr(BiPoly, "compose", None)
+        for k, message in ((2, "Jacobian"), (64, "cap")):
+            with pytest.raises(AutomorphismError, match=message):
+                PolyAutomorphism((one - x, x ** k * y), (one - x, y))
+        with pytest.raises(AutomorphismError, match="Jacobian"):
+            PolyAutomorphism((x, BiPoly()), (x, y))
+
     def test_sigma_must_be_invertible(self):
         x, y = BiPoly.var(0), BiPoly.var(1)
         with pytest.raises(AutomorphismError):
