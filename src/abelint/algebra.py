@@ -630,8 +630,7 @@ def _im_rows(p: "BiPoly") -> list:
 
 def _grid_mul(a: "BiPoly", b: "BiPoly", size: int = None) -> "BiPoly":
     """a*b over den(a) den(b), normalised once; with ``size``, only the
-    rows below v0^size.  Zero rows are skipped, and products of one-entry
-    rows, the most common ones, are formed inline."""
+    rows below v0^size.  Zero rows are skipped."""
     ar, br = a.re, b.re
     if not ar or not br:
         return _BZERO
@@ -640,21 +639,11 @@ def _grid_mul(a: "BiPoly", b: "BiPoly", size: int = None) -> "BiPoly":
         n = size
     re = [[] for _ in range(n)]
     if a.im is None and b.im is None:
-        b_single = [y[0] if len(y) == 1 else None for y in br]
         for i, x in enumerate(ar[:n]):
-            if not x:
-                continue
-            x0 = x[0] if len(x) == 1 else None
-            for j, y in enumerate(br[:n - i], i):
-                if not y:
-                    continue
-                y0 = b_single[j - i]
-                if x0 is None or y0 is None:
-                    re[j] = _mac(re[j], x, y)
-                elif re[j]:
-                    re[j][0] += x0 * y0
-                else:
-                    re[j] = [x0 * y0]
+            if x:
+                for j, y in enumerate(br[:n - i], i):
+                    if y:
+                        re[j] = _mac(re[j], x, y)
         return _bipoly(a.den * b.den, re)
     ai, bi = _im_rows(a), _im_rows(b)
     im = [None] * n
@@ -1021,8 +1010,7 @@ def _factor_pi(factor: TFactor) -> UniPoly:
     return UniPoly([pi0, pi1])
 
 
-@lru_cache(maxsize=4096)  # the denominators of a problem recur in its sums
-def _factor_product(powers: tuple) -> BiPoly:
+def _factor_product(powers: list) -> BiPoly:
     """prod (t - pi(c))^e over the ("t" factor, e) pairs, as a grid in (t, c)."""
     product = _BONE
     for factor, e in powers:
@@ -1046,7 +1034,7 @@ def _over(p: BiPoly, fac: Mapping, target: Mapping) -> BiPoly:
             else:
                 missing.append((key, e))
     if missing:
-        p = _grid_mul(p, _factor_product(tuple(missing)))
+        p = _grid_mul(p, _factor_product(missing))
     if shift and p.re:
         zeros = [0] * shift
         p = _raw_bipoly(p.den, [zeros + row if row else row for row in p.re],

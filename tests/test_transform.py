@@ -62,6 +62,15 @@ class TestAutomorphism:
         with pytest.raises(AutomorphismError, match="Jacobian"):
             PolyAutomorphism((x, BiPoly()), (x, y))
 
+    def test_valid_pair_above_the_cap_is_refused(self):
+        # The cap bounds degrees, not validity: the shear (x, y + x^8) is
+        # accepted (8 * 8 = 64), and the equally valid (x, y + x^9) is
+        # refused (81 > 64).
+        x, y = BiPoly.var(0), BiPoly.var(1)
+        PolyAutomorphism((x, y + x ** 8), (x, y - x ** 8))
+        with pytest.raises(AutomorphismError, match="cap"):
+            PolyAutomorphism((x, y + x ** 9), (x, y - x ** 9))
+
     def test_sigma_must_be_invertible(self):
         x, y = BiPoly.var(0), BiPoly.var(1)
         with pytest.raises(AutomorphismError):
