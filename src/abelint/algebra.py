@@ -15,10 +15,12 @@ gcd(den, *re, *im) = 1.  A ``BiPoly`` is the same in two variables, an
 integer grid ``(den, re, im)`` whose rows ``re[i]`` and ``im[i]`` hold the
 int coefficients of v0^i; ``im`` is None when the polynomial is real.  A
 ``RatFunc`` numerator is a BiPoly in (t, c), so both use one grid
-arithmetic, int loops with one normalisation per result.  UniPoly rows are
-cut from the grid only where c-polynomials leave it, in the residues.
-GaussRat views (``UniPoly.coeffs``, ``BiPoly.terms``) are built only for
-I/O.
+arithmetic, int loops with one normalisation per result.  A residue
+reads one Laurent coefficient: the low rows of the shifted numerator, on
+ints, dotted with a product of binomial series (``residue``), so
+c-polynomials leave the grid only as one CFrac per residue, and as rows in
+``residue_at_infinity``.  GaussRat views (``UniPoly.coeffs``,
+``BiPoly.terms``) are built only for I/O.
 """
 
 from __future__ import annotations
@@ -1078,14 +1080,14 @@ def _carries(p: BiPoly, pi: UniPoly):
 
 
 def _synthetic_division(p: BiPoly, pi: UniPoly):
-    """(quotient, remainder) of a nonzero p by t - pi: a BiPoly and a
-    c-polynomial.  For pi = 0 this is a shift."""
+    """(quotient, remainder) of a nonzero p by t - pi: a BiPoly and the
+    unnormalised parts (den, re, im) of a c-polynomial.  For pi = 0 this is
+    a shift, and the remainder shares p's row 0."""
     re, im = p.re, p.im
     if not pi:
-        return (_bipoly(p.den, re[1:], im and im[1:]),
-                _poly(p.den, list(re[0]), im and list(im[0])))
+        return _bipoly(p.den, re[1:], im and im[1:]), (p.den, re[0], im and im[0])
     quotient, remainder = _carries(p, pi)
-    return _bipoly(*quotient), _poly(*remainder)
+    return _bipoly(*quotient), remainder
 
 
 def _divide_factor(p: BiPoly, factor: TFactor):
@@ -1334,93 +1336,74 @@ class RatFunc:
         return f"({num})/({den})"
 
 
-def _laurent_numerators(f: RatFunc, factor: TFactor, depth: int):
-    """(S_0 .. S_{depth-1}, k -> d0^k): the Laurent numerators at t - pi(c).
-
-    The declared depth must equal the exact pole order, otherwise
-    PoleOrderMismatch is raised.  depth 0 asserts the absence of a pole.
-
-    With u = t - pi(c), f = N(u) / (u^depth D1(u)) for N, D1 in Q(i)[c][u],
-    and the coefficient of u^(k - depth) is s_k = [u^k] N/D1.  The series
-    is fraction-free: with d0 = D1(0), the numerators S_k = s_k d0^(k+1)
-    obey, in Q(i)[c], S_k = N_k d0^k - sum_{m<k} S_m D1_{k-m} d0^(k-m-1),
-    so s_k is CFrac(S_k, d0^(k+1)) and the residue is s_{depth-1}.
-    """
-    order = f.pole_order(factor)
-    if order != depth:
-        raise PoleOrderMismatch(
-            f"declared pole order {depth} at t - ({_factor_pi(factor)!r}), actual {order}"
-        )
-    if depth == 0:
-        return [], None
-    pi = _factor_pi(factor)
-
-    # N(u + pi) below u^depth: the remainders of repeated synthetic division
-    # by t - pi, which are the rows themselves when pi = 0.
-    shifted, rest = [], f.num
-    while rest.re and len(shifted) < depth:
-        rest, rem = _synthetic_division(rest, pi)
-        shifted.append(rem)
-    shifted += [_PZERO] * (depth - len(shifted))
-
-    # Remaining denominator D1(u) below u^depth: c^e for the factor c and
-    # the binomial rows of (u + pi - pi')^e for every other t - pi'.
-    d1 = _BONE
-    for key, e in f.fac.items():
-        if key[0] == "c":
-            d1 = _over(d1, {}, {key: e})
-        elif key != factor:
-            d1 = _grid_mul(d1, _binomial_grid(pi - _factor_pi(key), e, depth), depth)
-    d1 = _unipoly_rows(d1)
-    if not d1 or d1[0].is_zero():
-        raise PoleOrderMismatch("pole locations collide; pole order is not generic")
-
-    # S_k = N_k d0^k - sum_{j>=1} S_{k-j} E_j with E_j = D1_j d0^(j-1).
-    d0_pows = power_table(d1[0], _PONE)
-    scaled = [(j, d * d0_pows(j - 1)) for j, d in enumerate(d1) if j and d]
-    series = []
-    for k in range(depth):
-        acc = shifted[k] * d0_pows(k)
-        for j, e_j in scaled:
-            if j > k:
-                break
-            if series[k - j]:
-                acc = acc - series[k - j] * e_j
-        series.append(acc)
-    return series, d0_pows
-
-
 def _binomial_grid(shift: UniPoly, e: int, depth: int) -> BiPoly:
-    """(u + shift)^e below u^depth, a grid in (u, c).
+    """shift^p (u + shift)^e below u^depth, a grid in (u, c): p = 0 for
+    e >= 0, and p = depth - 1 - e for e < 0, which makes it a polynomial.
 
-    For shift = S / d, row m is comb(e, m) d^m S^(e-m) over d^e.
+    Row m is binom(e, m) shift^(e + p - m), a generalised binomial
+    coefficient when e < 0 (then shift must be nonzero); for shift = S / d
+    it is binom(e, m) d^m S^(e + p - m) over d^(e + p).
     """
-    top = min(e, depth - 1)
-    if not shift:
-        return _raw_bipoly(1, [[]] * e + [[1]], None) if e <= top else _BZERO
+    power = e if e >= 0 else depth - 1  # e + p
+    top = min(power, depth - 1)
     d, sr, si = shift.den, shift.re, shift.im
-    power_r, power_i = [1], None  # S^(e - top), then S^(e - m)
-    for _ in range(e - top):
+    power_r, power_i = [1], None  # S^(power - top), then S^(power - m)
+    for _ in range(power - top):
         power_r, power_i = _cmac(None, None, power_r, power_i, sr, si)
     re, im = [None] * (top + 1), [None] * (top + 1)
     for m in range(top, -1, -1):
-        f = comb(e, m) * d ** m
+        f = (comb(e, m) if e >= 0 else (-1) ** m * comb(m - e - 1, m)) * d ** m
         re[m], im[m] = [f * v for v in power_r], power_i and [f * v for v in power_i]
         if m:
             power_r, power_i = _cmac(None, None, power_r, power_i, sr, si)
-    return _bipoly(d ** e, re, im if si else None)
+    return _bipoly(d ** power, re, im if si else None)
 
 
 def residue(f: RatFunc, factor: TFactor) -> CFrac:
     """Residue at a linear pole t - pi(c); zero when there is no pole there.
 
-    Of the Laurent numerators only the last is reduced to a CFrac.
+    With u = t - pi and a pole of order d, f = N(u + pi) / (u^d
+    prod_g (u + delta_g)^e_g c^e_c), delta_g = pi - pi_g for every other
+    "t" factor g.  The residue is one Laurent coefficient:
+    [u^(d-1)] N(u + pi) prod_g (u + delta_g)^-e_g, over c^e_c.  Scaled by
+    delta_g^(e_g+d-1), each reciprocal is a binomial series that is a
+    polynomial below u^d (``_binomial_grid``), and their product below u^d
+    is the cofactor.  The d low coefficients of N(u + pi) are the
+    remainders of repeated synthetic division, kept as ints, so the residue
+    is one dot product of them with the cofactor's rows, over
+    prod_g delta_g^(e_g+d-1) c^e_c, reduced once as a CFrac.
     """
-    order = f.pole_order(factor)
-    if order == 0:
+    depth = f.pole_order(factor)
+    if depth == 0:
         return CFrac(_PZERO)
-    series, d0_pows = _laurent_numerators(f, factor, order)
-    return CFrac(series[-1], d0_pows(order))
+    pi = _factor_pi(factor)
+    cofactor, denominator = _BONE, _PONE
+    for key, e in f.fac.items():
+        if key[0] == "c":
+            denominator = denominator * _raw_poly(1, [0] * e + [1], None)
+        elif key != factor:
+            delta = pi - _factor_pi(key)
+            if not delta:
+                raise PoleOrderMismatch("pole locations collide; pole order is not generic")
+            series = _binomial_grid(delta, -e, depth)
+            cofactor = series if cofactor is _BONE else _grid_mul(cofactor, series, depth)
+            denominator = denominator * delta ** (e + depth - 1)
+
+    rows, rest = [], f.num  # (den, re, im) of [u^k] N(u + pi)
+    while rest.re and len(rows) < depth:
+        rest, remainder = _synthetic_division(rest, pi)
+        rows.append(remainder)
+    common = lcm(*(den for den, _, _ in rows))
+    co_r, co_i = cofactor.re, _im_rows(cofactor)
+    acc_r = acc_i = None
+    for k, (den, re, im) in enumerate(rows):
+        j = depth - 1 - k  # row k of the numerator meets cofactor row j
+        if j < len(co_r) and co_r[j] and re:
+            if den != common:
+                s = common // den
+                re, im = [s * v for v in re], im and [s * v for v in im]
+            acc_r, acc_i = _cmac(acc_r, acc_i, re, im, co_r[j], co_i[j])
+    return CFrac(_poly(common * cofactor.den, acc_r or [], acc_i), denominator)
 
 
 def residue_at_infinity(f: RatFunc) -> CFrac:

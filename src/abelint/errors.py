@@ -6,7 +6,7 @@ class AbelintError(Exception):
 
 
 class PoleOrderMismatch(AbelintError):
-    """The declared pole order does not match the actual multiplicity."""
+    """Two denominator factors sit at one pole, so its order is not generic."""
 
 
 class InvalidFamily(AbelintError):

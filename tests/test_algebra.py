@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import zip_longest
 from math import factorial
 
 import pytest
@@ -12,13 +13,25 @@ from abelint import (
     BiPoly,
     CFrac,
     GaussRat,
+    NormalForm,
+    OneForm,
     PoleOrderMismatch,
     RatFunc,
     UniPoly,
+    full_report,
     residue,
     residue_at_infinity,
 )
-from abelint.algebra import C_FACTOR, I, _factor_pi, _laurent_numerators, t_factor
+from abelint import algebra
+from abelint.algebra import (
+    C_FACTOR,
+    I,
+    _factor_pi,
+    _poly,
+    _synthetic_division,
+    power_table,
+    t_factor,
+)
 
 from conftest import random_gauss, random_normal_form, cached_rectifier
 
@@ -326,7 +339,7 @@ class TestRatFunc:
         while checked < 40:
             fac = {pole: rng.randint(1, 3) for pole in poles if rng.random() < 0.7}
             if rng.random() < 0.5:
-                fac[C_FACTOR] = rng.randint(1, 2)
+                fac[C_FACTOR] = 1
             f = RatFunc(random_bipoly(rng, 3), fac)
             t0, c0 = _random_point(rng), _random_point(rng)
             try:  # t0 on a constant pole
@@ -396,10 +409,70 @@ def eval_at_t(f: RatFunc, point: UniPoly) -> CFrac:
     return CFrac(num, den)
 
 
+def laurent_numerators_reference(f: RatFunc, factor, depth: int):
+    """(S_0 .. S_{depth-1}, k -> d0^k): the Laurent numerators at t - pi(c),
+    by the fraction-free recurrence; the reference route for ``residue``.
+
+    The declared depth must equal the exact pole order, otherwise
+    PoleOrderMismatch is raised.  With u = t - pi(c), f = N(u) / (u^depth
+    D1(u)) for N, D1 in Q(i)[c][u], and the coefficient of u^(k - depth) is
+    s_k = [u^k] N/D1.  With d0 = D1(0), the numerators S_k = s_k d0^(k+1)
+    obey S_k = N_k d0^k - sum_{m<k} S_m D1_{k-m} d0^(k-m-1) in Q(i)[c], so
+    s_k is CFrac(S_k, d0^(k+1)) and the residue is s_{depth-1}.
+    """
+    order = f.pole_order(factor)
+    if order != depth:
+        raise PoleOrderMismatch(
+            f"declared pole order {depth} at t - ({_factor_pi(factor)!r}), actual {order}")
+    pi = _factor_pi(factor)
+    # N(u + pi) below u^depth: the remainders of repeated synthetic division.
+    shifted, rest = [], f.num
+    while rest.re and len(shifted) < depth:
+        rest, (den, re, im) = _synthetic_division(rest, pi)
+        shifted.append(_poly(den, list(re), im and list(im)))
+    shifted += [UniPoly()] * (depth - len(shifted))
+    # D1(u) below u^depth: c^e for the factor c, (u + pi - pi')^e for t - pi'.
+    d1 = [UniPoly.const(1)]
+    for key, e in f.fac.items():
+        if key[0] == "c":
+            d1 = [row * UniPoly([0] * e + [1]) for row in d1]
+        elif key != factor:
+            delta = pi - _factor_pi(key)
+            for _ in range(e):
+                d1 = [a + b for a, b in zip_longest([delta * row for row in d1], [UniPoly()] + d1,
+                                                    fillvalue=UniPoly())][:depth]
+    if d1[0].is_zero():
+        raise PoleOrderMismatch("pole locations collide; pole order is not generic")
+    d0_pows = power_table(d1[0], UniPoly.const(1))
+    scaled = [(j, d * d0_pows(j - 1)) for j, d in enumerate(d1) if j and d]
+    series = []
+    for k in range(depth):
+        acc = shifted[k] * d0_pows(k)
+        for j, e_j in scaled:
+            if j <= k and series[k - j]:
+                acc = acc - series[k - j] * e_j
+        series.append(acc)
+    return series, d0_pows
+
+
+def reference_residue(f: RatFunc, factor) -> CFrac:
+    """The residue by the reference recurrence."""
+    order = f.pole_order(factor)
+    if order == 0:
+        return CFrac(UniPoly())
+    series, d0_pows = laurent_numerators_reference(f, factor, order)
+    return CFrac(series[-1], d0_pows(order))
+
+
 def laurent_coefficients(f: RatFunc, factor, depth: int) -> list:
-    """Coefficients of (t-pi)^{-depth} ... (t-pi)^{-1}; last entry is the residue."""
-    series, d0_pows = _laurent_numerators(f, factor, depth)
-    return [CFrac(s, d0_pows(k + 1)) for k, s in enumerate(series)]
+    """Coefficients of (t-pi)^{-depth} ... (t-pi)^{-1}; last entry is the residue.
+
+    Coefficient k is the residue of f (t-pi)^(depth-1-k), a pole of order k+1.
+    """
+    if f.pole_order(factor) != depth:
+        raise PoleOrderMismatch(f"declared pole order {depth}, actual {f.pole_order(factor)}")
+    return [residue(f * RatFunc.factor_product({factor: depth - 1 - k}, 1), factor)
+            for k in range(depth)]
 
 
 def residue_via_derivative(f: RatFunc, factor, depth: int) -> CFrac:
@@ -417,6 +490,42 @@ def residue_via_derivative(f: RatFunc, factor, depth: int) -> CFrac:
         cleared = cleared.derivative(0)
     value = eval_at_t(cleared, _factor_pi(factor))
     return value * GaussRat(Fraction(1, factorial(depth - 1)))
+
+
+REFERENCE_POLES = [
+    # rational
+    t_factor(GaussRat(0), GaussRat(0)), t_factor(GaussRat(0), GaussRat(1)),
+    t_factor(GaussRat(0), GaussRat(-2)), t_factor(GaussRat(0), GaussRat(Fraction(1, 2))),
+    # Gaussian
+    t_factor(GaussRat(0), GaussRat(0, 1)), t_factor(GaussRat(0), GaussRat(1, 1)),
+    t_factor(GaussRat(0), GaussRat(Fraction(-1, 2), Fraction(1, 3))),
+]
+MOVING_POLES = [t_factor(GaussRat(1), GaussRat(0)), t_factor(GaussRat(Fraction(1, 2)), GaussRat(0, 1))]
+
+
+def _reference_case(rng, depth: int):
+    """A random RatFunc with a pole of order at most ``depth`` at a random
+    rational, Gaussian or moving pole, up to three other poles (two at a
+    moving pole, which bounds the degree in c of the reduction), sometimes the
+    factor c, and a numerator of 1 to depth + 2 t-rows with rational or
+    Gaussian coefficients."""
+    moving = rng.choice(MOVING_POLES)  # at most one moving pole, as in the families
+    pole = moving if rng.random() < 0.3 else rng.choice(REFERENCE_POLES)
+    others = [p for p in REFERENCE_POLES + [moving] if p != pole]
+    fac = {pole: depth}
+    for other in rng.sample(others, rng.randint(0, 2 if pole is moving else 3)):
+        fac[other] = rng.randint(1, 3)
+    if rng.random() < 0.3:
+        fac[C_FACTOR] = 1
+
+    def coefficient():
+        im = Fraction(rng.randint(-3, 3), rng.choice((1, 2))) if rng.random() < 0.3 else 0
+        return GaussRat(Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))), im)
+
+    rows = rng.randint(1, depth + 2)
+    terms = {(rng.randrange(rows), rng.randint(0, 3)): coefficient() for _ in range(rng.randint(1, 8))}
+    terms[rows - 1, rng.randint(0, 2)] = coefficient() or GaussRat(1)
+    return RatFunc(BiPoly(terms), fac), pole
 
 
 class TestResidues:
@@ -475,7 +584,7 @@ class TestResidues:
 
         for _ in range(8):
             fac = {pole: rng.randint(1, 5) for pole in poles}
-            fac[C_FACTOR] = rng.randint(1, 2)
+            fac[C_FACTOR] = 1
             check_every_coefficient(RatFunc(random_bipoly(rng, 3), fac))
         assert max(depths) == 5
         # At t = c (depth 2) the exponents 6 of t - (1+i) and 4 of c lie
@@ -500,6 +609,32 @@ class TestResidues:
         monkeypatch.setattr(CFrac, "__init__", counting_init)
         residue(f, pole)
         assert len(constructed) == 1
+
+    def test_residue_matches_the_reference_recurrence(self):
+        # Rational, Gaussian and moving poles, with and without the factor c,
+        # at every depth 1-12, and numerators with fewer t-rows than the depth.
+        rng = random.Random(53)
+        depths, short, moving, gaussian, with_c = set(), 0, 0, 0, 0
+        for case in range(240):
+            f, pole = _reference_case(rng, 1 + case % 12)
+            depth = f.pole_order(pole)
+            depths.add(depth)
+            short += len(f.num.re) < depth
+            moving += bool(pole[1])
+            gaussian += bool(pole[2].im)
+            with_c += C_FACTOR in f.fac
+            assert residue(f, pole) == reference_residue(f, pole)
+        assert depths >= set(range(1, 13))
+        assert min(short, moving, gaussian, with_c) >= 40
+
+    def test_colliding_poles_raise_pole_order_mismatch(self, monkeypatch):
+        # Two factor keys at one location: the cofactor's constant term,
+        # a power of their distance, is zero.
+        f = RatFunc(BiPoly.const(GaussRat(1)), {t_factor(GaussRat(0), GaussRat(1)): 2,
+                                                t_factor(GaussRat(0), GaussRat(2)): 1})
+        monkeypatch.setattr(algebra, "_factor_pi", lambda factor: UniPoly([GaussRat(1)]))
+        with pytest.raises(PoleOrderMismatch, match="collide"):
+            residue(f, t_factor(GaussRat(0), GaussRat(1)))
 
     def test_moving_pole_residue(self):
         # 1/(t - c): residue 1 at the moving pole
@@ -538,3 +673,24 @@ class TestResidues:
                 if factor != C_FACTOR:
                     total = total + residue(eta_t, factor)
             assert total.is_zero()
+
+
+@pytest.mark.parametrize("n", [11, 15])
+def test_ladder_integrals_equal_the_reference_residues(n):
+    # Every x^i y^j dx with i + j <= n, j >= 1 and sign (-1)^(i+j) on the
+    # degree-10 ladder F2: each cycle integral of full_report is, exactly,
+    # the weighted sum of every monomial's residue by the reference route.
+    nf = NormalForm("F2", p1=0, p=1, q1=1, q=2, k=2, P=UniPoly([-1, 3]), a=(1,), beta=(1,))
+    terms = {(i, j): GaussRat((-1) ** (i + j)) for i in range(n + 1) for j in range(1, n + 1 - i)}
+    report = full_report(nf, OneForm(BiPoly(terms), BiPoly()))
+    rm = report.rectifier
+    assert len(report.integrals) == 2
+    for ai in report.integrals:
+        factor = rm.puncture_factor(ai.cycle.puncture)
+        total = UniPoly()
+        for (i, j), weight in report.basis_coeffs.items():
+            value = reference_residue(rm.monomial_pushforward(i, j), factor)
+            assert value.is_polynomial()
+            total = total + value.num.scale(weight)
+        assert not total.is_zero()
+        assert ai.value == total

@@ -12,7 +12,7 @@ numerators.
 from fractions import Fraction
 from math import comb, gcd
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from abelint import BiPoly, GaussRat, RatFunc, UniPoly, algebra
@@ -27,6 +27,7 @@ from abelint.algebra import (
     _grid_mul,
     _grid_sum,
     _over,
+    _poly,
     _ratfunc,
     _synthetic_division,
     t_factor,
@@ -510,9 +511,9 @@ class TestGridKernel:
     @given(nonzero_bipolys, st.sampled_from(T_FACTORS))
     def test_synthetic_division(self, p, factor):
         # p = (t - pi) quotient + remainder, the remainder free of t.
-        quot, rem = _synthetic_division(p, _factor_pi(factor))
+        quot, (den, re, im) = _synthetic_division(p, _factor_pi(factor))
         assert_grid_canonical(quot)
-        assert_canonical(rem)
+        rem = _poly(den, list(re), im and list(im))
         remainder = {(0, j): c for j, c in enumerate(rem.coeffs) if c}
         assert ref_bi_add(ref_bi_mul(quot.terms, factor_poly(factor).terms), remainder) \
             == p.terms
@@ -558,6 +559,21 @@ class TestGridKernel:
                 if c:
                     want[m, j] = c * GaussRat(comb(e, m))
         assert got.terms == want
+
+    @PROPERTY
+    @given(gaussians, st.one_of(st.just(ZERO), st.just(ONE), gaussians),
+           st.integers(1, 6), st.integers(1, 8))
+    def test_negative_binomial_grid_inverts_the_power(self, s0, s1, e, depth):
+        # delta^(e+d-1) (u + delta)^-e times (u + delta)^e is delta^(e+d-1)
+        # below u^d, for delta = s1 c + s0 rational, Gaussian or c - beta.
+        shift = UniPoly([s0, s1])
+        assume(shift)
+        inverse = _binomial_grid(shift, -e, depth)
+        assert_grid_canonical(inverse)
+        product = _grid_mul(inverse, _binomial_grid(shift, e, depth))
+        below = {(m, j): c for (m, j), c in product.terms.items() if m < depth}
+        power = (shift ** (e + depth - 1)).coeffs
+        assert below == {(0, j): c for j, c in enumerate(power) if c}
 
 
 # ---------------------------------------------------------------------------
