@@ -1080,14 +1080,13 @@ def _carries(p: BiPoly, pi: UniPoly):
 
 
 def _synthetic_division(p: BiPoly, pi: UniPoly):
-    """(quotient, remainder) of a nonzero p by t - pi: a BiPoly and the
-    unnormalised parts (den, re, im) of a c-polynomial.  For pi = 0 this is
-    a shift, and the remainder shares p's row 0."""
+    """(quotient, remainder) of a nonzero p by t - pi, as the unnormalised
+    parts (den, re, im) of a grid and of a c-polynomial.  For pi = 0 this is
+    a shift, and both share p's rows."""
     re, im = p.re, p.im
     if not pi:
-        return _bipoly(p.den, re[1:], im and im[1:]), (p.den, re[0], im and im[0])
-    quotient, remainder = _carries(p, pi)
-    return _bipoly(*quotient), remainder
+        return (p.den, re[1:], im and im[1:]), (p.den, re[0], im and im[0])
+    return _carries(p, pi)
 
 
 def _divide_factor(p: BiPoly, factor: TFactor):
@@ -1377,7 +1376,10 @@ def residue(f: RatFunc, factor: TFactor) -> CFrac:
     if depth == 0:
         return CFrac(_PZERO)
     pi = _factor_pi(factor)
-    cofactor, denominator = _BONE, _PONE
+    # The residue is the dot product times scale / den, over denominator: a
+    # real constant delta = S / q puts its power on the ints, and every other
+    # delta and the factor c on the c-polynomial.
+    cofactor, scale, den, denominator = _BONE, 1, 1, _PONE
     for key, e in f.fac.items():
         if key[0] == "c":
             denominator = denominator * _raw_poly(1, [0] * e + [1], None)
@@ -1387,23 +1389,30 @@ def residue(f: RatFunc, factor: TFactor) -> CFrac:
                 raise PoleOrderMismatch("pole locations collide; pole order is not generic")
             series = _binomial_grid(delta, -e, depth)
             cofactor = series if cofactor is _BONE else _grid_mul(cofactor, series, depth)
-            denominator = denominator * delta ** (e + depth - 1)
+            n = e + depth - 1
+            if len(delta.re) == 1 and delta.im is None:
+                scale, den = scale * delta.den ** n, den * delta.re[0] ** n
+            else:
+                denominator = denominator * delta ** n
 
     rows, rest = [], f.num  # (den, re, im) of [u^k] N(u + pi)
     while rest.re and len(rows) < depth:
-        rest, remainder = _synthetic_division(rest, pi)
+        quotient, remainder = _synthetic_division(rest, pi)
         rows.append(remainder)
-    common = lcm(*(den for den, _, _ in rows))
+        rest = _raw_bipoly(*quotient)
+    common = lcm(*(d for d, _, _ in rows))
+    if den < 0:
+        scale, den = -scale, -den
     co_r, co_i = cofactor.re, _im_rows(cofactor)
     acc_r = acc_i = None
-    for k, (den, re, im) in enumerate(rows):
+    for k, (d, re, im) in enumerate(rows):
         j = depth - 1 - k  # row k of the numerator meets cofactor row j
         if j < len(co_r) and co_r[j] and re:
-            if den != common:
-                s = common // den
+            s = common // d * scale
+            if s != 1:
                 re, im = [s * v for v in re], im and [s * v for v in im]
             acc_r, acc_i = _cmac(acc_r, acc_i, re, im, co_r[j], co_i[j])
-    return CFrac(_poly(common * cofactor.den, acc_r or [], acc_i), denominator)
+    return CFrac(_poly(common * cofactor.den * den, acc_r or [], acc_i), denominator)
 
 
 def residue_at_infinity(f: RatFunc) -> CFrac:

@@ -26,6 +26,7 @@ from abelint import algebra
 from abelint.algebra import (
     C_FACTOR,
     I,
+    _bipoly,
     _factor_pi,
     _poly,
     _synthetic_division,
@@ -428,7 +429,8 @@ def laurent_numerators_reference(f: RatFunc, factor, depth: int):
     # N(u + pi) below u^depth: the remainders of repeated synthetic division.
     shifted, rest = [], f.num
     while rest.re and len(shifted) < depth:
-        rest, (den, re, im) = _synthetic_division(rest, pi)
+        (qd, qr, qi), (den, re, im) = _synthetic_division(rest, pi)
+        rest = _bipoly(qd, list(qr), qi and list(qi))
         shifted.append(_poly(den, list(re), im and list(im)))
     shifted += [UniPoly()] * (depth - len(shifted))
     # D1(u) below u^depth: c^e for the factor c, (u + pi - pi')^e for t - pi'.
