@@ -340,7 +340,7 @@ class TestRatFunc:
         while checked < 40:
             fac = {pole: rng.randint(1, 3) for pole in poles if rng.random() < 0.7}
             if rng.random() < 0.5:
-                fac[C_FACTOR] = 1
+                fac[C_FACTOR] = rng.randint(1, 2)
             f = RatFunc(random_bipoly(rng, 3), fac)
             t0, c0 = _random_point(rng), _random_point(rng)
             try:  # t0 on a constant pole
@@ -586,7 +586,7 @@ class TestResidues:
 
         for _ in range(8):
             fac = {pole: rng.randint(1, 5) for pole in poles}
-            fac[C_FACTOR] = 1
+            fac[C_FACTOR] = rng.randint(1, 2)
             check_every_coefficient(RatFunc(random_bipoly(rng, 3), fac))
         assert max(depths) == 5
         # At t = c (depth 2) the exponents 6 of t - (1+i) and 4 of c lie
