@@ -502,7 +502,8 @@ REFERENCE_POLES = [
     t_factor(GaussRat(0), GaussRat(0, 1)), t_factor(GaussRat(0), GaussRat(1, 1)),
     t_factor(GaussRat(0), GaussRat(Fraction(-1, 2), Fraction(1, 3))),
 ]
-MOVING_POLES = [t_factor(GaussRat(1), GaussRat(0)), t_factor(GaussRat(Fraction(1, 2)), GaussRat(0, 1))]
+MOVING_POLES = [t_factor(GaussRat(1), GaussRat(0)),
+                t_factor(GaussRat(Fraction(1, 2)), GaussRat(0, 1))]
 
 
 def _reference_case(rng, depth: int):
@@ -525,7 +526,8 @@ def _reference_case(rng, depth: int):
         return GaussRat(Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))), im)
 
     rows = rng.randint(1, depth + 2)
-    terms = {(rng.randrange(rows), rng.randint(0, 3)): coefficient() for _ in range(rng.randint(1, 8))}
+    terms = {(rng.randrange(rows), rng.randint(0, 3)): coefficient()
+             for _ in range(rng.randint(1, 8))}
     terms[rows - 1, rng.randint(0, 2)] = coefficient() or GaussRat(1)
     return RatFunc(BiPoly(terms), fac), pole
 
