@@ -14,13 +14,16 @@ low degree first, canonical when the top coefficient is nonzero and
 gcd(den, *re, *im) = 1.  A ``BiPoly`` is the same in two variables, an
 integer grid ``(den, re, im)`` whose rows ``re[i]`` and ``im[i]`` hold the
 int coefficients of v0^i; ``im`` is None when the polynomial is real.  A
-``RatFunc`` numerator is a BiPoly in (t, c), so both use one grid
+``RatFunc`` is a BiPoly grid in (t, c) times its linear factors to signed
+exponents, poles and numerator factors that are never multiplied out, so
+a product of factors is a sum of exponents and the grids use one
 arithmetic, int loops with one normalisation per result.  A residue
-reads one Laurent coefficient: the low rows of the shifted numerator, on
-ints, dotted with a product of binomial series (``residue``), so
-c-polynomials leave the grid only as one CFrac per residue, and as rows in
+reads one Laurent coefficient: the low rows of the shifted grid, on ints,
+dotted with a product of binomial series (``residue``), so c-polynomials
+leave the grid only as one CFrac per residue, and as rows in
 ``residue_at_infinity``.  GaussRat views (``UniPoly.coeffs``,
-``BiPoly.terms``) are built only for I/O.
+``BiPoly.terms``) are built only for I/O, and the expanded ``RatFunc.num``
+only for ``==``, ``hash`` and ``residue_at_infinity``.
 """
 
 from __future__ import annotations
@@ -38,22 +41,22 @@ NEG_INF = float("-inf")
 
 
 def _pow(base, n: int, one):
-    """base ** n by square-and-multiply, for n >= 0; ``one`` is base ** 0."""
+    """base ** n by square-and-multiply, for n >= 0; ``one`` (base ** 0) is never multiplied."""
     if n < 0:
         raise ValueError(f"negative powers of {type(base).__name__} are not supported")
-    result = one
+    result = None
     while n:
         if n & 1:
-            result = result * base
+            result = base if result is None else result * base
         n >>= 1
         if n:
             base = base * base
-    return result
+    return one if result is None else result
 
 
 def power_table(base, one) -> Callable[[int], object]:
     """n -> base ** n, memoised; each new power is one product from the last."""
-    table = [one]
+    table = [one, base]
 
     def power(n: int):
         if n < 0:
@@ -331,27 +334,24 @@ class UniPoly:
         quot = _poly(den, [lead * v for v in qr], [lead * v for v in qi])
         return quot * inv, _poly(den, rr[:m], ri[:m])
 
-    def vanishes_at(self, point: GaussRat) -> bool:
-        """Whether self(point) = 0, by Horner over Z[i]: for point = (a + bi)/d
-        it sums c_k (a + bi)^k d^(n-k), which is d^n den self(point)."""
-        d, a, b = _scalar(point)
-        b, im = b or 0, self.im or [0] * len(self.re)
-        acc_r = acc_i = 0
-        scale = 1  # d^(n-k) at coefficient k
-        for r, i in zip(reversed(self.re), reversed(im)):
-            acc_r, acc_i = (acc_r * a - acc_i * b + r * scale,
-                            acc_r * b + acc_i * a + i * scale)
-            scale *= d
-        return not acc_r and not acc_i
+    def divide_by_root(self, root: GaussRat):
+        """self / (x - root) when the division is exact, else None: one integer
+        Horner pass (``_synthetic_division``) over one-entry rows."""
+        if not self.re:
+            return self
+        grid = _raw_bipoly(self.den, [[v] for v in self.re], self.im and [[v] for v in self.im])
+        (den, qr, qi), (_, rr, ri) = _synthetic_division(grid, UniPoly.const(root))
+        if any(rr) or ri and any(ri):
+            return None
+        return _poly(den, [row[0] for row in qr], qi and [row[0] if row else 0 for row in qi])
 
     def root_multiplicity(self, root: GaussRat) -> int:
-        """Multiplicity of (x - root) in self; divides only where it vanishes."""
+        """Multiplicity of (x - root) in self."""
         if self.is_zero():
             raise ValueError("zero polynomial has no well-defined multiplicity")
-        count, current = 0, self
-        while current.vanishes_at(root):
-            count += 1
-            current = current.divmod(UniPoly([-root, ONE]))[0]
+        count, current = -1, self
+        while current is not None:
+            count, current = count + 1, current.divide_by_root(root)
         return count
 
     def monic(self) -> "UniPoly":
@@ -987,13 +987,13 @@ class CFrac:
 # Rational functions in t over Frac(Q(i)[c])
 # ---------------------------------------------------------------------------
 #
-# Denominators are kept in factored form.  Two kinds of irreducible factor
-# occur in this problem domain:
+# Linear factors are kept as exponents, on both sides of the fraction.  Two
+# kinds of irreducible factor occur in this problem domain:
 #   ("t", pi1, pi0)  meaning  t - (pi1*c + pi0)    (pi1, pi0 in Q(i))
 #   ("c",)           meaning  c
 # Factored storage makes products/powers cheap and gcd cancellation exact
-# without a general multivariate gcd.  Numerators are BiPolys in (t, c):
-# row i of the grid holds the c-coefficients of t^i.
+# without a general multivariate gcd.  The rest of the numerator is a BiPoly
+# in (t, c): row i of the grid holds the c-coefficients of t^i.
 
 TFactor = tuple
 
@@ -1023,13 +1023,16 @@ def _factor_product(powers: list) -> BiPoly:
     return product
 
 
-def _over(p: BiPoly, fac: Mapping, target: Mapping) -> BiPoly:
-    """The numerator p over the denominator ``fac`` rewritten over its multiple
-    ``target``: p times the missing "t" factors, as one product, and the
-    missing power of c, as a shift of every row."""
+def _over(p: BiPoly, exps: Mapping, target: Mapping) -> BiPoly:
+    """The grid p over the signed exponents ``exps`` rewritten over ``target``,
+    which is at least ``exps`` at every factor: p times the missing "t"
+    factors, as one product, and the missing power of c, as a shift of every
+    row.  A zero p stays zero."""
+    if not p.re:
+        return p
     shift, missing = 0, []
-    for key, e in target.items():
-        e -= fac.get(key, 0)
+    for key, e in chain(target.items(), ((k, 0) for k in exps if k not in target)):
+        e -= exps.get(key, 0)
         if e:
             if key[0] == "c":
                 shift = e
@@ -1037,7 +1040,7 @@ def _over(p: BiPoly, fac: Mapping, target: Mapping) -> BiPoly:
                 missing.append((key, e))
     if missing:
         p = _grid_mul(p, _factor_product(missing))
-    if shift and p.re:
+    if shift:
         zeros = [0] * shift
         p = _raw_bipoly(p.den, [zeros + row if row else row for row in p.re],
                         p.im and [zeros + row if row else row for row in p.im])
@@ -1108,8 +1111,9 @@ def _divide_factor(p: BiPoly, factor: TFactor):
 
 
 def _cancel(p: BiPoly, factor: TFactor, e: int):
-    """(p / factor^m, e - m) for the largest m <= e with factor^m | p."""
-    while e:
+    """(p / factor^m, e - m) for the largest m <= e with factor^m | p; a "t"
+    factor is not tried on a grid of t-degree 0."""
+    while e and (len(p.re) > 1 or factor[0] == "c"):
         quotient = _divide_factor(p, factor)
         if quotient is None:
             break
@@ -1117,54 +1121,56 @@ def _cancel(p: BiPoly, factor: TFactor, e: int):
     return p, e
 
 
-def _ratfunc(num: BiPoly, fac: dict, candidates: Iterable[TFactor] = None) -> "RatFunc":
-    """num / prod(fac), with each factor cancelled as often as it divides.
+def _ratfunc(grid: BiPoly, exps: dict, candidates: Iterable[TFactor] = None) -> "RatFunc":
+    """grid / prod factor^e, each pole (e > 0) cancelled as often as it divides.
 
-    Only the factors in ``candidates`` (by default every factor of ``fac``)
-    are tried; the caller vouches that no other factor divides ``num``.
-    Takes ownership of ``fac``.
+    Only the poles in ``candidates`` (by default every pole of ``exps``)
+    are tried; the caller vouches that no other pole divides ``grid``.
+    Takes ownership of ``exps``, whose exponents are nonzero.
     """
-    if not num.re:
+    if not grid.re:
         return _raw_ratfunc(_BZERO, {})
-    for key in list(fac) if candidates is None else candidates:
-        num, e = _cancel(num, key, fac[key])
+    for key in [k for k, e in exps.items() if e > 0] if candidates is None else candidates:
+        grid, e = _cancel(grid, key, exps[key])
         if e:
-            fac[key] = e
+            exps[key] = e
         else:
-            del fac[key]
-    return _raw_ratfunc(num, fac)
+            del exps[key]
+    return _raw_ratfunc(grid, exps)
 
 
-def _raw_ratfunc(num: BiPoly, fac: dict) -> "RatFunc":
-    """RatFunc from a numerator and factors already cancelled against each other."""
+def _raw_ratfunc(grid: BiPoly, exps: dict) -> "RatFunc":
+    """RatFunc from a grid and signed exponents already cancelled against it."""
     obj = _new_object(RatFunc)
-    obj.num, obj.fac = num, fac
+    obj.grid, obj.exps = grid, exps
     return obj
 
 
 class RatFunc:
-    """Rational function N(t, c) / prod(factors), fully cancelled.
+    """Rational function N(t, c) prod(factor^-e), its poles cancelled.
 
-    The numerator ``num`` is a BiPoly in (t, c).  Every factor of ``fac``
-    is irreducible and cancelled as far as it divides N, so the pair
-    (num, fac) is unique.
+    ``grid`` is a BiPoly in (t, c) and ``exps`` maps each linear factor to a
+    nonzero signed exponent: e > 0 is a pole of order e and e < 0 a
+    numerator factor kept unexpanded.  The invariant is that no pole
+    divides the grid; a numerator factor needs none.  ``num`` (the
+    numerator, its factors multiplied out) and ``fac`` (the poles) are the
+    canonical pair, which ``==`` and ``hash`` compare.
 
-    Cancellation rule for products: a factor of one reduced operand's
-    denominator does not divide that operand's numerator, so it can cancel
-    only against the other operand's numerator, and a factor in both
-    denominators divides neither numerator.  ``*`` therefore trial-divides
-    each factor of one denominator, absent from the other, against the
-    other numerator only, before the product is formed.
+    Cancellation rule for products: a pole of one reduced operand does not
+    divide that operand's grid, so a pole of the product can cancel only
+    against the grid of an operand that does not have it as a pole.  ``*``
+    adds exponents and trial-divides only there: a numerator factor that
+    meets a pole of the other operand cancels by its exponent alone.
     """
 
-    __slots__ = ("num", "fac")
+    __slots__ = ("grid", "exps")
 
     def __init__(self, num: BiPoly, fac: Mapping = ()):
         fac = {k: int(e) for k, e in dict(fac).items() if e}
         if any(e < 0 for e in fac.values()):
             raise ValueError("denominator factor exponents must be positive")
         f = _ratfunc(num, fac)
-        self.num, self.fac = f.num, f.fac
+        self.grid, self.exps = f.grid, f.exps
 
     # -- construction --------------------------------------------------
     @classmethod
@@ -1182,40 +1188,46 @@ class RatFunc:
     @classmethod
     def factor_product(cls, exps: Mapping[TFactor, int], sign: int) -> "RatFunc":
         """sign * prod factor^e; a factor with e < 0 goes in the denominator."""
-        num = _over(_const(sign), {}, {k: e for k, e in exps.items() if e > 0})
-        return _raw_ratfunc(num, {k: -e for k, e in exps.items() if e < 0})
+        return _raw_ratfunc(_const(sign), {k: -e for k, e in exps.items() if e})
 
     # -- views ---------------------------------------------------------
+    @property
+    def num(self) -> BiPoly:
+        return _over(self.grid, self.exps, self.fac)
+
+    @property
+    def fac(self) -> dict:
+        return {k: e for k, e in self.exps.items() if e > 0}
+
     @property
     def denominator(self) -> BiPoly:
         return _over(_BONE, {}, self.fac)
 
     def is_zero(self) -> bool:
-        return not self.num.re
+        return not self.grid.re
 
     def __bool__(self):
-        return bool(self.num.re)
+        return bool(self.grid.re)
 
     def is_polynomial(self) -> bool:
-        return not self.fac
+        return all(e < 0 for e in self.exps.values())
 
     def pole_order(self, factor: TFactor) -> int:
-        return self.fac.get(factor, 0)
+        return max(self.exps.get(factor, 0), 0)
 
     # -- arithmetic ----------------------------------------------------
     def _common(self, other: "RatFunc"):
-        fac = dict(self.fac)
-        for k, e in other.fac.items():
-            fac[k] = max(e, fac.get(k, 0))
-        return _over(self.num, self.fac, fac), _over(other.num, other.fac, fac), fac
+        get1, get2 = self.exps.get, other.exps.get  # the per-factor maximum
+        exps = {k: e for k in chain(self.exps, other.exps) if (e := max(get1(k, 0), get2(k, 0)))}
+        return _over(self.grid, self.exps, exps), _over(other.grid, other.exps, exps), exps
 
     def _sum(self, other: "RatFunc", sign: int) -> "RatFunc":
-        # A factor with unequal exponents in the two reduced operands divides
-        # exactly one rewritten numerator, so only factors with equal
-        # exponents can cancel from the sum.
-        n1, n2, fac = self._common(other)
-        shared = [k for k, e in self.fac.items() if other.fac.get(k) == e]
-        return _ratfunc(_grid_sum(n1, n2, sign), fac, shared)
+        # A pole with unequal exponents in the two reduced operands divides
+        # exactly one rewritten grid, so only poles with equal exponents can
+        # cancel from the sum.
+        n1, n2, exps = self._common(other)
+        shared = [k for k, e in self.exps.items() if e > 0 and other.exps.get(k) == e]
+        return _ratfunc(_grid_sum(n1, n2, sign), exps, shared)
 
     def __add__(self, other):
         return self._sum(other, 1)
@@ -1224,27 +1236,28 @@ class RatFunc:
         return self._sum(other, -1)
 
     def __neg__(self):
-        return _raw_ratfunc(-self.num, dict(self.fac))
+        return _raw_ratfunc(-self.grid, dict(self.exps))
 
     def __mul__(self, other):
         if isinstance(other, GaussRat):
             if not other:
                 return _raw_ratfunc(_BZERO, {})
-            return _raw_ratfunc(self.num.scale(other), dict(self.fac))
+            return _raw_ratfunc(self.grid.scale(other), dict(self.exps))
         if isinstance(other, BiPoly):
             other = RatFunc(other)
-        if not self.num.re or not other.num.re:
+        if not self.grid.re or not other.grid.re:
             return _raw_ratfunc(_BZERO, {})
-        a, b, fac = self.num, other.num, dict(self.fac)
-        for k, e in other.fac.items():
-            fac[k] = fac.get(k, 0) + e
-        for k, e in self.fac.items():  # see the cancellation rule above
-            if k not in other.fac:
-                b, fac[k] = _cancel(b, k, e)
-        for k, e in other.fac.items():
-            if k not in self.fac:
-                a, fac[k] = _cancel(a, k, e)
-        return _raw_ratfunc(_grid_mul(a, b), {k: e for k, e in fac.items() if e})
+        a, b, ea, eb = self.grid, other.grid, self.exps, other.exps
+        exps = dict(ea)
+        for k, e in eb.items():
+            exps[k] = exps.get(k, 0) + e
+        for k, e in exps.items():  # see the cancellation rule above
+            if e > 0:
+                if ea.get(k, 0) <= 0:
+                    a, exps[k] = _cancel(a, k, e)
+                elif eb.get(k, 0) <= 0:
+                    b, exps[k] = _cancel(b, k, e)
+        return _raw_ratfunc(_grid_mul(a, b), {k: e for k, e in exps.items() if e})
 
     __rmul__ = __mul__
 
@@ -1263,12 +1276,11 @@ class RatFunc:
 
     def derivative(self, slot: int) -> "RatFunc":
         """Partial derivative; slot 0 is t, slot 1 is c."""
-        # d(N/prod F^e) = (N' prod F - N sum e_i F_i' prod_{j != i} F_j) / prod F^{e+1}
-        partial = _grid_partial(self.num, slot)
-        # A factor with F_k' != 0 leaves N e_k F_k' prod_{j != k} F_j, which it
-        # does not divide, in the numerator; only a factor with F_k' = 0 can cancel.
+        # d(N prod F^-e) = (N' prod F - N sum e_i F_i' prod_{j != i} F_j) prod F^-(e+1)
+        # A pole with F_k' != 0 leaves N e_k F_k' prod_{j != k} F_j, which it
+        # does not divide, in the numerator; only a pole with F_k' = 0 can cancel.
         correction, constant = _BZERO, []
-        for k, e in self.fac.items():  # F_k' is 1 or -pi1 for "t", 0 or 1 for "c"
+        for k, e in self.exps.items():  # F_k' is 1 or -pi1 for "t", 0 or 1 for "c"
             if k[0] == "c":
                 d, r, i = 1, slot, None
             elif slot:
@@ -1276,27 +1288,28 @@ class RatFunc:
             else:
                 d, r, i = 1, 1, None
             if r or i:
-                rest = {other: 1 for other in self.fac if other != k}
+                rest = {other: 1 for other in self.exps if other != k}
                 term = _bipoly(d, [[e * r]], i and [[e * i]])  # e F_k'
                 correction = _grid_sum(correction, _over(term, {}, rest))
-            else:
+            elif e > 0:
                 constant.append(k)
-        partial = _over(partial, {}, {k: 1 for k in self.fac})
-        numerator = _grid_sum(partial, _grid_mul(self.num, correction), -1)
-        return _ratfunc(numerator, {k: e + 1 for k, e in self.fac.items()}, constant)
+        partial = _over(_grid_partial(self.grid, slot), {}, {k: 1 for k in self.exps})
+        numerator = _grid_sum(partial, _grid_mul(self.grid, correction), -1)
+        return _ratfunc(numerator, {k: e + 1 for k, e in self.exps.items() if e != -1},
+                        constant)
 
     def at_c(self, c_value: complex) -> Callable[[List[complex]], List[complex]]:
         """Column evaluator at fixed c: a list of t values -> the values there.
 
-        Every coefficient is converted once, here: the numerator's
-        t-coefficients are its c-rows evaluated at c_value, with the factor
-        c^-e folded in, and each "t" factor becomes a complex (pole,
-        exponent) pair.  Each Horner step runs over the whole column, and
-        each pole is one division per point.  At c_value = 0 a factor c
-        makes every t a pole, so any point raises ZeroDivisionError on
-        evaluation, as a t-pole does.
+        Every coefficient is converted once, here: the grid's t-coefficients
+        are its c-rows evaluated at c_value, with the factor c^-e folded in,
+        and each "t" factor becomes a complex (pole, exponent) pair.  Each
+        Horner step runs over the whole column, and each factor is one
+        division (a pole) or one product (a numerator factor) per point.  At
+        c_value = 0 a pole c makes every t a pole, so any point raises
+        ZeroDivisionError on evaluation, as a t-pole does.
         """
-        if C_FACTOR in self.fac and not c_value:
+        if self.exps.get(C_FACTOR, 0) > 0 and not c_value:
             def nowhere(points: List[complex]) -> List[complex]:
                 if points:
                     raise ZeroDivisionError("c = 0 is a pole at every t")
@@ -1304,22 +1317,23 @@ class RatFunc:
 
             return nowhere
         scale = 1
-        poles = []
-        for key, e in self.fac.items():
+        factors = []
+        for key, e in self.exps.items():
             if key[0] == "t":
                 _, pi1, pi0 = key
-                poles.append((pi1.to_complex() * c_value + pi0.to_complex(), e))
+                factors.append((pi1.to_complex() * c_value + pi0.to_complex(), abs(e),
+                                truediv if e > 0 else mul))
             else:
                 scale = c_value ** -e
-        num = self.num
-        coeffs = [_horner_complex(_complex_coeffs(num.den, r, m), c_value) * scale
-                  for r, m in zip(reversed(num.re), reversed(num.im or [None] * len(num.re)))]
+        grid = self.grid
+        coeffs = [_horner_complex(_complex_coeffs(grid.den, r, m), c_value) * scale
+                  for r, m in zip(reversed(grid.re), reversed(grid.im or [None] * len(grid.re)))]
 
         def values(points: List[complex]) -> List[complex]:
             acc, n = _horner_column(coeffs, points), len(points)
-            for pole, e in poles:
+            for pole, e, op in factors:
                 base = map(sub, points, repeat(pole, n))
-                acc = list(map(truediv, acc, base if e == 1 else map(pow, base, repeat(e, n))))
+                acc = list(map(op, acc, base if e == 1 else map(pow, base, repeat(e, n))))
             return acc
 
         return values
@@ -1329,7 +1343,7 @@ class RatFunc:
 
     def __repr__(self):
         num = self.num.to_string(("t", "c"))
-        if not self.fac:
+        if self.is_polynomial():
             return num
         den = self.denominator.to_string(("t", "c"))
         return f"({num})/({den})"
@@ -1361,28 +1375,34 @@ def _binomial_grid(shift: UniPoly, e: int, depth: int) -> BiPoly:
 def residue(f: RatFunc, factor: TFactor) -> CFrac:
     """Residue at a linear pole t - pi(c); zero when there is no pole there.
 
-    With u = t - pi and a pole of order d, f = N(u + pi) / (u^d
-    prod_g (u + delta_g)^e_g c^e_c), delta_g = pi - pi_g for every other
-    "t" factor g.  The residue is one Laurent coefficient:
-    [u^(d-1)] N(u + pi) prod_g (u + delta_g)^-e_g, over c^e_c.  Scaled by
-    delta_g^(e_g+d-1), each reciprocal is a binomial series that is a
-    polynomial below u^d (``_binomial_grid``), and their product below u^d
-    is the cofactor.  The d low coefficients of N(u + pi) are the
-    remainders of repeated synthetic division, kept as ints, so the residue
-    is one dot product of them with the cofactor's rows, over
-    prod_g delta_g^(e_g+d-1) c^e_c, reduced once as a CFrac.
+    With u = t - pi and a pole of order d, f = N(u + pi) u^-d
+    prod_g (u + delta_g)^-e_g c^-e_c over the grid N and every other
+    factor g with its signed exponent, delta_g = pi - pi_g.  The residue is
+    one Laurent coefficient: [u^(d-1)] N(u + pi) prod_g (u + delta_g)^-e_g,
+    times c^-e_c.  Below u^d each (u + delta_g)^-e_g is a binomial series
+    (``_binomial_grid``): a finite one for a numerator factor (e_g < 0),
+    and for a pole one that is a polynomial once scaled by
+    delta_g^(e_g+d-1).  Their product below u^d is the cofactor.  The d low
+    coefficients of N(u + pi) are the remainders of repeated synthetic
+    division, kept as ints, so the residue is one dot product of them with
+    the cofactor's rows.  A constant delta = S / q puts its power on the
+    ints, as q^n / S^n for real S and q^n conj(S)^n / |S|^(2n) otherwise,
+    and a numerator c^k is a row shift; only a moving delta and a pole c
+    go into the c-polynomial denominator of the one CFrac.
     """
     depth = f.pole_order(factor)
     if depth == 0:
         return CFrac(_PZERO)
     pi = _factor_pi(factor)
-    # The residue is the dot product times scale / den, over denominator: a
-    # real constant delta = S / q puts its power on the ints, and every other
-    # delta and the factor c on the c-polynomial.
-    cofactor, scale, den, denominator = _BONE, 1, 1, _PONE
-    for key, e in f.fac.items():
+    # The residue is c^shift times the dot product times (scale_r + i
+    # scale_i) / den, over denominator.
+    cofactor, scale_r, scale_i, den, shift, denominator = _BONE, 1, 0, 1, 0, _PONE
+    for key, e in f.exps.items():
         if key[0] == "c":
-            denominator = denominator * _raw_poly(1, [0] * e + [1], None)
+            if e < 0:
+                shift = -e
+            else:
+                denominator = denominator * _raw_poly(1, [0] * e + [1], None)
         elif key != factor:
             delta = pi - _factor_pi(key)
             if not delta:
@@ -1390,29 +1410,36 @@ def residue(f: RatFunc, factor: TFactor) -> CFrac:
             series = _binomial_grid(delta, -e, depth)
             cofactor = series if cofactor is _BONE else _grid_mul(cofactor, series, depth)
             n = e + depth - 1
-            if len(delta.re) == 1 and delta.im is None:
-                scale, den = scale * delta.den ** n, den * delta.re[0] ** n
-            else:
+            if e > 0 and len(delta.re) > 1:
                 denominator = denominator * delta ** n
+            elif e > 0:  # delta = S / q with S = s + i b: times q^n conj(S)^n / |S|^(2n)
+                (s,), b, q = delta.re, delta.im[0] if delta.im else 0, delta.den ** n
+                den *= (s * s + b * b if b else s) ** n  # for real S, q^n / S^n
+                scale_r, scale_i = scale_r * q, scale_i * q
+                for _ in range(n if b else 0):
+                    scale_r, scale_i = scale_r * s + scale_i * b, scale_i * s - scale_r * b
 
-    rows, rest = [], f.num  # (den, re, im) of [u^k] N(u + pi)
+    rows, rest = [], f.grid  # (den, re, im) of [u^k] N(u + pi)
     while rest.re and len(rows) < depth:
         quotient, remainder = _synthetic_division(rest, pi)
         rows.append(remainder)
         rest = _raw_bipoly(*quotient)
     common = lcm(*(d for d, _, _ in rows))
-    if den < 0:
-        scale, den = -scale, -den
     co_r, co_i = cofactor.re, _im_rows(cofactor)
-    acc_r = acc_i = None
+    acc_r, acc_i = [], None
     for k, (d, re, im) in enumerate(rows):
         j = depth - 1 - k  # row k of the numerator meets cofactor row j
         if j < len(co_r) and co_r[j] and re:
-            s = common // d * scale
+            s = common // d
             if s != 1:
                 re, im = [s * v for v in re], im and [s * v for v in im]
             acc_r, acc_i = _cmac(acc_r, acc_i, re, im, co_r[j], co_i[j])
-    return CFrac(_poly(common * cofactor.den * den, acc_r or [], acc_i), denominator)
+    if den < 0:
+        scale_r, scale_i, den = -scale_r, -scale_i, -den
+    acc_r, acc_i = _cmac(None, None, [scale_r], scale_i and [scale_i], acc_r, acc_i)
+    zeros = [0] * shift
+    return CFrac(_poly(common * cofactor.den * den, zeros + acc_r, acc_i and zeros + acc_i),
+                 denominator)
 
 
 def residue_at_infinity(f: RatFunc) -> CFrac:

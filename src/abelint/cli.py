@@ -313,14 +313,14 @@ def _factored_string(poly: UniPoly,
     for z, k, factor in zeros:  # each a_k of a real poly is real
         lead = abs(factor.re[-1]) // math.gcd(*factor.re)
         root = GaussRat(Fraction(round(z.real * lead), lead))
-        if factor.vanishes_at(root):
+        if factor.divide_by_root(root) is not None:
             roots[root] = k  # a complex pair may round to a real root too
     if not roots:
         return poly.to_string("c")
     current = poly
     for root, mult in roots.items():
         for _ in range(mult):
-            current = current.divmod(UniPoly([-root, GaussRat(1)]))[0]
+            current = current.divide_by_root(root)
     parts = []
     if current.degree == 0:
         parts.append(repr(current.coeffs[0]))

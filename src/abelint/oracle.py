@@ -219,8 +219,8 @@ def _loop_sampler(rm: RectifyingMap, c_value: complex,
 
 def _orders(f: RatFunc, factor: TFactor) -> Tuple[int, int]:
     """f's pole order at ``factor`` and its degree in t at infinity."""
-    poles = sum(e for key, e in f.fac.items() if key[0] == "t")
-    return f.pole_order(factor), len(f.num.re) - 1 - poles
+    poles = sum(e for key, e in f.exps.items() if key[0] == "t")  # signed
+    return f.pole_order(factor), len(f.grid.re) - 1 - poles
 
 
 def _order_bounds(rm: RectifyingMap, factor: TFactor,
@@ -231,8 +231,8 @@ def _order_bounds(rm: RectifyingMap, factor: TFactor,
     only when B != 0).
 
     A product's pole order is at most the sum of its factors' and its
-    degree is the sum of theirs, so both bounds come from the exponents in
-    ``.fac`` and the t-degree of the numerator rows, not from
+    degree is the sum of theirs, so both bounds come from the signed
+    exponents in ``.exps`` and the t-degree of the grid, not from
     ``monomial_pushforward``, which the t-route checks.
     """
     integrands = [(rm.dx_dt, [*monomials, *form.A.terms])]

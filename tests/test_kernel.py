@@ -15,7 +15,7 @@ from math import comb, gcd
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from abelint import BiPoly, GaussRat, RatFunc, UniPoly, algebra
+from abelint import BiPoly, GaussRat, NormalForm, RatFunc, UniPoly, algebra, build_rectifier
 from abelint.algebra import (
     C_FACTOR,
     ONE,
@@ -31,6 +31,7 @@ from abelint.algebra import (
     _poly,
     _ratfunc,
     _synthetic_division,
+    residue,
     t_factor,
 )
 
@@ -187,8 +188,27 @@ class TestUniPolyAgainstReference:
                 break
             expected, current = expected + 1, quot
         assert p.root_multiplicity(root) == expected
-        for poly in (p, UniPoly(a)):  # the Z[i] zero test against evaluation
-            assert poly.vanishes_at(root) == (poly.evaluate(root) == ZERO)
+        for poly in (p, UniPoly(a)):  # the Z[i] division test against evaluation
+            assert (poly.divide_by_root(root) is not None) == (poly.evaluate(root) == ZERO)
+
+    @PROPERTY
+    @given(nonzero_lists, gaussians, st.integers(min_value=0, max_value=3))
+    def test_divide_by_root_matches_divmod(self, a, root, k):
+        # Rational and Gaussian roots of multiplicity 0-3 or more: one integer
+        # Horner pass gives divmod's quotient, or None where divmod leaves a
+        # remainder.
+        p, divisions = UniPoly(a) * UniPoly([-root, ONE]) ** k, 0
+        while p is not None:
+            quotient, remainder = p.divmod(UniPoly([-root, ONE]))
+            got = p.divide_by_root(root)
+            if remainder.is_zero():
+                assert_canonical(got)
+                assert got == quotient
+                divisions += 1
+            else:
+                assert got is None
+            p = got
+        assert divisions >= k
 
     @PROPERTY
     @given(coeff_lists, coeff_lists, gaussians)
@@ -597,15 +617,16 @@ def term_mass(poly: BiPoly, v0: GaussRat, v1: GaussRat) -> float:
 
 
 def ratfunc_condition(f: RatFunc, t0: GaussRat, c0: GaussRat, num: GaussRat) -> float:
-    """Rounding amplification of f at (t0, c0): numerator mass over value,
-    plus e |t0| + |pi| over |t0 - pi| for each factor (t - pi)^e."""
-    condition = term_mass(f.num, t0, c0) / abs(num.to_complex())
-    for key, e in f.fac.items():
+    """Rounding amplification of f at (t0, c0): the grid's mass over its value
+    ``num``, plus |e| (|t0| + |pi|) over |t0 - pi| for each factor (t - pi)^-e,
+    a pole or a numerator factor."""
+    condition = term_mass(f.grid, t0, c0) / abs(num.to_complex())
+    for key, e in f.exps.items():
         if key[0] == "t":
             pole = key[1] * c0 + key[2]
             scale = abs(t0.to_complex()) + abs(key[1].to_complex()) * abs(c0.to_complex()) \
                 + abs(key[2].to_complex())
-            condition += e * scale / abs((t0 - pole).to_complex())
+            condition += abs(e) * scale / abs((t0 - pole).to_complex())
     return condition
 
 
@@ -643,3 +664,80 @@ class TestColumnEvaluators:
         for value, (x, y, exact) in zip(values, kept):
             assert abs(value - exact) <= 1e-12 * abs(exact)
             assert poly.evaluate(x, y) == value
+
+
+# ---------------------------------------------------------------------------
+# Factored numerators against their expanded twins
+# ---------------------------------------------------------------------------
+
+signed_dicts = st.dictionaries(st.sampled_from(FACTORS), st.integers(-3, 3).filter(bool),
+                               max_size=4)
+
+
+def factored_and_expanded(n: BiPoly, exps) -> tuple:
+    """n prod F^-e kept factored (e < 0 a numerator factor), and its twin
+    whose numerator factors are multiplied into the grid."""
+    numerator = n * denominator({key: -e for key, e in exps.items() if e < 0})
+    return _ratfunc(n, dict(exps)), RatFunc(numerator, {k: e for k, e in exps.items() if e > 0})
+
+
+def assert_poles_cancelled(f: RatFunc):
+    """No pole divides the grid; numerator factors need no such check."""
+    assert_grid_canonical(f.grid)
+    assert all(e for e in f.exps.values())
+    for key, e in f.exps.items():
+        if e > 0:
+            assert not divides(key, f.grid)
+
+
+class TestFactoredNumerators:
+    @PROPERTY
+    @given(bipolys, signed_dicts, bipolys, signed_dicts)
+    def test_factored_and_expanded_twins_agree(self, n1, e1, n2, e2):
+        f, f_twin = factored_and_expanded(n1, e1)
+        g, g_twin = factored_and_expanded(n2, e2)
+        assert f == f_twin and hash(f) == hash(f_twin)
+        assert f.num == f_twin.grid and list(f.fac.items()) == list(f_twin.exps.items())
+        for key in FACTORS:
+            assert f.pole_order(key) == f_twin.pole_order(key)
+        pairs = [(f * g, f_twin * g_twin), (f + g, f_twin + g_twin),
+                 (f - g, f_twin - g_twin), (f * f, f_twin * f_twin)]
+        pairs += [(f.derivative(slot), f_twin.derivative(slot)) for slot in (0, 1)]
+        for got, want in pairs:
+            assert_poles_cancelled(got)
+            assert got == want and hash(got) == hash(want)
+        for key in T_FACTORS:
+            assert residue(f, key) == residue(f_twin, key)
+
+    @PROPERTY
+    @given(bipolys, signed_dicts, gaussians, point_lists)
+    def test_factored_column_matches_exact_values(self, n, exps, c0, ts):
+        f, twin = factored_and_expanded(n, exps)
+        kept = []
+        for t0 in ts:
+            grid, num, den = (exact_at(p, t0, c0) for p in (f.grid, twin.num, twin.denominator))
+            if num and den and ratfunc_condition(f, t0, c0, grid) <= CONDITION_CAP:
+                kept.append((t0.to_complex(), (num / den).to_complex()))
+        values = f.at_c(c0.to_complex())([t for t, _ in kept])
+        for value, (t, exact) in zip(values, kept):
+            assert abs(value - exact) <= 1e-12 * abs(exact)
+
+    def test_f1_pushforwards_divide_nothing(self, monkeypatch):
+        # f1_type04: x = t (1 - t)^2 / (c - t)^2 is a pure product, and
+        # y = (S - P(x)) x^-1 keeps t - c as a numerator factor whose grid the
+        # sum left prime to t - c.  So x^i y^j dx/dt meets each pole of one
+        # operand with a numerator factor of the other, and no trial succeeds.
+        rm = build_rectifier(NormalForm("F1", p1=0, p=1, q1=1, q=2, k=1, P=UniPoly([-1]),
+                                        a=(1,), beta=(ONE,)))
+        quotients = []
+        original = algebra._divide_factor
+
+        def counting(num, factor):
+            quotients.append(original(num, factor))
+            return quotients[-1]
+
+        monkeypatch.setattr(algebra, "_divide_factor", counting)
+        for i in range(6):
+            for j in range(1, 6):
+                rm.monomial_pushforward(i, j)
+        assert quotients and not any(q is not None for q in quotients)
