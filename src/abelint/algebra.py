@@ -1151,16 +1151,15 @@ class RatFunc:
 
     ``grid`` is a BiPoly in (t, c) and ``exps`` maps each linear factor to a
     nonzero signed exponent: e > 0 is a pole of order e and e < 0 a
-    numerator factor kept unexpanded.  The invariant is that no pole
-    divides the grid; a numerator factor needs none.  ``num`` (the
-    numerator, its factors multiplied out) and ``fac`` (the poles) are the
-    canonical pair, which ``==`` and ``hash`` compare.
+    numerator factor kept unexpanded.  No pole divides the grid; numerator
+    factors need no such invariant.  ``num`` (the numerator multiplied out)
+    and ``fac`` (the poles) are the canonical pair that ``==`` and ``hash``
+    compare.
 
-    Cancellation rule for products: a pole of one reduced operand does not
-    divide that operand's grid, so a pole of the product can cancel only
-    against the grid of an operand that does not have it as a pole.  ``*``
-    adds exponents and trial-divides only there: a numerator factor that
-    meets a pole of the other operand cancels by its exponent alone.
+    Cancellation rule for products: a pole of the product can cancel only
+    against the grid of an operand that does not have it as a pole, so
+    ``*`` adds exponents and trial-divides only there; a numerator factor
+    meeting a pole of the other operand cancels by its exponent alone.
     """
 
     __slots__ = ("grid", "exps")
@@ -1375,20 +1374,18 @@ def _binomial_grid(shift: UniPoly, e: int, depth: int) -> BiPoly:
 def residue(f: RatFunc, factor: TFactor) -> CFrac:
     """Residue at a linear pole t - pi(c); zero when there is no pole there.
 
-    With u = t - pi and a pole of order d, f = N(u + pi) u^-d
-    prod_g (u + delta_g)^-e_g c^-e_c over the grid N and every other
-    factor g with its signed exponent, delta_g = pi - pi_g.  The residue is
-    one Laurent coefficient: [u^(d-1)] N(u + pi) prod_g (u + delta_g)^-e_g,
-    times c^-e_c.  Below u^d each (u + delta_g)^-e_g is a binomial series
-    (``_binomial_grid``): a finite one for a numerator factor (e_g < 0),
-    and for a pole one that is a polynomial once scaled by
-    delta_g^(e_g+d-1).  Their product below u^d is the cofactor.  The d low
-    coefficients of N(u + pi) are the remainders of repeated synthetic
-    division, kept as ints, so the residue is one dot product of them with
-    the cofactor's rows.  A constant delta = S / q puts its power on the
-    ints, as q^n / S^n for real S and q^n conj(S)^n / |S|^(2n) otherwise,
-    and a numerator c^k is a row shift; only a moving delta and a pole c
-    go into the c-polynomial denominator of the one CFrac.
+    With u = t - pi, a pole of order d and delta_g = pi - pi_g, f is
+    N(u + pi) u^-d prod_g (u + delta_g)^-e_g c^-e_c over the grid N and
+    every other factor g, each with its signed exponent.  The residue is
+    [u^(d-1)] N(u + pi) prod_g (u + delta_g)^-e_g, times c^-e_c.  Below u^d
+    each (u + delta_g)^-e_g is a binomial series (``_binomial_grid``):
+    finite for a numerator factor, and for a pole a polynomial once scaled
+    by delta_g^(e_g+d-1).  The d low coefficients of N(u + pi) are the
+    remainders of repeated synthetic division, on ints, so the residue is
+    one dot product of them with the product of the series.  A constant
+    delta = S / q puts its power on the ints (q^n / S^n for real S, else
+    q^n conj(S)^n / |S|^(2n)) and a numerator c^k is a row shift, so only a
+    moving delta and a pole c make the one CFrac's c-polynomial denominator.
     """
     depth = f.pole_order(factor)
     if depth == 0:
@@ -1436,7 +1433,8 @@ def residue(f: RatFunc, factor: TFactor) -> CFrac:
             acc_r, acc_i = _cmac(acc_r, acc_i, re, im, co_r[j], co_i[j])
     if den < 0:
         scale_r, scale_i, den = -scale_r, -scale_i, -den
-    acc_r, acc_i = _cmac(None, None, [scale_r], scale_i and [scale_i], acc_r, acc_i)
+    if scale_r != 1 or scale_i:
+        acc_r, acc_i = _cmac(None, None, [scale_r], scale_i and [scale_i], acc_r, acc_i)
     zeros = [0] * shift
     return CFrac(_poly(common * cofactor.den * den, zeros + acc_r, acc_i and zeros + acc_i),
                  denominator)
