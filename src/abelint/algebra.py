@@ -335,15 +335,24 @@ class UniPoly:
         return quot * inv, _poly(den, rr[:m], ri[:m])
 
     def divide_by_root(self, root: GaussRat):
-        """self / (x - root) when the division is exact, else None: one integer
-        Horner pass (``_synthetic_division``) over one-entry rows."""
-        if not self.re:
+        """self / (x - root) when the division is exact, else None: the integer
+        Horner of ``_carries`` on scalars, for root = (a + bi) / d."""
+        n = len(self.re)
+        if not n:
             return self
-        grid = _raw_bipoly(self.den, [[v] for v in self.re], self.im and [[v] for v in self.im])
-        (den, qr, qi), (_, rr, ri) = _synthetic_division(grid, UniPoly.const(root))
-        if any(rr) or ri and any(ri):
+        d, a, b = _scalar(root)
+        b, im = b or 0, self.im or [0] * n
+        qr, qi = [0] * (n - 1), [0] * (n - 1)
+        cr, ci, scale = self.re[-1], im[-1], 1
+        for k in range(n - 2, -1, -1):
+            qr[k], qi[k] = cr, ci
+            scale *= d
+            cr, ci = scale * self.re[k] + a * cr - b * ci, scale * im[k] + a * ci + b * cr
+        if cr or ci:
             return None
-        return _poly(den, [row[0] for row in qr], qi and [row[0] if row else 0 for row in qi])
+        if d != 1:
+            qr, qi = [v * d ** k for k, v in enumerate(qr)], [v * d ** k for k, v in enumerate(qi)]
+        return _poly(self.den * scale // d, qr, qi)
 
     def root_multiplicity(self, root: GaussRat) -> int:
         """Multiplicity of (x - root) in self."""
@@ -1024,10 +1033,9 @@ def _factor_product(powers: list) -> BiPoly:
 
 
 def _over(p: BiPoly, exps: Mapping, target: Mapping) -> BiPoly:
-    """The grid p over the signed exponents ``exps`` rewritten over ``target``,
-    which is at least ``exps`` at every factor: p times the missing "t"
-    factors, as one product, and the missing power of c, as a shift of every
-    row.  A zero p stays zero."""
+    """The grid p over the signed exponents ``exps`` rewritten over ``target``
+    (at least ``exps`` at every factor): p times the missing "t" factors, as
+    one product, and the missing power of c, as a shift of every row."""
     if not p.re:
         return p
     shift, missing = 0, []
@@ -1111,8 +1119,7 @@ def _divide_factor(p: BiPoly, factor: TFactor):
 
 
 def _cancel(p: BiPoly, factor: TFactor, e: int):
-    """(p / factor^m, e - m) for the largest m <= e with factor^m | p; a "t"
-    factor is not tried on a grid of t-degree 0."""
+    """(p / factor^m, e - m), m <= e largest with factor^m | p; no "t" trial at t-degree 0."""
     while e and (len(p.re) > 1 or factor[0] == "c"):
         quotient = _divide_factor(p, factor)
         if quotient is None:
@@ -1391,16 +1398,12 @@ def residue(f: RatFunc, factor: TFactor) -> CFrac:
     if depth == 0:
         return CFrac(_PZERO)
     pi = _factor_pi(factor)
-    # The residue is c^shift times the dot product times (scale_r + i
-    # scale_i) / den, over denominator.
-    cofactor, scale_r, scale_i, den, shift, denominator = _BONE, 1, 0, 1, 0, _PONE
+    # the residue is the dot product times (scale_r + i scale_i) / den / denominator
+    cofactor, scale_r, scale_i, den, denominator = _BONE, 1, 0, 1, _PONE
     for key, e in f.exps.items():
-        if key[0] == "c":
-            if e < 0:
-                shift = -e
-            else:
-                denominator = denominator * _raw_poly(1, [0] * e + [1], None)
-        elif key != factor:
+        if key[0] == "c" and e > 0:
+            denominator = denominator * _raw_poly(1, [0] * e + [1], None)
+        elif key[0] == "t" and key != factor:
             delta = pi - _factor_pi(key)
             if not delta:
                 raise PoleOrderMismatch("pole locations collide; pole order is not generic")
@@ -1416,7 +1419,8 @@ def residue(f: RatFunc, factor: TFactor) -> CFrac:
                 for _ in range(n if b else 0):
                     scale_r, scale_i = scale_r * s + scale_i * b, scale_i * s - scale_r * b
 
-    rows, rest = [], f.grid  # (den, re, im) of [u^k] N(u + pi)
+    # (den, re, im) of [u^k] N(u + pi), a numerator c^k shifted into N
+    rows, rest = [], _over(f.grid, {C_FACTOR: min(f.exps.get(C_FACTOR, 0), 0)}, {})
     while rest.re and len(rows) < depth:
         quotient, remainder = _synthetic_division(rest, pi)
         rows.append(remainder)
@@ -1435,9 +1439,7 @@ def residue(f: RatFunc, factor: TFactor) -> CFrac:
         scale_r, scale_i, den = -scale_r, -scale_i, -den
     if scale_r != 1 or scale_i:
         acc_r, acc_i = _cmac(None, None, [scale_r], scale_i and [scale_i], acc_r, acc_i)
-    zeros = [0] * shift
-    return CFrac(_poly(common * cofactor.den * den, zeros + acc_r, acc_i and zeros + acc_i),
-                 denominator)
+    return CFrac(_poly(common * cofactor.den * den, acc_r, acc_i), denominator)
 
 
 def residue_at_infinity(f: RatFunc) -> CFrac:
