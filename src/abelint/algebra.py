@@ -1399,11 +1399,14 @@ def residue(f: RatFunc, factor: TFactor) -> CFrac:
         return CFrac(_PZERO)
     pi = _factor_pi(factor)
     # the residue is the dot product times (scale_r + i scale_i) / den / denominator
-    cofactor, scale_r, scale_i, den, denominator = _BONE, 1, 0, 1, _PONE
+    cofactor, scale_r, scale_i, den, denominator, grid = _BONE, 1, 0, 1, _PONE, f.grid
     for key, e in f.exps.items():
-        if key[0] == "c" and e > 0:
-            denominator = denominator * _raw_poly(1, [0] * e + [1], None)
-        elif key[0] == "t" and key != factor:
+        if key[0] == "c":  # a pole c divides, a numerator c^k shifts the grid
+            if e > 0:
+                denominator = denominator * _raw_poly(1, [0] * e + [1], None)
+            else:
+                grid = _over(grid, {key: e}, {})
+        elif key != factor:
             delta = pi - _factor_pi(key)
             if not delta:
                 raise PoleOrderMismatch("pole locations collide; pole order is not generic")
@@ -1419,8 +1422,7 @@ def residue(f: RatFunc, factor: TFactor) -> CFrac:
                 for _ in range(n if b else 0):
                     scale_r, scale_i = scale_r * s + scale_i * b, scale_i * s - scale_r * b
 
-    # (den, re, im) of [u^k] N(u + pi), a numerator c^k shifted into N
-    rows, rest = [], _over(f.grid, {C_FACTOR: min(f.exps.get(C_FACTOR, 0), 0)}, {})
+    rows, rest = [], grid  # (den, re, im) of [u^k] N(u + pi)
     while rest.re and len(rows) < depth:
         quotient, remainder = _synthetic_division(rest, pi)
         rows.append(remainder)
