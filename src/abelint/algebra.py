@@ -15,15 +15,15 @@ gcd(den, *re, *im) = 1.  A ``BiPoly`` is the same in two variables, an
 integer grid ``(den, re, im)`` whose rows ``re[i]`` and ``im[i]`` hold the
 int coefficients of v0^i; ``im`` is None when the polynomial is real.  A
 ``RatFunc`` is a BiPoly grid in (t, c) times its linear factors to signed
-exponents, poles and numerator factors that are never multiplied out, so
-a product of factors is a sum of exponents and the grids use one
-arithmetic, int loops with one normalisation per result.  A residue
-reads one Laurent coefficient: the low rows of the shifted grid, on ints,
-dotted with a product of binomial series (``residue``), so c-polynomials
-leave the grid only as one CFrac per residue, and as rows in
-``residue_at_infinity``.  GaussRat views (``UniPoly.coeffs``,
-``BiPoly.terms``) are built only for I/O, and the expanded ``RatFunc.num``
-only for ``==``, ``hash`` and ``residue_at_infinity``.
+exponents (poles, and numerator factors never multiplied out), so a product
+of factors is a sum of exponents and every grid uses one arithmetic, int
+loops with one normalisation per result.  A residue reads one Laurent
+coefficient: the low rows of the shifted grid, on ints, dotted with a
+product of binomial series (``residue``), so c-polynomials leave the grid
+only as one CFrac per residue, and as rows in ``residue_at_infinity``.
+GaussRat views (``UniPoly.coeffs``, ``BiPoly.terms``) are built only for
+I/O, the expanded ``RatFunc.num`` only for ``==``, ``hash`` and
+``residue_at_infinity``.
 """
 
 from __future__ import annotations
@@ -350,8 +350,7 @@ class UniPoly:
             cr, ci = scale * self.re[k] + a * cr - b * ci, scale * im[k] + a * ci + b * cr
         if cr or ci:
             return None
-        if d != 1:
-            qr, qi = [v * d ** k for k, v in enumerate(qr)], [v * d ** k for k, v in enumerate(qi)]
+        qr, qi = [v * d ** k for k, v in enumerate(qr)], [v * d ** k for k, v in enumerate(qi)]
         return _poly(self.den * scale // d, qr, qi)
 
     def root_multiplicity(self, root: GaussRat) -> int:
@@ -1399,13 +1398,13 @@ def residue(f: RatFunc, factor: TFactor) -> CFrac:
         return CFrac(_PZERO)
     pi = _factor_pi(factor)
     # the residue is the dot product times (scale_r + i scale_i) / den / denominator
-    cofactor, scale_r, scale_i, den, denominator, grid = _BONE, 1, 0, 1, _PONE, f.grid
+    cofactor, scale_r, scale_i, den, denominator, shift = _BONE, 1, 0, 1, _PONE, []
     for key, e in f.exps.items():
-        if key[0] == "c":  # a pole c divides, a numerator c^k shifts the grid
+        if key[0] == "c":  # a pole c divides, a numerator c^k shifts the result
             if e > 0:
                 denominator = denominator * _raw_poly(1, [0] * e + [1], None)
             else:
-                grid = _over(grid, {key: e}, {})
+                shift = [0] * -e
         elif key != factor:
             delta = pi - _factor_pi(key)
             if not delta:
@@ -1422,7 +1421,7 @@ def residue(f: RatFunc, factor: TFactor) -> CFrac:
                 for _ in range(n if b else 0):
                     scale_r, scale_i = scale_r * s + scale_i * b, scale_i * s - scale_r * b
 
-    rows, rest = [], grid  # (den, re, im) of [u^k] N(u + pi)
+    rows, rest = [], f.grid  # (den, re, im) of [u^k] N(u + pi)
     while rest.re and len(rows) < depth:
         quotient, remainder = _synthetic_division(rest, pi)
         rows.append(remainder)
@@ -1441,7 +1440,8 @@ def residue(f: RatFunc, factor: TFactor) -> CFrac:
         scale_r, scale_i, den = -scale_r, -scale_i, -den
     if scale_r != 1 or scale_i:
         acc_r, acc_i = _cmac(None, None, [scale_r], scale_i and [scale_i], acc_r, acc_i)
-    return CFrac(_poly(common * cofactor.den * den, acc_r, acc_i), denominator)
+    return CFrac(_poly(common * cofactor.den * den, shift + acc_r, acc_i and shift + acc_i),
+                 denominator)
 
 
 def residue_at_infinity(f: RatFunc) -> CFrac:
