@@ -16,12 +16,10 @@ from .abelian import (
 )
 from .algebra import (
     BiPoly,
-    CFrac,
     GaussRat,
     RatFunc,
     UniPoly,
     residue,
-    residue_at_infinity,
 )
 from .errors import (
     AbelintError,

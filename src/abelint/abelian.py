@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import GaussRat, UniPoly, residue
+from .algebra import GaussRat, UniPoly, _residue_fraction, residue
 from .errors import IdenticallyZero, NonPolynomialResidue
 from .family import MOVING_PUNCTURE, FamilyFacts, NormalForm, hamiltonian
 from .rectify import (
@@ -45,12 +45,15 @@ def integrate_cycle(rm: RectifyingMap, coeffs: Dict[Tuple[int, int], GaussRat],
     factor = rm.puncture_factor(cycle.puncture)
     total = UniPoly()
     for (i, j), weight in coeffs.items():
-        value = residue(rm.monomial_pushforward(i, j), factor)
-        if not value.is_polynomial():
+        eta_t = rm.monomial_pushforward(i, j)
+        value = residue(eta_t, factor)
+        if value is None:
+            numerator, divisors = _residue_fraction(eta_t, factor)
+            over = " ".join(f"({UniPoly([-root, 1])!r})^{k}" for root, k in divisors)
             raise NonPolynomialResidue(
                 f"residue of x^{i} y^{j} dx at puncture {cycle.puncture} is not "
-                f"a polynomial in c: {value!r}")
-        total = total + value.num.scale(weight)
+                f"a polynomial in c: ({numerator!r})/({over})")
+        total = total + value.scale(weight)
     return AbelianIntegral(cycle, total)
 
 

@@ -1,11 +1,11 @@
 """Exact arithmetic core.
 
 Gaussian rationals, dense univariate polynomials, bivariate polynomials,
-fractions of univariate polynomials, and rational functions in a
-distinguished variable t whose coefficients live in the fraction field of
-Q(i)[c].  Everything is exact except the complex evaluations that the
-oracle and the renderer read (``evaluate_complex`` and the column
-evaluators ``RatFunc.at_c`` and ``BiPoly.compiled``).
+and rational functions in a distinguished variable t and a parameter c
+whose denominators are products of linear factors.  Everything is exact
+except the complex evaluations that the oracle and the renderer read
+(``evaluate_complex`` and the column evaluators ``RatFunc.at_c`` and
+``BiPoly.compiled``).
 
 ``GaussRat`` (two reduced rationals) is the public scalar.  Arithmetic is
 on Python ints, with one denominator per polynomial (a content and a
@@ -19,11 +19,11 @@ exponents (poles, and numerator factors never multiplied out), so a product
 of factors is a sum of exponents and every grid uses one arithmetic, int
 loops with one normalisation per result.  A residue reads one Laurent
 coefficient: the low rows of the shifted grid, on ints, dotted with a
-product of binomial series (``residue``), so c-polynomials leave the grid
-only as one CFrac per residue, and as rows in ``residue_at_infinity``.
-GaussRat views (``UniPoly.coeffs``, ``BiPoly.terms``) are built only for
-I/O, the expanded ``RatFunc.num`` only for ``==``, ``hash`` and
-``residue_at_infinity``.
+product of binomial series, so a c-polynomial leaves the grid only as the
+residue's numerator, which ``residue`` divides by its known linear
+denominators in c.  GaussRat views (``UniPoly.coeffs``, ``BiPoly.terms``)
+are built only for I/O, the expanded ``RatFunc.num`` only for ``==`` and
+``hash``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from functools import lru_cache
 from itertools import chain, repeat, zip_longest
 from math import comb, gcd, lcm
 from operator import add, mul, sub, truediv
-from typing import Callable, Iterable, List, Mapping, Sequence
+from typing import Callable, Iterable, List, Mapping, Optional, Sequence
 
 from .errors import PoleOrderMismatch
 
@@ -292,10 +292,11 @@ class UniPoly:
         return _poly(self.den, [k * v for k, v in enumerate(self.re)][1:], im)
 
     def evaluate(self, point: GaussRat) -> GaussRat:
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        """The value at a GaussRat or int point: the remainder of ``_root_horner``."""
+        if not self.re:
+            return ZERO
+        _, _, _, (den, re, im) = _root_horner(self, point)
+        return _gauss_of(den, re, im)
 
     def evaluate_complex(self, point: complex) -> complex:
         return _horner_complex(self.complex_coeffs(), point)
@@ -335,23 +336,14 @@ class UniPoly:
         return quot * inv, _poly(den, rr[:m], ri[:m])
 
     def divide_by_root(self, root: GaussRat):
-        """self / (x - root) when the division is exact, else None: the integer
-        Horner of ``_carries`` on scalars, for root = (a + bi) / d."""
-        n = len(self.re)
-        if not n:
+        """self / (x - root) when the division is exact, else None."""
+        if not self.re:
             return self
-        d, a, b = _scalar(root)
-        b, im = b or 0, self.im or [0] * n
-        qr, qi = [0] * (n - 1), [0] * (n - 1)
-        cr, ci, scale = self.re[-1], im[-1], 1
-        for k in range(n - 2, -1, -1):
-            qr[k], qi[k] = cr, ci
-            scale *= d
-            cr, ci = scale * self.re[k] + a * cr - b * ci, scale * im[k] + a * ci + b * cr
+        d, qr, qi, (den, cr, ci) = _root_horner(self, root)
         if cr or ci:
             return None
         qr, qi = [v * d ** k for k, v in enumerate(qr)], [v * d ** k for k, v in enumerate(qi)]
-        return _poly(self.den * scale // d, qr, qi)
+        return _poly(den // d, qr, qi)
 
     def root_multiplicity(self, root: GaussRat) -> int:
         """Multiplicity of (x - root) in self."""
@@ -403,6 +395,27 @@ class UniPoly:
 
     def __repr__(self):
         return self.to_string()
+
+
+def _root_horner(p: UniPoly, root):
+    """Horner on the integers for a nonzero p and x - root, root = (a + bi) / d.
+
+    The carries C_(n-1) = N_(n-1) and C_k = d^(n-1-k) N_k + (a + bi) C_(k+1)
+    are den d^(n-1-k) times the exact ones, as in ``_carries``: quotient
+    coefficient k is d^k C_(k+1) over den d^(n-2), and p(root) is C_0 over
+    den d^(n-1).  Returns d, the carries C_(k+1) by k (real and imaginary
+    lists), and (den d^(n-1), C_0) as three ints.
+    """
+    re, n = p.re, len(p.re)
+    d, a, b = _scalar(root)
+    b, im = b or 0, p.im or [0] * n
+    qr, qi = [0] * (n - 1), [0] * (n - 1)
+    cr, ci, scale = re[-1], im[-1], 1
+    for k in range(n - 2, -1, -1):
+        qr[k], qi[k] = cr, ci
+        scale *= d
+        cr, ci = scale * re[k] + a * cr - b * ci, scale * im[k] + a * ci + b * cr
+    return d, qr, qi, (p.den * scale, cr, ci)
 
 
 def _scalar(value):
@@ -710,12 +723,6 @@ def _grid_integral(p: "BiPoly", slot: int) -> "BiPoly":
     return _bipoly(p.den * scale, integral(p.re), p.im and integral(p.im))
 
 
-def _unipoly_rows(p: "BiPoly") -> List[UniPoly]:
-    """p's rows as c-polynomials, where they leave the grid."""
-    return [_poly(p.den, list(r), m and list(m))
-            for r, m in zip(p.re, p.im or repeat(None))]
-
-
 class BiPoly:
     """Bivariate polynomial over Q(i): the integer grid (re + i*im) / den.
 
@@ -915,84 +922,8 @@ def _column_steps(grid: List[List[complex]]) -> int:
     return len(grid) - 1 + sum(len(row) - 1 for row in grid if row)
 
 
-class CFrac:
-    """Element of the fraction field of Q(i)[c], kept reduced and monic-bottom."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: UniPoly, den: UniPoly = None):
-        if den is None:
-            den = _PONE
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator in CFrac")
-        if num.is_zero():
-            num, den = _PZERO, _PONE
-        else:
-            if den.degree > 0:
-                g = num.gcd(den)
-                if g.degree > 0:
-                    num = num.divmod(g)[0]
-                    den = den.divmod(g)[0]
-            if den.re[-1] != den.den or den.im and den.im[-1]:  # lead is not 1
-                inv = _lead_inverse(den)
-                num = num * inv
-                den = den * inv
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    @classmethod
-    def const(cls, value) -> "CFrac":
-        return cls(UniPoly.const(value))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        if not isinstance(other, CFrac):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __add__(self, other):
-        return CFrac(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other):
-        return CFrac(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __neg__(self):
-        return CFrac(-self.num, self.den)
-
-    def __mul__(self, other):
-        if isinstance(other, GaussRat):
-            return CFrac(self.num.scale(other), self.den)
-        return CFrac(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero CFrac")
-        return CFrac(self.num * other.den, self.den * other.num)
-
-    def inverse(self) -> "CFrac":
-        return CFrac(_PONE) / self
-
-    def is_polynomial(self) -> bool:
-        return self.den.degree == 0
-
-    def __repr__(self):
-        if self.is_polynomial():
-            return repr(self.num)
-        return f"({self.num!r})/({self.den!r})"
-
-
 # ---------------------------------------------------------------------------
-# Rational functions in t over Frac(Q(i)[c])
+# Rational functions in (t, c) over linear factors
 # ---------------------------------------------------------------------------
 #
 # Linear factors are kept as exponents, on both sides of the fraction.  Two
@@ -1377,8 +1308,9 @@ def _binomial_grid(shift: UniPoly, e: int, depth: int) -> BiPoly:
     return _bipoly(d ** power, re, im if si else None)
 
 
-def residue(f: RatFunc, factor: TFactor) -> CFrac:
-    """Residue at a linear pole t - pi(c); zero when there is no pole there.
+def _residue_fraction(f: RatFunc, factor: TFactor):
+    """The residue at a linear pole t - pi(c), unreduced: (numerator, divisors),
+    the numerator over prod (c - root)^k for the (root, k) in divisors.
 
     With u = t - pi, a pole of order d and delta_g = pi - pi_g, f is
     N(u + pi) u^-d prod_g (u + delta_g)^-e_g c^-e_c over the grid N and
@@ -1386,23 +1318,24 @@ def residue(f: RatFunc, factor: TFactor) -> CFrac:
     [u^(d-1)] N(u + pi) prod_g (u + delta_g)^-e_g, times c^-e_c.  Below u^d
     each (u + delta_g)^-e_g is a binomial series (``_binomial_grid``):
     finite for a numerator factor, and for a pole a polynomial once scaled
-    by delta_g^(e_g+d-1).  The d low coefficients of N(u + pi) are the
-    remainders of repeated synthetic division, on ints, so the residue is
-    one dot product of them with the product of the series.  A constant
-    delta = S / q puts its power on the ints (q^n / S^n for real S, else
-    q^n conj(S)^n / |S|^(2n)) and a numerator c^k is a row shift, so only a
-    moving delta and a pole c make the one CFrac's c-polynomial denominator.
+    by delta_g^n, n = e_g+d-1.  The d low coefficients of N(u + pi) are the
+    remainders of repeated synthetic division, on ints, so the numerator is
+    one dot product of them with the product of the series.  A pole's
+    delta = (S / q) (c - root), or S / q when it is constant, puts 1 / (S /
+    q)^n on the ints (q^n / S^n for real S, else q^n conj(S)^n / |S|^(2n))
+    and a numerator c^k is a row shift, so the divisors are (root, n) for a
+    moving delta and (0, e_c) for a pole c.
     """
     depth = f.pole_order(factor)
     if depth == 0:
-        return CFrac(_PZERO)
+        return _PZERO, []
     pi = _factor_pi(factor)
-    # the residue is the dot product times (scale_r + i scale_i) / den / denominator
-    cofactor, scale_r, scale_i, den, denominator, shift = _BONE, 1, 0, 1, _PONE, []
+    # the numerator is the dot product times (scale_r + i scale_i) / den
+    cofactor, scale_r, scale_i, den, divisors, shift = _BONE, 1, 0, 1, [], []
     for key, e in f.exps.items():
         if key[0] == "c":  # a pole c divides, a numerator c^k shifts the result
             if e > 0:
-                denominator = denominator * _raw_poly(1, [0] * e + [1], None)
+                divisors.append((ZERO, e))
             else:
                 shift = [0] * -e
         elif key != factor:
@@ -1411,15 +1344,15 @@ def residue(f: RatFunc, factor: TFactor) -> CFrac:
                 raise PoleOrderMismatch("pole locations collide; pole order is not generic")
             series = _binomial_grid(delta, -e, depth)
             cofactor = series if cofactor is _BONE else _grid_mul(cofactor, series, depth)
-            n = e + depth - 1
-            if e > 0 and len(delta.re) > 1:
-                denominator = denominator * delta ** n
-            elif e > 0:  # delta = S / q with S = s + i b: times q^n conj(S)^n / |S|^(2n)
-                (s,), b, q = delta.re, delta.im[0] if delta.im else 0, delta.den ** n
+            if e > 0:  # delta's lead S / q with S = s + i b: times q^n conj(S)^n / |S|^(2n)
+                n = e + depth - 1
+                s, b, q = delta.re[-1], delta.im[-1] if delta.im else 0, delta.den ** n
                 den *= (s * s + b * b if b else s) ** n  # for real S, q^n / S^n
                 scale_r, scale_i = scale_r * q, scale_i * q
                 for _ in range(n if b else 0):
                     scale_r, scale_i = scale_r * s + scale_i * b, scale_i * s - scale_r * b
+                if len(delta.re) > 1:
+                    divisors.append((-delta[0] / delta[1], n))
 
     rows, rest = [], f.grid  # (den, re, im) of [u^k] N(u + pi)
     while rest.re and len(rows) < depth:
@@ -1440,29 +1373,21 @@ def residue(f: RatFunc, factor: TFactor) -> CFrac:
         scale_r, scale_i, den = -scale_r, -scale_i, -den
     if scale_r != 1 or scale_i:
         acc_r, acc_i = _cmac(None, None, [scale_r], scale_i and [scale_i], acc_r, acc_i)
-    return CFrac(_poly(common * cofactor.den * den, shift + acc_r, acc_i and shift + acc_i),
-                 denominator)
+    numerator = _poly(common * cofactor.den * den, shift + acc_r, acc_i and shift + acc_i)
+    return numerator, divisors
 
 
-def residue_at_infinity(f: RatFunc) -> CFrac:
-    """Residue at t = infinity: minus the 1/t coefficient of the expansion."""
-    den_rows = [CFrac(p) for p in _unipoly_rows(f.denominator)]
-    num_rows = [CFrac(p) for p in _unipoly_rows(f.num)]
-    if not den_rows:
-        raise ZeroDivisionError("zero denominator")
-    if not num_rows:
-        return CFrac(_PZERO)
-    # Polynomial division in t over Frac(Q(i)[c]); only the remainder matters.
-    deg_d = len(den_rows) - 1
-    rem = list(num_rows)
-    lead_inv = den_rows[-1].inverse()
-    for k in range(len(rem) - deg_d - 1, -1, -1):
-        factor = rem[k + deg_d] * lead_inv
-        if not factor.is_zero():
-            for j, d in enumerate(den_rows):
-                rem[k + j] = rem[k + j] - factor * d
-    while rem and rem[-1].is_zero():
-        rem.pop()
-    if len(rem) == deg_d and deg_d >= 1:
-        return -(rem[-1] * lead_inv)
-    return CFrac(_PZERO)
+def residue(f: RatFunc, factor: TFactor) -> Optional[UniPoly]:
+    """Residue at a linear pole t - pi(c), a polynomial in c; zero when there
+    is no pole there, and None when it is not a polynomial.
+
+    ``_residue_fraction``'s numerator divided by each of its linear divisors
+    (``UniPoly.divide_by_root``); None at the first nonzero remainder.
+    """
+    numerator, divisors = _residue_fraction(f, factor)
+    for root, k in divisors:
+        for _ in range(k):
+            numerator = numerator.divide_by_root(root)
+            if numerator is None:
+                return None
+    return numerator

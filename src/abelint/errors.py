@@ -25,7 +25,8 @@ class ConstructionFailure(AbelintError):
 
 
 class NonPolynomialResidue(AbelintError):
-    """The residue of a basis form at a puncture is not a polynomial in c.
+    """The residue of a basis form at a puncture is not a polynomial in c:
+    one of the linear divisors in c of its numerator leaves a remainder.
 
     Internal invariant breach: the theory guarantees a polynomial.
     """

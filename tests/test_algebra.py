@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction
-from itertools import zip_longest
 from math import factorial
 
 import pytest
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 
 from abelint import (
     BiPoly,
-    CFrac,
     GaussRat,
     NormalForm,
     OneForm,
@@ -20,21 +18,25 @@ from abelint import (
     UniPoly,
     full_report,
     residue,
-    residue_at_infinity,
 )
 from abelint import algebra
 from abelint.algebra import (
     C_FACTOR,
     I,
-    _bipoly,
     _factor_pi,
-    _poly,
-    _synthetic_division,
     power_table,
     t_factor,
 )
 
 from conftest import random_gauss, random_normal_form, cached_rectifier
+from reference import (
+    eval_at_t,
+    fraction_sum,
+    reference_residue,
+    residue_at_infinity,
+    residue_pair,
+    same_fraction,
+)
 
 gauss_strategy = st.builds(
     GaussRat,
@@ -344,14 +346,13 @@ class TestRatFunc:
             f = RatFunc(random_bipoly(rng, 3), fac)
             t0, c0 = _random_point(rng), _random_point(rng)
             try:  # t0 on a constant pole
-                value = eval_at_t(f, UniPoly.const(t0))
+                num, den = (p.evaluate(c0) for p in eval_at_t(f, UniPoly.const(t0)))
             except ZeroDivisionError:
                 continue
-            den = value.den.evaluate(c0)
-            if not den or not value.num.evaluate(c0):
+            if not den or not num:
                 continue
             checked += 1
-            exact = (value.num.evaluate(c0) / den).to_complex()
+            exact = (num / den).to_complex()
             compiled = f.at_c(c0.to_complex())([t0.to_complex()])[0]
             assert abs(compiled - exact) <= 1e-12 * abs(exact)
             assert f.evaluate(t0.to_complex(), c0.to_complex()) == compiled
@@ -396,102 +397,33 @@ class TestRatFunc:
 # Laurent expansion and residues
 # ---------------------------------------------------------------------------
 
-def eval_at_t(f: RatFunc, point: UniPoly) -> CFrac:
-    """Exact evaluation of f at t = point(c); point must avoid all poles."""
-    num, den = f.num.compose(point, UniPoly([0, 1])), UniPoly.const(1)
-    for key, e in f.fac.items():
-        if key[0] == "t":
-            base = point - _factor_pi(key)
-        else:
-            base = UniPoly([0, 1])
-        if base.is_zero():
-            raise ZeroDivisionError("evaluation point is a pole")
-        den = den * (base ** e)
-    return CFrac(num, den)
-
-
-def laurent_numerators_reference(f: RatFunc, factor, depth: int):
-    """(S_0 .. S_{depth-1}, k -> d0^k): the Laurent numerators at t - pi(c),
-    by the fraction-free recurrence; the reference route for ``residue``.
-
-    The declared depth must equal the exact pole order, otherwise
-    PoleOrderMismatch is raised.  With u = t - pi(c), f = N(u) / (u^depth
-    D1(u)) for N, D1 in Q(i)[c][u], and the coefficient of u^(k - depth) is
-    s_k = [u^k] N/D1.  With d0 = D1(0), the numerators S_k = s_k d0^(k+1)
-    obey S_k = N_k d0^k - sum_{m<k} S_m D1_{k-m} d0^(k-m-1) in Q(i)[c], so
-    s_k is CFrac(S_k, d0^(k+1)) and the residue is s_{depth-1}.
-    """
-    order = f.pole_order(factor)
-    if order != depth:
-        raise PoleOrderMismatch(
-            f"declared pole order {depth} at t - ({_factor_pi(factor)!r}), actual {order}")
-    pi = _factor_pi(factor)
-    # N(u + pi) below u^depth: the remainders of repeated synthetic division.
-    shifted, rest = [], f.num
-    while rest.re and len(shifted) < depth:
-        (qd, qr, qi), (den, re, im) = _synthetic_division(rest, pi)
-        rest = _bipoly(qd, list(qr), qi and list(qi))
-        shifted.append(_poly(den, list(re), im and list(im)))
-    shifted += [UniPoly()] * (depth - len(shifted))
-    # D1(u) below u^depth: c^e for the factor c, (u + pi - pi')^e for t - pi'.
-    d1 = [UniPoly.const(1)]
-    for key, e in f.fac.items():
-        if key[0] == "c":
-            d1 = [row * UniPoly([0] * e + [1]) for row in d1]
-        elif key != factor:
-            delta = pi - _factor_pi(key)
-            for _ in range(e):
-                d1 = [a + b for a, b in zip_longest([delta * row for row in d1], [UniPoly()] + d1,
-                                                    fillvalue=UniPoly())][:depth]
-    if d1[0].is_zero():
-        raise PoleOrderMismatch("pole locations collide; pole order is not generic")
-    d0_pows = power_table(d1[0], UniPoly.const(1))
-    scaled = [(j, d * d0_pows(j - 1)) for j, d in enumerate(d1) if j and d]
-    series = []
-    for k in range(depth):
-        acc = shifted[k] * d0_pows(k)
-        for j, e_j in scaled:
-            if j <= k and series[k - j]:
-                acc = acc - series[k - j] * e_j
-        series.append(acc)
-    return series, d0_pows
-
-
-def reference_residue(f: RatFunc, factor) -> CFrac:
-    """The residue by the reference recurrence."""
-    order = f.pole_order(factor)
-    if order == 0:
-        return CFrac(UniPoly())
-    series, d0_pows = laurent_numerators_reference(f, factor, order)
-    return CFrac(series[-1], d0_pows(order))
-
-
 def laurent_coefficients(f: RatFunc, factor, depth: int) -> list:
-    """Coefficients of (t-pi)^{-depth} ... (t-pi)^{-1}; last entry is the residue.
+    """Coefficients of (t-pi)^{-depth} ... (t-pi)^{-1} as unreduced pairs;
+    last entry is the residue.
 
     Coefficient k is the residue of f (t-pi)^(depth-1-k), a pole of order k+1.
     """
     if f.pole_order(factor) != depth:
         raise PoleOrderMismatch(f"declared pole order {depth}, actual {f.pole_order(factor)}")
-    return [residue(f * RatFunc.factor_product({factor: depth - 1 - k}, 1), factor)
+    return [residue_pair(f * RatFunc.factor_product({factor: depth - 1 - k}, 1), factor)
             for k in range(depth)]
 
 
-def residue_via_derivative(f: RatFunc, factor, depth: int) -> CFrac:
+def residue_via_derivative(f: RatFunc, factor, depth: int) -> tuple:
     """Residue by the derivative formula: (1/(depth-1)!) d^{depth-1}/dt^{depth-1}
-    of f*(t-pi)^depth evaluated at t = pi.  Independent route used to
-    cross-check laurent_coefficients."""
+    of f*(t-pi)^depth evaluated at t = pi, as an unreduced pair.  Independent
+    route used to cross-check laurent_coefficients."""
     if f.pole_order(factor) != depth:
         raise PoleOrderMismatch(
             f"declared pole order {depth}, actual {f.pole_order(factor)}"
         )
     if depth == 0:
-        return CFrac(UniPoly())
+        return UniPoly(), UniPoly.const(1)
     cleared = f * RatFunc.factor_product({factor: depth}, 1)
     for _ in range(depth - 1):
         cleared = cleared.derivative(0)
-    value = eval_at_t(cleared, _factor_pi(factor))
-    return value * GaussRat(Fraction(1, factorial(depth - 1)))
+    num, den = eval_at_t(cleared, _factor_pi(factor))
+    return num.scale(GaussRat(Fraction(1, factorial(depth - 1)))), den
 
 
 REFERENCE_POLES = [
@@ -536,14 +468,13 @@ class TestResidues:
     def test_simple_pole_residue(self):
         # 1/(t - 1): residue 1 at t = 1
         f = RatFunc(BiPoly.const(GaussRat(1)), {t_factor(GaussRat(0), GaussRat(1)): 1})
-        assert residue(f, t_factor(GaussRat(0), GaussRat(1))) == CFrac.const(GaussRat(1))
+        assert residue(f, t_factor(GaussRat(0), GaussRat(1))) == UniPoly.const(1)
 
     def test_known_oscillator_residue(self):
         # -c/(t - 1) has residue -c at t = 1
         f = RatFunc(BiPoly({(0, 1): GaussRat(-1)}),
                     {t_factor(GaussRat(0), GaussRat(1)): 1})
-        assert residue(f, t_factor(GaussRat(0), GaussRat(1))) \
-            == CFrac(UniPoly([0, GaussRat(-1)]))
+        assert residue(f, t_factor(GaussRat(0), GaussRat(1))) == UniPoly([0, GaussRat(-1)])
 
     def test_pole_order_mismatch(self):
         f = RatFunc(BiPoly.const(GaussRat(1)), {t_factor(GaussRat(0), GaussRat(1)): 2})
@@ -560,9 +491,9 @@ class TestResidues:
             if depth == 0:
                 continue
             count += 1
-            via_laurent = residue(f, pole)
+            via_laurent = residue_pair(f, pole)
             via_derivative = residue_via_derivative(f, pole, depth)
-            assert via_laurent == via_derivative
+            assert same_fraction(via_laurent, via_derivative)
 
     def test_every_laurent_coefficient_at_deep_and_moving_poles(self):
         # Poles at t = c, t = 1+i and t = 0 and the factor c, so the
@@ -584,7 +515,7 @@ class TestResidues:
                 assert len(coeffs) == depth
                 for k, coeff in enumerate(coeffs):
                     lowered = f * RatFunc.factor_product({pole: depth - 1 - k}, 1)
-                    assert coeff == residue_via_derivative(lowered, pole, k + 1)
+                    assert same_fraction(coeff, residue_via_derivative(lowered, pole, k + 1))
 
         for _ in range(8):
             fac = {pole: rng.randint(1, 5) for pole in poles}
@@ -599,26 +530,43 @@ class TestResidues:
             {poles[0]: 2, poles[1]: 6, poles[2]: 3, C_FACTOR: 4}))
         assert depths == [2, 6, 3]
 
-    def test_one_normalisation_per_coefficient(self, monkeypatch):
-        pole = t_factor(GaussRat(1), GaussRat(0))
-        f = RatFunc(BiPoly({(0, 0): GaussRat(1), (2, 1): GaussRat(3, -1)}),
-                    {pole: 4, t_factor(GaussRat(0), GaussRat(2)): 3, C_FACTOR: 2})
-        constructed = []
-        original = CFrac.__init__
+    def test_moving_pole_residue_runs_no_gcd(self, monkeypatch):
+        # At the moving pole t = a c, with the pole t = 2 and the factor c,
+        # f = t^2 (a c - 2)^3 / ((t - a c)^2 (t - 2)^2 c) has the residue
+        # d/dt [t^2 / (t - 2)^2] at a c, times (a c - 2)^3 / c, which is -4 a.
+        # Dividing out c and (c - 2/a)^3 needs no gcd, divmod or power.
+        a = GaussRat(1, 1)
+        pole = t_factor(a, GaussRat(0))
+        grid = BiPoly({(2, 0): GaussRat(1)}) * BiPoly({(0, 0): GaussRat(-2), (0, 1): a}) ** 3
+        f = RatFunc(grid, {pole: 2, t_factor(GaussRat(0), GaussRat(2)): 2, C_FACTOR: 1})
+        assert f.pole_order(C_FACTOR) == 1
+        reference = reference_residue(f, pole)
+        calls = []
+        for name in ("gcd", "divmod", "__pow__"):
+            original = getattr(UniPoly, name)
+            monkeypatch.setattr(UniPoly, name, lambda *args, name=name, original=original:
+                                calls.append(name) or original(*args))
+        value = residue(f, pole)
+        monkeypatch.undo()
+        assert not calls
+        assert value == UniPoly.const(a * GaussRat(-4))
+        assert same_fraction((value, UniPoly.const(1)), reference)
 
-        def counting_init(self, *args, **kwargs):
-            constructed.append(1)
-            original(self, *args, **kwargs)
-
-        monkeypatch.setattr(CFrac, "__init__", counting_init)
-        residue(f, pole)
-        assert len(constructed) == 1
+    def test_non_polynomial_residues_are_none(self):
+        # 1 / (c (t - 1)) at t = 1 is 1/c; 1 / ((t - c)(t - 2)) at t = c is
+        # 1 / (c - 2), whose numerator the moving delta c - 2 does not divide.
+        one = BiPoly.const(GaussRat(1))
+        at_one, at_c = t_factor(GaussRat(0), GaussRat(1)), t_factor(GaussRat(1), GaussRat(0))
+        assert residue(RatFunc(one, {C_FACTOR: 1, at_one: 1}), at_one) is None
+        f = RatFunc(one, {at_c: 1, t_factor(GaussRat(0), GaussRat(2)): 1})
+        assert residue(f, at_c) is None
+        assert same_fraction(residue_pair(f, at_c), (UniPoly.const(1), UniPoly([-2, 1])))
 
     def test_residue_matches_the_reference_recurrence(self):
         # Rational, Gaussian and moving poles, with and without the factor c,
         # at every depth 1-12, and numerators with fewer t-rows than the depth.
         rng = random.Random(53)
-        depths, short, moving, gaussian, with_c = set(), 0, 0, 0, 0
+        depths, short, moving, gaussian, with_c, polynomial = set(), 0, 0, 0, 0, 0
         for case in range(240):
             f, pole = _reference_case(rng, 1 + case % 12)
             depth = f.pole_order(pole)
@@ -627,9 +575,14 @@ class TestResidues:
             moving += bool(pole[1])
             gaussian += bool(pole[2].im)
             with_c += C_FACTOR in f.fac
-            assert residue(f, pole) == reference_residue(f, pole)
+            reference = reference_residue(f, pole)
+            assert same_fraction(residue_pair(f, pole), reference)
+            value = residue(f, pole)
+            if value is not None:
+                polynomial += 1
+                assert value * reference[1] == reference[0]
         assert depths >= set(range(1, 13))
-        assert min(short, moving, gaussian, with_c) >= 40
+        assert min(short, moving, gaussian, with_c, polynomial) >= 40
 
     def test_colliding_poles_raise_pole_order_mismatch(self, monkeypatch):
         # Two factor keys at one location: the cofactor's constant term,
@@ -643,7 +596,7 @@ class TestResidues:
     def test_moving_pole_residue(self):
         # 1/(t - c): residue 1 at the moving pole
         f = RatFunc(BiPoly.const(GaussRat(1)), {t_factor(GaussRat(1), GaussRat(0)): 1})
-        assert residue(f, t_factor(GaussRat(1), GaussRat(0))) == CFrac.const(GaussRat(1))
+        assert residue(f, t_factor(GaussRat(1), GaussRat(0))) == UniPoly.const(1)
 
     def test_residue_sum_with_infinity_is_zero(self):
         rng = random.Random(37)
@@ -660,10 +613,9 @@ class TestResidues:
             if not fac:
                 continue
             f = RatFunc(random_bipoly(rng, 3), fac)
-            total = residue_at_infinity(f)
-            for pole in fac:
-                total = total + residue(f, pole)
-            assert total.is_zero()
+            total = fraction_sum([residue_at_infinity(f)]
+                                 + [residue_pair(f, pole) for pole in fac])
+            assert total[0].is_zero()
 
     def test_residue_sum_on_pipeline_forms(self):
         rng = random.Random(41)
@@ -672,11 +624,10 @@ class TestResidues:
             rm = cached_rectifier(nf)
             i, j = rng.randint(0, 2), rng.randint(1, 2)
             eta_t = rm.monomial_pushforward(i, j)
-            total = residue_at_infinity(eta_t)
-            for factor in eta_t.fac:
-                if factor != C_FACTOR:
-                    total = total + residue(eta_t, factor)
-            assert total.is_zero()
+            total = fraction_sum([residue_at_infinity(eta_t)]
+                                 + [residue_pair(eta_t, factor)
+                                    for factor in eta_t.fac if factor != C_FACTOR])
+            assert total[0].is_zero()
 
 
 @pytest.mark.parametrize("n", [11, 15])
@@ -693,8 +644,9 @@ def test_ladder_integrals_equal_the_reference_residues(n):
         factor = rm.puncture_factor(ai.cycle.puncture)
         total = UniPoly()
         for (i, j), weight in report.basis_coeffs.items():
-            value = reference_residue(rm.monomial_pushforward(i, j), factor)
-            assert value.is_polynomial()
-            total = total + value.num.scale(weight)
+            num, den = reference_residue(rm.monomial_pushforward(i, j), factor)
+            value, remainder = num.divmod(den)
+            assert remainder.is_zero()
+            total = total + value.scale(weight)
         assert not total.is_zero()
         assert ai.value == total

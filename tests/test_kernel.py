@@ -35,6 +35,8 @@ from abelint.algebra import (
     t_factor,
 )
 
+from reference import residue_pair, same_fraction
+
 PROPERTY = settings(max_examples=60, deadline=None)
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=7)
@@ -91,6 +93,13 @@ def ref_divmod(a, b):
         for j, c in enumerate(b):
             rem[k + j] = rem[k + j] - factor * c
     return ref_trim(quot), ref_trim(rem)
+
+
+def ref_evaluate(a, point):
+    acc = ZERO
+    for c in reversed(a):
+        acc = acc * point + c
+    return acc
 
 
 def ref_gcd(a, b):
@@ -150,6 +159,14 @@ class TestUniPolyAgainstReference:
         assert p * q == q * p and p + q == q + p
         assert p * (q + r) == p * q + p * r
         assert p - p == UniPoly() and p * UniPoly.const(ONE) == p
+
+    @PROPERTY
+    @given(coeff_lists, gaussians)
+    def test_evaluate_matches_the_gaussrat_horner(self, a, point):
+        # Rational and Gaussian points; the zero and constant polynomials too.
+        for cs in (a, [], [point], a[:1]):
+            assert UniPoly(cs).evaluate(point) == ref_evaluate(ref_trim(cs), point)
+        assert UniPoly(a).evaluate(2) == ref_evaluate(ref_trim(a), GaussRat(2))
 
     @PROPERTY
     @given(coeff_lists, nonzero_lists)
@@ -707,6 +724,7 @@ class TestFactoredNumerators:
             assert_poles_cancelled(got)
             assert got == want and hash(got) == hash(want)
         for key in T_FACTORS:
+            assert same_fraction(residue_pair(f, key), residue_pair(f_twin, key))
             assert residue(f, key) == residue(f_twin, key)
 
     @PROPERTY
