@@ -226,11 +226,6 @@ def hamiltonian(nf: NormalForm, facts: FamilyFacts, x, y):
     return g, (g + core if nf.family == "F1" else core)
 
 
-def expand(nf: NormalForm, facts: Optional[FamilyFacts] = None) -> BiPoly:
-    """The explicit Hamiltonian as a bivariate polynomial in (x, y).
-
-    ``facts`` is ``validate(nf)`` when the caller already holds it.
-    """
-    if facts is None:
-        facts = validate(nf)
-    return hamiltonian(nf, facts, BiPoly.var(0), BiPoly.var(1))[1]
+def expand(nf: NormalForm) -> BiPoly:
+    """The explicit Hamiltonian as a bivariate polynomial in (x, y)."""
+    return hamiltonian(nf, validate(nf), BiPoly.var(0), BiPoly.var(1))[1]

@@ -6,13 +6,13 @@ samples.  Sampling is by columns: a doubling level's new points, read off
 a table of roots of unity, form one list, and each integrand is evaluated
 on the whole list by a column evaluator (``RatFunc.at_c``,
 ``BiPoly.compiled``) that converts its exact coefficients to complex once
-and runs each Horner step over the column.  ``check_report`` compiles the
-inverse x, y and dx/dt and locates the punctures once per c; on each
-(cycle, c) circle it builds every basis monomial's eta_t = x^i y^j dx/dt
-(the t-route, in product form) and the fiber integrand A dx/dt + B dy/dt
-from one column of each, with the trapezoid weights folded into dx/dt, so
-an integral's level total is one ``sum``.  Each integral stops doubling
-once it settles.
+and runs each Horner step over the column.  The oracle integrates 1-forms
+A dx + B dy along the fiber loop R^{-1}(circle) as A(x,y) dx/dt + B(x,y)
+dy/dt, with x, y, dx/dt and dy/dt sampled from the factored inverse and
+the trapezoid weights folded into dx/dt and dy/dt, so an integral's level
+total is one ``sum``.  ``check_report`` integrates the basis form (the
+t-route) and, when it differs, the report's own form (the fiber route) on
+one circle per (cycle, c).  Each integral stops doubling once it settles.
 
 N trapezoid points on a circle integrate exactly every Laurent term but
 those of order -1 + m N, m != 0, which they fold onto the residue term.
@@ -23,8 +23,8 @@ integrands' pole order at the puncture and degree at infinity.  The
 second level then only confirms the first.  ``_contour_around`` is the
 one place that chooses a circle and its first level: ``check_report``
 and the one-integral routes ``contour_integral_t`` (an eta_t, with its
-own orders) and ``contour_integral_fiber`` (a form on the fiber loop,
-with the bounds ``check_report`` uses) all take their circle from it.
+own orders) and ``contour_integral_fiber`` (a form, with the bounds
+``check_report`` uses) all take their circle from it.
 
 A simultaneous-iteration root finder locates zeros of the exact integrals
 for reporting.
@@ -42,7 +42,7 @@ from operator import add, mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .abelian import IntegralReport
-from .algebra import RatFunc, TFactor, UniPoly
+from .algebra import BiPoly, RatFunc, TFactor, UniPoly, _horner_complex
 from .errors import NonConvergence
 from .rectify import CanonicalCycle, RectifyingMap, canonical_cycles
 from .transform import OneForm
@@ -172,46 +172,30 @@ def _integrate_circle_many(values: Sampler, count: int,
         f"too close to the contour")
 
 
-def _compile_form(form: OneForm) -> Tuple[Callable, Optional[Callable]]:
-    """Column evaluators of A and B; None for the B of a dx-only form."""
-    return form.A.compiled(), None if form.B.is_zero() else form.B.compiled()
-
-
 def _loop_sampler(rm: RectifyingMap, c_value: complex,
-                  monomials: Sequence[Tuple[int, int]],
-                  a_xy: Callable, b_xy: Optional[Callable]) -> Sampler:
-    """values(points, weights, live) at one c: each monomial's eta_t, then the form.
+                  forms: Sequence[Tuple[Callable, Optional[Callable]]]) -> Sampler:
+    """values(points, weights, live) at one c: each live form's fiber integrand.
 
-    Integrand k < len(monomials) is x^i y^j dx/dt for monomials[k], and
-    the last one is the fiber integrand A(x,y) dx/dt + B(x,y) dy/dt.
-    x = inverse_x, y = inverse_y and dx/dt are compiled into column
-    evaluators once here and run once per level; dy/dt is neither built
-    nor sampled when b_xy is None.  The weights multiply dx/dt and dy/dt
-    once per level, so every product built from them comes out weighted.
+    forms[k] = (A, B) holds the column evaluators of a 1-form A dx + B dy,
+    B None for a dx-only form; integrand k is A(x,y) dx/dt + B(x,y) dy/dt.
+    x, y and dx/dt (and dy/dt, if some form has a B) are compiled here and
+    sampled once per level, dy/dt only while such a form is live.  The
+    weights multiply dx/dt and dy/dt, so every integrand comes out weighted.
     """
     inverse_x, inverse_y = rm.inverse_x.at_c(c_value), rm.inverse_y.at_c(c_value)
     dx_dt = rm.dx_dt.at_c(c_value)
-    dy_dt = None if b_xy is None else rm.dy_dt.at_c(c_value)
-    fiber_at = len(monomials)
+    dy_dt = rm.dy_dt.at_c(c_value) if any(b_xy for _, b_xy in forms) else None
 
     def values(points: Column, weights: Column, live: Sequence[int]) -> List[Column]:
         xs, ys = inverse_x(points), inverse_y(points)
         dx = list(map(mul, dx_dt(points), weights))
-        wanted = [monomials[k] for k in live if k < fiber_at]
-        # x_dx[i] holds x^i dx and y_pow[j] holds y^j, one entry per point
-        x_dx, y_pow = [dx], [None, ys]
-        for _ in range(max((i for i, _ in wanted), default=0)):
-            x_dx.append(list(map(mul, x_dx[-1], xs)))
-        for _ in range(max((j for _, j in wanted), default=1) - 1):
-            y_pow.append(list(map(mul, y_pow[-1], ys)))
-        columns = [list(map(mul, x_dx[i], y_pow[j])) if j else x_dx[i]
-                   for i, j in wanted]
-        if live[-1] == fiber_at:
-            fiber = map(mul, a_xy(xs, ys), dx)
-            if dy_dt is not None:
-                dy = map(mul, dy_dt(points), weights)
-                fiber = map(add, fiber, map(mul, b_xy(xs, ys), dy))
-            columns.append(list(fiber))
+        dy = list(map(mul, dy_dt(points), weights)) if any(forms[k][1] for k in live) else None
+        columns = []
+        for a_xy, b_xy in (forms[k] for k in live):
+            column = map(mul, a_xy(xs, ys), dx)
+            if b_xy is not None:
+                column = map(add, column, map(mul, b_xy(xs, ys), dy))
+            columns.append(list(column))
         return columns
 
     return values
@@ -224,20 +208,20 @@ def _orders(f: RatFunc, factor: TFactor) -> Tuple[int, int]:
 
 
 def _order_bounds(rm: RectifyingMap, factor: TFactor,
-                  monomials: Sequence[Tuple[int, int]], form: OneForm) -> Tuple[int, int]:
+                  forms: Sequence[OneForm]) -> Tuple[int, int]:
     """(p, d): bounds on the pole order at ``factor`` and on the degree at
-    infinity of a circle's integrands: each basis monomial's and each A
-    term's x^i y^j dx/dt, and each B term's x^i y^j dy/dt (dy/dt is read
-    only when B != 0).
+    infinity of the fiber integrands of ``forms``: each A term's
+    x^i y^j dx/dt and each B term's x^i y^j dy/dt (dy/dt is read only when
+    some B != 0).
 
     A product's pole order is at most the sum of its factors' and its
     degree is the sum of theirs, so both bounds come from the signed
     exponents in ``.exps`` and the t-degree of the grid, not from
     ``monomial_pushforward``, which the t-route checks.
     """
-    integrands = [(rm.dx_dt, [*monomials, *form.A.terms])]
-    if not form.B.is_zero():
-        integrands.append((rm.dy_dt, form.B.terms))
+    integrands = [(rm.dx_dt, [ij for form in forms for ij in form.A.terms])]
+    if any(not form.B.is_zero() for form in forms):
+        integrands.append((rm.dy_dt, [ij for form in forms for ij in form.B.terms]))
     (px, dx), (py, dy) = _orders(rm.inverse_x, factor), _orders(rm.inverse_y, factor)
     pole_order = degree = 0
     for derivative, exponents in integrands:
@@ -270,57 +254,52 @@ def contour_integral_fiber(w: OneForm, rm: RectifyingMap, cycle: CanonicalCycle,
     The loop is parametrized through the inverse map: for t on the circle,
     (x, y) = (inverse_x, inverse_y)(t, c) and dx = (d inverse_x / dt) dt,
     dy likewise.  The circle starts where ``check_report``'s would for a
-    report of w with no basis monomials.
+    report whose form is w and has no basis monomials.
     """
     punctures = _punctures(rm, c_value)
-    orders = _order_bounds(rm, punctures[cycle.puncture][0], (), w)
-    values = _loop_sampler(rm, c_value, (), *_compile_form(w))
+    orders = _order_bounds(rm, punctures[cycle.puncture][0], [w])
+    compiled = [(w.A.compiled(), None if w.B.is_zero() else w.B.compiled())]
     return _integrate_circle_many(
-        values, 1, _contour_around(punctures, cycle.puncture, orders))[0] / TWO_PI_I
+        _loop_sampler(rm, c_value, compiled), 1, _contour_around(punctures, cycle.puncture, orders))[0] / TWO_PI_I
 
 
 def check_report(report: IntegralReport,
                  c_values: Sequence[complex]) -> Tuple[List[float], List[float]]:
     """Relative errors (t-route vs exact, fiber vs t-route) per (cycle, c).
 
-    The inverse x, y and dx/dt (and dy/dt, for a form with a dy part) are
-    compiled into column evaluators, and the punctures located, once per
-    c.  Each (cycle, c) then has one sample loop on one circle, in which
-    x, y and dx/dt are evaluated once per level.  The t-route sums the
-    weighted basis integrals of eta_t = x^i y^j dx/dt, taken in this
-    product form rather than from the expanded ``monomial_pushforward``,
-    so it checks the pushforward as well as the residues; the fiber route
-    integrates the report's own ``form``, A(x,y) dx/dt + B(x,y) dy/dt,
-    from the same columns.
+    The t-route integrates the basis form sum c_ij x^i y^j dx along the
+    fiber loop, with x, y and dx/dt sampled from the factored inverse, not
+    read off ``monomial_pushforward``, so it checks the pushforward and
+    the residues.  The fiber route integrates ``report.form`` and so
+    checks ``reduce_to_nonexact_basis``; when that form is its basis form
+    the two integrals are bit-identical, so only one runs and the fiber
+    error is 0.0.  The forms are compiled once per call, the inverse and
+    the punctures once per c, and each (cycle, c) runs one sample loop.
 
-    Each circle starts at the first level that aliases no Laurent term of
-    its integrands (``_first_level``), from the exact bounds on their pole
-    order at the puncture and degree at infinity (``_order_bounds``): the
-    first level is then exact for a lone puncture and within roundoff of
-    exact next to a neighbour, and the second confirms it.  Every integral
-    stops doubling on its own, and a contour that has not settled at 2^14
-    samples raises NonConvergence.
+    Each circle starts at the ``_first_level`` of the exact bounds that
+    ``_order_bounds`` puts on its integrands: exact for a lone puncture and
+    within roundoff next to a neighbour, so the second level confirms the
+    first.  A contour unsettled at 2^14 samples raises NonConvergence.
     """
     rm = report.rectifier
-    monomials = list(report.basis_coeffs)
-    coeffs = [w.to_complex() for w in report.basis_coeffs.values()]
-    a_xy, b_xy = _compile_form(report.form)
-    per_c = [(c_value, _punctures(rm, c_value),
-              _loop_sampler(rm, c_value, monomials, a_xy, b_xy)) for c_value in c_values]
+    basis = OneForm(BiPoly(report.basis_coeffs), BiPoly())
+    forms = [basis] if report.form == basis else [basis, report.form]
+    compiled = [(w.A.compiled(), None if w.B.is_zero() else w.B.compiled()) for w in forms]
+    per_c = [(c_value, _punctures(rm, c_value), _loop_sampler(rm, c_value, compiled))
+             for c_value in c_values]
     bounds: Dict[TFactor, Tuple[int, int]] = {}
     errors_t, errors_f = [], []
     for cycle, ai in zip(canonical_cycles(report.facts), report.integrals):
         for c_value, punctures, values in per_c:
             factor = punctures[cycle.puncture][0]
             if factor not in bounds:
-                bounds[factor] = _order_bounds(rm, factor, monomials, report.form)
+                bounds[factor] = _order_bounds(rm, factor, forms)
             spec = _contour_around(punctures, cycle.puncture, bounds[factor])
-            *basis, fiber = [v / TWO_PI_I for v in
-                             _integrate_circle_many(values, len(monomials) + 1, spec)]
-            numeric = sum((w * v for w, v in zip(coeffs, basis)), 0j)
+            numeric, *fiber = [v / TWO_PI_I for v in
+                               _integrate_circle_many(values, len(forms), spec)]
             exact = ai.value.evaluate_complex(c_value)
             errors_t.append(abs(numeric - exact) / (1 + abs(exact)))
-            errors_f.append(abs(fiber - numeric) / (1 + abs(numeric)))
+            errors_f.append(abs(fiber[0] - numeric) / (1 + abs(numeric)) if fiber else 0.0)
     return errors_t, errors_f
 
 
@@ -334,19 +313,13 @@ def locate_roots(p: UniPoly) -> List[complex]:
     coeffs = p.complex_coeffs()
     monic = [c / coeffs[-1] for c in coeffs]
 
-    def evaluate(z: complex) -> complex:
-        acc = 0j
-        for c in reversed(monic):
-            acc = acc * z + c
-        return acc
-
     def settled(z: complex) -> bool:
         # Below ROOT_TOL, or below a few times Horner's rounding bound
         # (deg+1) eps sum |a_k| |z|^k: large, widely spread coefficients
         # keep the computed residual of a converged root above any fixed tol.
         rounding = (degree + 1) * sys.float_info.epsilon * sum(
             abs(c) * abs(z) ** k for k, c in enumerate(monic))
-        return abs(evaluate(z)) < max(ROOT_TOL * (1 + abs(z) ** degree),
+        return abs(_horner_complex(monic, z)) < max(ROOT_TOL * (1 + abs(z) ** degree),
                                       HORNER_SLACK * rounding)
 
     # Standard staggered starting points on a spiral
@@ -361,7 +334,7 @@ def locate_roots(p: UniPoly) -> List[complex]:
             if denom == 0:
                 roots[idx] += 1e-8 * (1 + 1j)
                 denom = 1e-8
-            delta = evaluate(roots[idx]) / denom
+            delta = _horner_complex(monic, roots[idx]) / denom
             roots[idx] -= delta
             shift = max(shift, abs(delta))
         if shift < ROOT_TOL and all(settled(z) for z in roots):

@@ -64,10 +64,14 @@ class RectifyingMap:
         self.facts = facts
         self.inverse_x = inverse_x
         self.inverse_y = inverse_y
-        self.dx_dt = inverse_x.derivative(0)
         self._pow_x = power_table(inverse_x, RatFunc.const(ONE))
         self._pow_y = power_table(inverse_y, RatFunc.const(ONE))
         self._eta_t: Dict[Tuple[int, int], RatFunc] = {}
+
+    @cached_property
+    def dx_dt(self) -> RatFunc:
+        """d inverse_x / dt; only ``monomial_pushforward`` and the oracle read it."""
+        return self.inverse_x.derivative(0)
 
     @cached_property
     def dy_dt(self) -> RatFunc:

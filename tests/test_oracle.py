@@ -215,6 +215,41 @@ class TestContourIntegrals:
         contour_integral_fiber(SEPTIC_F2_FORM, rm, cycle, 2.0 + 0.5j)
         assert "dy_dt" not in rm.__dict__
 
+    def test_exact_form_leaves_dx_dt_unbuilt(self):
+        # An exact form has an empty basis, so full_report pushes no
+        # monomial forward and never reads dx/dt.
+        nf = septic_f2()
+        rm = build_rectifier(nf)
+        report = full_report(nf, OneForm.d(BiPoly({(2, 1): GaussRat(1)})), rectifier=rm)
+        assert not report.basis_coeffs
+        assert "dx_dt" not in rm.__dict__
+
+    def test_report_integrates_the_form_only_when_it_is_not_its_basis_form(
+            self, monkeypatch):
+        # A form equal to its basis form is integrated once per circle and
+        # its fiber error is exactly 0.0; a form with an exact part adds
+        # the fiber integral, which checks reduce_to_nonexact_basis.
+        c_values = (2.0 + 0.5j, -1.7 + 1.3j)
+        counts = []
+
+        def recording(values, count, spec):
+            counts.append(count)
+            return _integrate_circle_many(values, count, spec)
+
+        monkeypatch.setattr(oracle, "_integrate_circle_many", recording)
+        exact_part = OneForm.d(BiPoly({(2, 1): GaussRat(1), (0, 2): GaussRat(-2),
+                                       (1, 0): GaussRat(3)}))
+        for form, count in ((SEPTIC_F2_FORM, 1), (SEPTIC_F2_FORM + exact_part, 2)):
+            del counts[:]
+            report = full_report(septic_f2(), form)
+            errors_t, errors_f = check_report(report, c_values)
+            assert counts == [count] * len(errors_t)
+            assert max(errors_t) < 1e-8
+            if count == 1:
+                assert max(errors_f) == 0.0
+            else:
+                assert 0.0 < max(errors_f) < 1e-8
+
     def test_coefficients_converted_once_per_call(self, monkeypatch):
         # Both routes' samplers convert each exact coefficient to complex
         # once per integral, so the count does not grow with the number of
@@ -243,7 +278,7 @@ class TestContourIntegrals:
             _circle(eta_t.at_c(c0), fixed)
             t_calls = len(calls)
             del calls[:]
-            values = _loop_sampler(rm, c0, (), w.A.compiled(), w.B.compiled())
+            values = _loop_sampler(rm, c0, [(w.A.compiled(), w.B.compiled())])
             _integrate_circle_many(values, 1, fixed)
             counts[samples] = (t_calls, len(calls))
         assert counts[64] == counts[1024]
