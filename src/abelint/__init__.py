@@ -30,7 +30,6 @@ from .errors import (
     NoCyclesError,
     NonConvergence,
     NonPolynomialResidue,
-    PoleOrderMismatch,
 )
 from .family import (
     FamilyFacts,

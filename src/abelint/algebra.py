@@ -29,13 +29,10 @@ are built only for I/O, the expanded ``RatFunc.num`` only for ``==`` and
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain, repeat, zip_longest
 from math import comb, gcd, lcm
 from operator import add, mul, sub, truediv
 from typing import Callable, Iterable, List, Mapping, Optional, Sequence
-
-from .errors import PoleOrderMismatch
 
 NEG_INF = float("-inf")
 
@@ -209,7 +206,7 @@ class UniPoly:
     ``==`` and ``hash`` compare ints.  ``coeffs`` is a GaussRat view.
     """
 
-    __slots__ = ("den", "re", "im")
+    __slots__ = ("den", "re", "im", "_hash")
 
     def __init__(self, coeffs: Iterable = ()):
         parts = [_scalar(GaussRat.parse(c)) for c in coeffs]
@@ -255,7 +252,11 @@ class UniPoly:
         return self.den == other.den and self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.den, tuple(self.re), self.im and tuple(self.im)))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.den, tuple(self.re), self.im and tuple(self.im)))
+            return self._hash
 
     def __add__(self, other):
         return _combine(self, other, 1)
@@ -928,8 +929,11 @@ def _column_steps(grid: List[List[complex]]) -> int:
 #
 # Linear factors are kept as exponents, on both sides of the fraction.  Two
 # kinds of irreducible factor occur in this problem domain:
-#   ("t", pi1, pi0)  meaning  t - (pi1*c + pi0)    (pi1, pi0 in Q(i))
-#   ("c",)           meaning  c
+#   ("t", pi)  meaning  t - pi(c), pi a UniPoly in c of degree at most 1
+#   ("c",)     meaning  c
+# A key carries its pole's location, so two factors at one location are one
+# key.  A rectifier builds one key per puncture, so dict lookups on its
+# functions' exponents mostly compare by identity.
 # Factored storage makes products/powers cheap and gcd cancellation exact
 # without a general multivariate gcd.  The rest of the numerator is a BiPoly
 # in (t, c): row i of the grid holds the c-coefficients of t^i.
@@ -938,24 +942,18 @@ TFactor = tuple
 
 
 def t_factor(pi1: GaussRat, pi0: GaussRat) -> TFactor:
-    return ("t", pi1, pi0)
+    """The key of t - (pi1*c + pi0)."""
+    return ("t", UniPoly([pi0, pi1]))
 
 
 C_FACTOR: TFactor = ("c",)
-
-
-@lru_cache(maxsize=1024)  # a few distinct factors per problem, met in every product
-def _factor_pi(factor: TFactor) -> UniPoly:
-    """The pole location pi(c) of a "t" factor, as a c-polynomial."""
-    _, pi1, pi0 = factor
-    return UniPoly([pi0, pi1])
 
 
 def _factor_product(powers: list) -> BiPoly:
     """prod (t - pi(c))^e over the ("t" factor, e) pairs, as a grid in (t, c)."""
     product = _BONE
     for factor, e in powers:
-        pi = _factor_pi(factor)  # t - P / d = (d t - P) / d
+        pi = factor[1]  # t - P / d = (d t - P) / d
         base = _bipoly(pi.den, [[-v for v in pi.re], [pi.den]],
                        pi.im and [[-v for v in pi.im], [0]])
         product = _grid_mul(product, _pow(base, e, _BONE))
@@ -1039,7 +1037,7 @@ def _divide_factor(p: BiPoly, factor: TFactor):
         if any(row and row[0] for row in re) or im and any(row and row[0] for row in im):
             return None
         return _raw_bipoly(p.den, [row[1:] for row in re], im and [row[1:] for row in im])
-    pi = _factor_pi(factor)
+    pi = factor[1]
     if not pi:  # t divides when row 0 is zero, and the rest keeps its content
         return None if re[0] else _raw_bipoly(p.den, re[1:], im and im[1:])
     quotient, (_, rem_r, rem_i) = _carries(p, pi)
@@ -1086,10 +1084,10 @@ def _raw_ratfunc(grid: BiPoly, exps: dict) -> "RatFunc":
 class RatFunc:
     """Rational function N(t, c) prod(factor^-e), its poles cancelled.
 
-    ``grid`` is a BiPoly in (t, c) and ``exps`` maps each linear factor to a
-    nonzero signed exponent: e > 0 is a pole of order e and e < 0 a
-    numerator factor kept unexpanded.  No pole divides the grid; numerator
-    factors need no such invariant.  ``num`` (the numerator multiplied out)
+    ``grid`` is a BiPoly in (t, c) and ``exps`` maps each linear factor, a
+    key ``("t", pi)`` or ``("c",)``, to a nonzero signed exponent: e > 0 is
+    a pole of order e and e < 0 a numerator factor kept unexpanded.  No
+    pole divides the grid; numerator factors need no such invariant.  ``num`` (the numerator multiplied out)
     and ``fac`` (the poles) are the canonical pair that ``==`` and ``hash``
     compare.
 
@@ -1220,7 +1218,7 @@ class RatFunc:
             if k[0] == "c":
                 d, r, i = 1, slot, None
             elif slot:
-                d, r, i = _scalar(-k[1])
+                d, r, i = _scalar(-k[1][1])
             else:
                 d, r, i = 1, 1, None
             if r or i:
@@ -1256,8 +1254,7 @@ class RatFunc:
         factors = []
         for key, e in self.exps.items():
             if key[0] == "t":
-                _, pi1, pi0 = key
-                factors.append((pi1.to_complex() * c_value + pi0.to_complex(), abs(e),
+                factors.append((key[1].evaluate_complex(c_value), abs(e),
                                 truediv if e > 0 else mul))
             else:
                 scale = c_value ** -e
@@ -1314,7 +1311,9 @@ def _residue_fraction(f: RatFunc, factor: TFactor):
 
     With u = t - pi, a pole of order d and delta_g = pi - pi_g, f is
     N(u + pi) u^-d prod_g (u + delta_g)^-e_g c^-e_c over the grid N and
-    every other factor g, each with its signed exponent.  The residue is
+    every other factor g, each with its signed exponent.  pi and pi_g are
+    the locations the keys carry, and delta_g != 0, since two factors at one
+    location are one key.  The residue is
     [u^(d-1)] N(u + pi) prod_g (u + delta_g)^-e_g, times c^-e_c.  Below u^d
     each (u + delta_g)^-e_g is a binomial series (``_binomial_grid``):
     finite for a numerator factor, and for a pole a polynomial once scaled
@@ -1329,7 +1328,7 @@ def _residue_fraction(f: RatFunc, factor: TFactor):
     depth = f.pole_order(factor)
     if depth == 0:
         return _PZERO, []
-    pi = _factor_pi(factor)
+    pi = factor[1]
     # the numerator is the dot product times (scale_r + i scale_i) / den
     cofactor, scale_r, scale_i, den, divisors, shift = _BONE, 1, 0, 1, [], []
     for key, e in f.exps.items():
@@ -1339,9 +1338,7 @@ def _residue_fraction(f: RatFunc, factor: TFactor):
             else:
                 shift = [0] * -e
         elif key != factor:
-            delta = pi - _factor_pi(key)
-            if not delta:
-                raise PoleOrderMismatch("pole locations collide; pole order is not generic")
+            delta = pi - key[1]  # nonzero: a location has one key
             series = _binomial_grid(delta, -e, depth)
             cofactor = series if cofactor is _BONE else _grid_mul(cofactor, series, depth)
             if e > 0:  # delta's lead S / q with S = s + i b: times q^n conj(S)^n / |S|^(2n)

@@ -8,8 +8,8 @@ summary with factored integrals).
 
 Exit codes: 0 success, 1 parse/usage error or unwritable --out, 2 invalid
 family, 3 bound violation or golden mismatch, 4 the oracle disagreed, did
-not converge or overflowed, 5 internal invariant breached (ConstructionFailure,
-NonPolynomialResidue or PoleOrderMismatch: a bug in abelint, not bad input).
+not converge or overflowed, 5 internal invariant breached (ConstructionFailure
+or NonPolynomialResidue: a bug in abelint, not bad input).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .errors import (
     InvalidFamily,
     NonConvergence,
     NonPolynomialResidue,
-    PoleOrderMismatch,
 )
 from .family import NormalForm
 from .oracle import check_report, locate_roots
@@ -495,29 +494,8 @@ def execute(config: dict, no_oracle: bool = False,
     return 0, payload, text
 
 
-def run(config_path: str, out_dir: str = ".", no_oracle: bool = False) -> int:
-    """File-based entry: parse, execute, write report.json and report.txt."""
-    try:
-        config = json.loads(Path(config_path).read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
-        print(f"error: cannot parse config {config_path}: {exc}", file=sys.stderr)
-        return 1
-    return _execute_and_write(config, out_dir, no_oracle)
-
-
-def run_example(name: str, out_dir: str = ".", no_oracle: bool = False) -> int:
-    try:
-        bundle = _example_resource(name)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return _execute_and_write(bundle["config"], out_dir, no_oracle,
-                              golden=bundle["golden"], example_name=name)
-
-
 def _execute_and_write(config: dict, out_dir: str, no_oracle: bool,
-                       golden: Optional[dict] = None,
-                       example_name: str = "") -> int:
+                       golden: Optional[dict], example_name: str) -> int:
     try:
         code, payload, text = execute(config, no_oracle=no_oracle,
                                       golden=golden, example_name=example_name)
@@ -536,7 +514,7 @@ def _execute_and_write(config: dict, out_dir: str, no_oracle: bool,
     except OverflowError as exc:  # only the oracle samples in floating point
         print(f"error: oracle cannot sample beyond the double range: {exc}", file=sys.stderr)
         return 4
-    except (ConstructionFailure, NonPolynomialResidue, PoleOrderMismatch) as exc:
+    except (ConstructionFailure, NonPolynomialResidue) as exc:
         print(f"error: internal invariant breached: {exc}", file=sys.stderr)
         return 5
     out = Path(out_dir)
@@ -581,9 +559,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("error: exactly one of --config or --example is required",
               file=sys.stderr)
         return 1
+    golden = None
     if args.config:
-        return run(args.config, args.out, args.no_oracle)
-    return run_example(args.example, args.out, args.no_oracle)
+        try:
+            config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
+            print(f"error: cannot parse config {args.config}: {exc}", file=sys.stderr)
+            return 1
+    else:
+        try:
+            bundle = _example_resource(args.example)
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        config, golden = bundle["config"], bundle["golden"]
+    return _execute_and_write(config, args.out, args.no_oracle, golden, args.example or "")
 
 
 if __name__ == "__main__":  # pragma: no cover

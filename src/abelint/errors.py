@@ -5,10 +5,6 @@ class AbelintError(Exception):
     """Base class for all engine errors."""
 
 
-class PoleOrderMismatch(AbelintError):
-    """Two denominator factors sit at one pole, so its order is not generic."""
-
-
 class InvalidFamily(AbelintError):
     """A normal-form parameter set violates a family constraint."""
 

@@ -81,8 +81,7 @@ def _punctures(rm: RectifyingMap, c_value: complex) -> Dict[str, Tuple[TFactor, 
     punctures = {}
     for kind in rm.facts.puncture_kinds:
         factor = rm.puncture_factor(kind)
-        _, pi1, pi0 = factor
-        punctures[kind] = factor, pi1.to_complex() * c_value + pi0.to_complex()
+        punctures[kind] = factor, factor[1].evaluate_complex(c_value)
     return punctures
 
 

@@ -42,6 +42,7 @@ from .family import (
     ZERO_PUNCTURE,
     FamilyFacts,
     NormalForm,
+    beta_puncture,
     hamiltonian,
     validate,
 )
@@ -56,12 +57,14 @@ class CanonicalCycle:
 
 
 class RectifyingMap:
-    """The rectifying map R = (G, H), held as its explicit rational inverse."""
+    """The rectifying map R = (G, H), held as its explicit rational inverse,
+    and the factor key of each puncture, which its functions share."""
 
-    def __init__(self, nf: NormalForm, facts: FamilyFacts,
+    def __init__(self, nf: NormalForm, facts: FamilyFacts, factors: Dict[str, TFactor],
                  inverse_x: RatFunc, inverse_y: RatFunc):
         self.nf = nf
         self.facts = facts
+        self.factors = factors
         self.inverse_x = inverse_x
         self.inverse_y = inverse_y
         self._pow_x = power_table(inverse_x, RatFunc.const(ONE))
@@ -79,13 +82,9 @@ class RectifyingMap:
         return self.inverse_y.derivative(0)
 
     def puncture_factor(self, puncture: str) -> TFactor:
-        """The linear denominator factor t - pi(c) of a puncture."""
-        if puncture == ZERO_PUNCTURE:
-            return t_factor(ZERO, ZERO)
-        if puncture == MOVING_PUNCTURE:
-            return t_factor(ONE, ZERO)
-        index = int(puncture[4:])
-        return t_factor(ZERO, self.nf.beta[index - 1])
+        """The linear denominator factor t - pi(c) of a puncture: the very key
+        that the inverse's exponents hold it under."""
+        return self.factors[puncture]
 
     def monomial_pushforward(self, i: int, j: int) -> RatFunc:
         """eta_t: x^i y^j evaluated on the inverse, times dx/dt; memoised."""
@@ -96,41 +95,44 @@ class RectifyingMap:
         return eta_t
 
 
-def _product(nf: NormalForm, t_exp: int, pi_exp: int, w_exp: int = 0) -> RatFunc:
+def _product(zero: TFactor, pi: Dict[TFactor, int], w: TFactor,
+             t_exp: int, pi_exp: int, w_exp: int = 0) -> RatFunc:
     """t^t_exp Pi^pi_exp W^w_exp, each exponent of either sign.
 
-    Pi = prod (beta_i - t)^a_i and W = c (family two) or c - t (family one).
-    (beta_i - t) and (c - t) are minus the monic factors (t - beta_i) and
-    (t - c), so the sign is the parity of their total exponent.
+    ``zero`` is the key of t, ``pi`` maps the key of each t - beta_i to a_i,
+    so Pi = prod (beta_i - t)^a_i, and ``w`` is the key of W = c (family
+    two) or c - t (family one).  (beta_i - t) and (c - t) are minus the
+    monic factors (t - beta_i) and (t - c), so the sign is the parity of
+    their total exponent.
     """
-    exps = {t_factor(ZERO, ZERO): t_exp}
-    flips = 0
-    for b, a in zip(nf.beta, nf.a):
-        exps[t_factor(ZERO, b)] = a * pi_exp
-        flips += a * pi_exp
-    if nf.family == "F1":
-        exps[t_factor(ONE, ZERO)] = w_exp
-        flips += w_exp
-    else:
-        exps[C_FACTOR] = w_exp
+    exps = {zero: t_exp}
+    exps.update((key, a * pi_exp) for key, a in pi.items())
+    exps[w] = w_exp
+    flips = sum(pi.values()) * pi_exp + (w_exp if w[0] == "t" else 0)
     return RatFunc.factor_product(exps, -1 if flips % 2 else 1)
 
 
 def build_rectifier(nf: NormalForm) -> RectifyingMap:
     """Construct and symbolically verify the rectifying map for a normal form."""
     facts = validate(nf)
+    # one key per puncture, shared by every function of the rectifier
+    zero, w = t_factor(ZERO, ZERO), t_factor(ONE, ZERO) if nf.family == "F1" else C_FACTOR
+    pi = {t_factor(ZERO, b): a for b, a in zip(nf.beta, nf.a)}
+    by_kind = {ZERO_PUNCTURE: zero, MOVING_PUNCTURE: w}
+    by_kind.update((beta_puncture(index), key) for index, key in enumerate(pi, 1))
+    factors = {kind: by_kind[kind] for kind in facts.puncture_kinds}
     if nf.family == "F3":
         inverse_x = RatFunc.t()
-        inverse_y = (RatFunc.c() - _horner(nf.h.coeffs, inverse_x)) * _product(nf, 0, -1)
+        inverse_y = (RatFunc.c() - _horner(nf.h.coeffs, inverse_x)) * _product(zero, pi, w, 0, -1)
     else:
         p1, p, q1, q = facts.effective
         s, k = facts.sign_case, nf.k  # x = M^s, S = N^s, y = (S - P(x)) x^-k
-        inverse_x = _product(nf, s * p, s * q, -s * q)
-        big_s = _product(nf, -s * p1, -s * q1, s * q1)
-        x_to_minus_k = _product(nf, -s * p * k, -s * q * k, s * q * k)
+        inverse_x = _product(zero, pi, w, s * p, s * q, -s * q)
+        big_s = _product(zero, pi, w, -s * p1, -s * q1, s * q1)
+        x_to_minus_k = _product(zero, pi, w, -s * p * k, -s * q * k, s * q * k)
         inverse_y = x_to_minus_k * (big_s - _horner(nf.P.coeffs, inverse_x))
 
-    rm = RectifyingMap(nf, facts, inverse_x, inverse_y)
+    rm = RectifyingMap(nf, facts, factors, inverse_x, inverse_y)
     _verify(rm)
     return rm
 

@@ -30,9 +30,13 @@ class PolyAutomorphism:
     """Plane automorphism with explicit inverse, plus an affine value map.
 
     forward = (psi1, psi2), inverse = (phi1, phi2), sigma(c) = s1*c + s0.
-    Both compositions are verified symbolically at construction.  Before
+    forward(inverse) = id is verified symbolically at construction, and
+    that alone makes the pair inverse to each other: it makes ``inverse``
+    injective, an injective polynomial map of C^2 is bijective
+    (Ax-Grothendieck), so ``forward`` is its inverse map, and
+    inverse(forward) = id holds as maps and hence as polynomials.  Before
     composing, the largest forward degree times the largest inverse degree,
-    which bounds every composition's degree, must be at most
+    which bounds the composition's degree, must be at most
     MAX_COMPOSED_DEGREE, and the forward map's Jacobian determinant must be
     a nonzero constant.
     """
@@ -60,8 +64,6 @@ class PolyAutomorphism:
                 "the forward map's Jacobian determinant is not a nonzero constant")
         if f1.compose(g1, g2) != x or f2.compose(g1, g2) != y:
             raise AutomorphismError("forward(inverse) is not the identity")
-        if g1.compose(f1, f2) != x or g2.compose(f1, f2) != y:
-            raise AutomorphismError("inverse(forward) is not the identity")
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,10 @@ residue theorem (criterion 7) is checked with.
 
 from itertools import repeat, zip_longest
 
-from abelint import PoleOrderMismatch, RatFunc, UniPoly
+from abelint import RatFunc, UniPoly
 from abelint.algebra import (
     ONE,
     _bipoly,
-    _factor_pi,
     _lead_inverse,
     _poly,
     _residue_fraction,
@@ -55,7 +54,7 @@ def eval_at_t(f: RatFunc, point: UniPoly) -> tuple:
     num, den = f.num.compose(point, UniPoly([0, 1])), UniPoly.const(1)
     for key, e in f.fac.items():
         if key[0] == "t":
-            base = point - _factor_pi(key)
+            base = point - key[1]
         else:
             base = UniPoly([0, 1])
         if base.is_zero():
@@ -73,7 +72,7 @@ def laurent_numerators_reference(f: RatFunc, factor, depth: int):
     by the fraction-free recurrence; the reference route for ``residue``.
 
     The declared depth must equal the exact pole order, otherwise
-    PoleOrderMismatch is raised.  With u = t - pi(c), f = N(u) / (u^depth
+    ValueError is raised.  With u = t - pi(c), f = N(u) / (u^depth
     D1(u)) for N, D1 in Q(i)[c][u], and the coefficient of u^(k - depth) is
     s_k = [u^k] N/D1.  With d0 = D1(0), the numerators S_k = s_k d0^(k+1)
     obey S_k = N_k d0^k - sum_{m<k} S_m D1_{k-m} d0^(k-m-1) in Q(i)[c], so
@@ -81,9 +80,8 @@ def laurent_numerators_reference(f: RatFunc, factor, depth: int):
     """
     order = f.pole_order(factor)
     if order != depth:
-        raise PoleOrderMismatch(
-            f"declared pole order {depth} at t - ({_factor_pi(factor)!r}), actual {order}")
-    pi = _factor_pi(factor)
+        raise ValueError(f"declared pole order {depth} at t - ({factor[1]!r}), actual {order}")
+    pi = factor[1]
     # N(u + pi) below u^depth: the remainders of repeated synthetic division.
     shifted, rest = [], f.num
     while rest.re and len(shifted) < depth:
@@ -97,12 +95,12 @@ def laurent_numerators_reference(f: RatFunc, factor, depth: int):
         if key[0] == "c":
             d1 = [row * UniPoly([0] * e + [1]) for row in d1]
         elif key != factor:
-            delta = pi - _factor_pi(key)
+            delta = pi - key[1]
             for _ in range(e):
                 d1 = [a + b for a, b in zip_longest([delta * row for row in d1], [UniPoly()] + d1,
                                                     fillvalue=UniPoly())][:depth]
     if d1[0].is_zero():
-        raise PoleOrderMismatch("pole locations collide; pole order is not generic")
+        raise ValueError("pole locations collide; pole order is not generic")
     d0_pows = power_table(d1[0], UniPoly.const(1))
     scaled = [(j, d * d0_pows(j - 1)) for j, d in enumerate(d1) if j and d]
     series = []

@@ -13,17 +13,14 @@ from abelint import (
     GaussRat,
     NormalForm,
     OneForm,
-    PoleOrderMismatch,
     RatFunc,
     UniPoly,
     full_report,
     residue,
 )
-from abelint import algebra
 from abelint.algebra import (
     C_FACTOR,
     I,
-    _factor_pi,
     power_table,
     t_factor,
 )
@@ -404,7 +401,7 @@ def laurent_coefficients(f: RatFunc, factor, depth: int) -> list:
     Coefficient k is the residue of f (t-pi)^(depth-1-k), a pole of order k+1.
     """
     if f.pole_order(factor) != depth:
-        raise PoleOrderMismatch(f"declared pole order {depth}, actual {f.pole_order(factor)}")
+        raise ValueError(f"declared pole order {depth}, actual {f.pole_order(factor)}")
     return [residue_pair(f * RatFunc.factor_product({factor: depth - 1 - k}, 1), factor)
             for k in range(depth)]
 
@@ -414,15 +411,13 @@ def residue_via_derivative(f: RatFunc, factor, depth: int) -> tuple:
     of f*(t-pi)^depth evaluated at t = pi, as an unreduced pair.  Independent
     route used to cross-check laurent_coefficients."""
     if f.pole_order(factor) != depth:
-        raise PoleOrderMismatch(
-            f"declared pole order {depth}, actual {f.pole_order(factor)}"
-        )
+        raise ValueError(f"declared pole order {depth}, actual {f.pole_order(factor)}")
     if depth == 0:
         return UniPoly(), UniPoly.const(1)
     cleared = f * RatFunc.factor_product({factor: depth}, 1)
     for _ in range(depth - 1):
         cleared = cleared.derivative(0)
-    num, den = eval_at_t(cleared, _factor_pi(factor))
+    num, den = eval_at_t(cleared, factor[1])
     return num.scale(GaussRat(Fraction(1, factorial(depth - 1)))), den
 
 
@@ -478,7 +473,7 @@ class TestResidues:
 
     def test_pole_order_mismatch(self):
         f = RatFunc(BiPoly.const(GaussRat(1)), {t_factor(GaussRat(0), GaussRat(1)): 2})
-        with pytest.raises(PoleOrderMismatch):
+        with pytest.raises(ValueError):
             laurent_coefficients(f, t_factor(GaussRat(0), GaussRat(1)), 1)
 
     def test_laurent_agrees_with_derivative_formula(self):
@@ -572,8 +567,8 @@ class TestResidues:
             depth = f.pole_order(pole)
             depths.add(depth)
             short += len(f.num.re) < depth
-            moving += bool(pole[1])
-            gaussian += bool(pole[2].im)
+            moving += bool(pole[1][1])
+            gaussian += bool(pole[1][0].im)
             with_c += C_FACTOR in f.fac
             reference = reference_residue(f, pole)
             assert same_fraction(residue_pair(f, pole), reference)
@@ -583,15 +578,6 @@ class TestResidues:
                 assert value * reference[1] == reference[0]
         assert depths >= set(range(1, 13))
         assert min(short, moving, gaussian, with_c, polynomial) >= 40
-
-    def test_colliding_poles_raise_pole_order_mismatch(self, monkeypatch):
-        # Two factor keys at one location: the cofactor's constant term,
-        # a power of their distance, is zero.
-        f = RatFunc(BiPoly.const(GaussRat(1)), {t_factor(GaussRat(0), GaussRat(1)): 2,
-                                                t_factor(GaussRat(0), GaussRat(2)): 1})
-        monkeypatch.setattr(algebra, "_factor_pi", lambda factor: UniPoly([GaussRat(1)]))
-        with pytest.raises(PoleOrderMismatch, match="collide"):
-            residue(f, t_factor(GaussRat(0), GaussRat(1)))
 
     def test_moving_pole_residue(self):
         # 1/(t - c): residue 1 at the moving pole

@@ -24,11 +24,7 @@ from abelint.abelian import (
     transformed_form_degree_cap,
     zero_count_cap,
 )
-from abelint.errors import (
-    ConstructionFailure,
-    NonPolynomialResidue,
-    PoleOrderMismatch,
-)
+from abelint.errors import ConstructionFailure, NonPolynomialResidue
 from abelint.family import expand
 from abelint.transform import pushforward_oneform
 from abelint.cli import (
@@ -320,8 +316,7 @@ class TestExitCodes:
         assert "within 16384 samples" in err
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("error", [
-        ConstructionFailure, NonPolynomialResidue, PoleOrderMismatch])
+    @pytest.mark.parametrize("error", [ConstructionFailure, NonPolynomialResidue])
     def test_internal_invariant_breach_is_five(self, tmp_path, capsys,
                                                monkeypatch, error):
         def breach(*args, **kwargs):

@@ -23,7 +23,6 @@ from abelint.algebra import (
     _binomial_grid,
     _bipoly,
     _divide_factor,
-    _factor_pi,
     _grid_integral,
     _grid_mul,
     _grid_sum,
@@ -352,8 +351,8 @@ def factor_poly(key) -> BiPoly:
     """A denominator factor as a polynomial in (t, c): t - (pi1 c + pi0), or c."""
     if key == C_FACTOR:
         return BiPoly.var(1)
-    _, pi1, pi0 = key
-    return BiPoly({(1, 0): ONE, (0, 1): -pi1, (0, 0): -pi0})
+    pi = key[1]
+    return BiPoly({(1, 0): ONE, (0, 1): -pi[1], (0, 0): -pi[0]})
 
 
 def denominator(fac) -> BiPoly:
@@ -521,8 +520,7 @@ def divides(factor, n: BiPoly) -> bool:
     """Whether a denominator factor divides n, by substitution."""
     if factor == C_FACTOR:
         return all(j > 0 for _, j in n.terms)
-    _, pi1, pi0 = factor
-    return n.compose(UniPoly([pi0, pi1]), UniPoly([0, 1])).is_zero()
+    return n.compose(factor[1], UniPoly([0, 1])).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +547,7 @@ class TestGridKernel:
     @given(nonzero_bipolys, st.sampled_from(T_FACTORS))
     def test_synthetic_division(self, p, factor):
         # p = (t - pi) quotient + remainder, the remainder free of t.
-        (qd, qr, qi), (den, re, im) = _synthetic_division(p, _factor_pi(factor))
+        (qd, qr, qi), (den, re, im) = _synthetic_division(p, factor[1])
         quot = _bipoly(qd, list(qr), qi and list(qi))
         rem = _poly(den, list(re), im and list(im))
         remainder = {(0, j): c for j, c in enumerate(rem.coeffs) if c}
@@ -640,9 +638,10 @@ def ratfunc_condition(f: RatFunc, t0: GaussRat, c0: GaussRat, num: GaussRat) -> 
     condition = term_mass(f.grid, t0, c0) / abs(num.to_complex())
     for key, e in f.exps.items():
         if key[0] == "t":
-            pole = key[1] * c0 + key[2]
-            scale = abs(t0.to_complex()) + abs(key[1].to_complex()) * abs(c0.to_complex()) \
-                + abs(key[2].to_complex())
+            pi = key[1]
+            pole = pi.evaluate(c0)
+            scale = abs(t0.to_complex()) + abs(pi[1].to_complex()) * abs(c0.to_complex()) \
+                + abs(pi[0].to_complex())
             condition += abs(e) * scale / abs((t0 - pole).to_complex())
     return condition
 

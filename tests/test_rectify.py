@@ -14,6 +14,7 @@ from abelint import (
     UniPoly,
     build_rectifier,
     canonical_cycles,
+    residue,
     validate,
 )
 from abelint.algebra import C_FACTOR, t_factor
@@ -113,7 +114,7 @@ class TestExplicitInverses:
         else:
             x = x + RatFunc.t()
         with pytest.raises(ConstructionFailure):
-            _verify(RectifyingMap(rm.nf, rm.facts, x, y))
+            _verify(RectifyingMap(rm.nf, rm.facts, rm.factors, x, y))
 
 
 class TestPushforwards:
@@ -178,3 +179,56 @@ class TestCycles:
         for _ in range(30):
             facts = validate(random_normal_form(rng))
             assert len(canonical_cycles(facts)) == facts.homology_rank
+
+
+def gaussian_f2():
+    # punctures t = 0, t = i and t = 1 + i
+    return NormalForm("F2", p1=0, p=1, q1=1, q=2, k=1, P=UniPoly([GaussRat(0, 1)]),
+                      a=(1, 2), beta=(GaussRat(0, 1), GaussRat(1, 1)))
+
+
+def gaussian_f3():
+    # y (i - x)(2 - x) + (1 + i x)
+    return NormalForm("F3", a=(1, 1), beta=(GaussRat(0, 1), GaussRat(2)),
+                      h=UniPoly([1, GaussRat(0, 1)]))
+
+
+KEYED_FORMS = [septic_f1, gaussian_f2, gaussian_f3]
+
+
+class TestPunctureKeys:
+    @pytest.mark.parametrize("make", KEYED_FORMS)
+    def test_pushforwards_and_residues_hash_no_gaussrat(self, make, monkeypatch):
+        # A factor key holds its location as a UniPoly, whose hash is
+        # cached, so once the rectifier is built no exponent lookup hashes
+        # a GaussRat.
+        rm = build_rectifier(make())
+        calls = []
+        original = GaussRat.__hash__
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(GaussRat, "__hash__", counting)
+        residues = 0
+        for i, j in ((0, 1), (1, 1), (2, 1), (0, 2), (1, 3)):
+            eta_t = rm.monomial_pushforward(i, j)
+            for kind in rm.facts.puncture_kinds:
+                residues += residue(eta_t, rm.puncture_factor(kind)) is not None
+        assert residues > 0
+        assert calls == []
+
+    @pytest.mark.parametrize("make", KEYED_FORMS)
+    def test_every_t_key_is_a_puncture_key(self, make):
+        # The rectifier builds one key per puncture, and every function it
+        # holds or pushes forward keeps those very objects.
+        rm = build_rectifier(make())
+        keys = [rm.puncture_factor(kind) for kind in rm.facts.puncture_kinds]
+        seen = 0
+        for f in (rm.inverse_x, rm.inverse_y, rm.dx_dt, rm.monomial_pushforward(1, 2)):
+            for key in f.exps:
+                if key[0] == "t":
+                    assert any(key is k for k in keys)
+                    seen += 1
+        assert seen >= len(keys)

@@ -62,6 +62,21 @@ class TestAutomorphism:
         with pytest.raises(AutomorphismError, match="Jacobian"):
             PolyAutomorphism((x, BiPoly()), (x, y))
 
+    @pytest.mark.parametrize("make", [shear_automorphism, oscillator_automorphism])
+    def test_valid_pair_composes_once_per_component(self, make, monkeypatch):
+        # forward(inverse) = id alone proves the pair inverse to each other,
+        # so a valid pair runs two compositions, not four.
+        calls = []
+        original = BiPoly.compose
+
+        def counting(self, *args):
+            calls.append(self)
+            return original(self, *args)
+
+        monkeypatch.setattr(BiPoly, "compose", counting)
+        make()
+        assert len(calls) == 2
+
     def test_valid_pair_above_the_cap_is_refused(self):
         # The cap bounds degrees, not validity: the shear (x, y + x^8) is
         # accepted (8 * 8 = 64), and the equally valid (x, y + x^9) is
