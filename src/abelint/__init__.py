@@ -34,7 +34,6 @@ from .errors import (
 from .family import (
     FamilyFacts,
     NormalForm,
-    expand,
     hamiltonian,
     synthesize_qq,
     validate,
@@ -55,7 +54,6 @@ from .transform import (
     OneForm,
     PolyAutomorphism,
     pushforward_oneform,
-    pushforward_polynomial,
     reduce_to_nonexact_basis,
 )
 

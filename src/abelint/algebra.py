@@ -7,9 +7,11 @@ except the complex evaluations that the oracle and the renderer read
 (``evaluate_complex`` and the column evaluators ``RatFunc.at_c`` and
 ``BiPoly.compiled``).
 
-``GaussRat`` (two reduced rationals) is the public scalar.  Arithmetic is
-on Python ints, with one denominator per polynomial (a content and a
-primitive part).  A ``UniPoly`` is ``(den, re, im)``: Gaussian integers,
+Every exact number is Gaussian integers over one positive denominator, on
+Python ints, canonical when that denominator is coprime to all of them.
+The public scalar ``GaussRat`` is ``(den, num_re, num_im)``, so a scalar
+enters and leaves a polynomial as three ints; Fractions are built only to
+parse and to print.  A ``UniPoly`` is ``(den, re, im)``: Gaussian integers,
 low degree first, canonical when the top coefficient is nonzero and
 gcd(den, *re, *im) = 1.  A ``BiPoly`` is the same in two variables, an
 integer grid ``(den, re, im)`` whose rows ``re[i]`` and ``im[i]`` hold the
@@ -21,13 +23,13 @@ loops with one normalisation per result.  A residue reads one Laurent
 coefficient: the low rows of the shifted grid, on ints, dotted with a
 product of binomial series, so a c-polynomial leaves the grid only as the
 residue's numerator, which ``residue`` divides by its known linear
-denominators in c.  GaussRat views (``UniPoly.coeffs``, ``BiPoly.terms``)
-are built only for I/O, the expanded ``RatFunc.num`` only for ``==`` and
-``hash``.
+denominators in c.  The expanded ``RatFunc.num`` is built only for ``==``
+and ``hash``.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from itertools import chain, repeat, zip_longest
 from math import comb, gcd, lcm
@@ -65,22 +67,26 @@ def power_table(base, one) -> Callable[[int], object]:
     return power
 
 
-def _as_q(value) -> Fraction:
-    return value if type(value) is Fraction else Fraction(value)
-
-
 class GaussRat:
-    """An exact element of Q(i), stored as two reduced rationals.
+    """An exact element of Q(i), (num_re + i*num_im) / den on Python ints.
 
-    A real value hashes like its rational, so it meets ints and Fractions
-    in sets and dicts; the hash is computed once, into ``_hash``.
+    Canonical as a ``UniPoly`` coefficient is: den > 0 and gcd(den, num_re,
+    num_im) = 1, so ``==`` compares ints; arithmetic normalises each result
+    by one gcd (``_gauss_of``).  Fractions are built only to parse a number
+    and, through the ``re`` and ``im`` views, to print one.  A real value
+    hashes like its rational, so it meets ints and Fractions in sets and
+    dicts; the hash is computed once, into ``_hash``.
     """
 
-    __slots__ = ("re", "im", "_hash")
+    __slots__ = ("den", "num_re", "num_im", "_hash")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_q(re))
-        object.__setattr__(self, "im", _as_q(im))
+        den = 1
+        if type(re) is not int or type(im) is not int:
+            re, im = Fraction(re), Fraction(im)
+            den = lcm(re.denominator, im.denominator)
+            re, im = re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)
+        self.den, self.num_re, self.num_im = den, re, im
 
     # -- construction -------------------------------------------------
     @classmethod
@@ -88,46 +94,52 @@ class GaussRat:
         """Parse an exact number: int, "a/b" string, or {re, im} mapping."""
         if isinstance(obj, GaussRat):
             return obj
-        if isinstance(obj, Mapping):
-            return cls(_as_q(obj.get("re", 0)), _as_q(obj.get("im", 0)))
         if isinstance(obj, (int, str, Fraction)):
-            return cls(_as_q(obj))
+            return cls(obj)
+        if isinstance(obj, Mapping):
+            return cls(obj.get("re", 0), obj.get("im", 0))
         raise TypeError(f"cannot parse exact number from {obj!r}")
+
+    re = property(lambda self: Fraction(self.num_re, self.den))
+    im = property(lambda self: Fraction(self.num_im, self.den))
 
     def to_json(self):
         """Serialize as an exact string (or {re, im} when truly complex)."""
-        if self.im == 0:
+        if not self.num_im:
             return str(self.re)
         return {"re": str(self.re), "im": str(self.im)}
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other):
         other = _coerce(other)
-        return _gauss(self.re + other.re, self.im + other.im)
+        d, e = self.den, other.den
+        return _gauss_of(d * e, self.num_re * e + other.num_re * d,
+                         self.num_im * e + other.num_im * d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = _coerce(other)
-        return _gauss(self.re - other.re, self.im - other.im)
+        d, e = self.den, other.den
+        return _gauss_of(d * e, self.num_re * e - other.num_re * d,
+                         self.num_im * e - other.num_im * d)
 
     def __rsub__(self, other):
         return _coerce(other).__sub__(self)
 
     def __mul__(self, other):
         other = _coerce(other)
-        return _gauss(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, d = self.num_re, self.num_im, other.num_re, other.num_im
+        return _gauss_of(self.den * other.den, a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GaussRat":
-        n = self.re * self.re + self.im * self.im
+        a, b = self.num_re, self.num_im
+        n = a * a + b * b
         if n == 0:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return _gauss(self.re / n, -self.im / n)
+        return _gauss_of(n, self.den * a, -self.den * b)
 
     def __truediv__(self, other):
         return self * _coerce(other).inverse()
@@ -136,7 +148,9 @@ class GaussRat:
         return _coerce(other) * self.inverse()
 
     def __neg__(self):
-        return _gauss(-self.re, -self.im)
+        obj = _new_object(GaussRat)  # already canonical: no gcd
+        obj.den, obj.num_re, obj.num_im = self.den, -self.num_re, -self.num_im
+        return obj
 
     def __pow__(self, n: int):
         if n < 0:
@@ -145,43 +159,63 @@ class GaussRat:
 
     # -- predicates / conversions -------------------------------------
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self.num_re or self.num_im)
 
     def __eq__(self, other):
         try:
             other = _coerce(other)
         except TypeError:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return (self.den, self.num_re, self.num_im) == (other.den, other.num_re, other.num_im)
 
     def __hash__(self):
         try:
             return self._hash
         except AttributeError:
-            self._hash = hash(self.re) if not self.im else hash((self.re, self.im))
+            self._hash = hash((self.den, self.num_re, self.num_im)) if self.num_im \
+                else _rational_hash(self.num_re, self.den)
             return self._hash
 
     def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        """n / d on ints is correctly rounded, so this is float(Fraction) per part."""
+        return complex(self.num_re / self.den, self.num_im / self.den)
 
     def __repr__(self):
-        if self.im == 0:
+        if not self.num_im:
             return str(self.re)
-        if self.re == 0:
+        if not self.num_re:
             return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
+        sign = "+" if self.num_im > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"
 
 
 _new_object = object.__new__
 
 
-def _gauss(re, im) -> GaussRat:
-    """GaussRat from two Fractions, skipping the coercion."""
+def _gauss_of(den: int, re: int, im: int) -> GaussRat:
+    """The canonical GaussRat (re + i*im) / den, for den > 0: one gcd."""
+    if den != 1:
+        g = gcd(den, re, im)
+        if g != 1:
+            den, re, im = den // g, re // g, im // g
     obj = _new_object(GaussRat)
-    obj.re = re
-    obj.im = im
+    obj.den, obj.num_re, obj.num_im = den, re, im
     return obj
+
+
+def _rational_hash(num: int, den: int) -> int:
+    """hash(Fraction(num, den)) for coprime num and den > 0, by Python's rule
+    for numeric hashes: |num| / den modulo the prime P, signed, and inf for
+    den a multiple of P.  ``hash`` itself turns -1 into -2."""
+    modulus = sys.hash_info.modulus
+    h = abs(num) * pow(den, -1, modulus) % modulus if den % modulus else sys.hash_info.inf
+    return h if num >= 0 else -h
+
+
+def _paren(c: GaussRat) -> str:
+    """repr(c), in parentheses when it is a sum."""
+    text = repr(c)
+    return f"({text})" if "+" in text[1:] or "-" in text[1:] else text
 
 
 def _coerce(value) -> GaussRat:
@@ -203,7 +237,8 @@ class UniPoly:
     ``den`` is a positive int; ``re`` and ``im`` are equally long int lists,
     low degree first, and ``im`` is None when every coefficient is real.
     Canonical form: top coefficient nonzero and gcd(den, *re, *im) = 1, so
-    ``==`` and ``hash`` compare ints.  ``coeffs`` is a GaussRat view.
+    ``==`` and ``hash`` compare ints.  Coefficient k (``p[k]``, or
+    ``coeffs``) is the GaussRat (re[k] + i*im[k]) / den, reduced by one gcd.
     """
 
     __slots__ = ("den", "re", "im", "_hash")
@@ -233,10 +268,7 @@ class UniPoly:
     def __getitem__(self, k: int) -> GaussRat:
         if not 0 <= k < len(self.re):
             return ZERO
-        re, im = self.re[k], self.im[k] if self.im else 0
-        if not re and not im:
-            return ZERO
-        return _gauss_of(self.den, re, im)
+        return _gauss_of(self.den, self.re[k], self.im[k] if self.im else 0)
 
     @property
     def coeffs(self) -> tuple:
@@ -386,10 +418,7 @@ class UniPoly:
                 elif c == -ONE:
                     term = f"-{base}"
                 else:
-                    cs = repr(c)
-                    if ("+" in cs[1:]) or ("-" in cs[1:]):
-                        cs = f"({cs})"
-                    term = f"{cs}*{base}"
+                    term = f"{_paren(c)}*{base}"
             parts.append(term)
         text = " + ".join(parts)
         return text.replace("+ -", "- ")
@@ -423,15 +452,7 @@ def _scalar(value):
     """(den, re, im) of a GaussRat or int, ints; im is None when it is 0."""
     if isinstance(value, int):
         return 1, value, None
-    re, im = value.re, value.im
-    den = lcm(int(re.denominator), int(im.denominator))
-    return (den, int(re.numerator) * (den // int(re.denominator)),
-            int(im.numerator) * (den // int(im.denominator)) or None)
-
-
-def _gauss_of(den: int, re: int, im: int) -> GaussRat:
-    """The GaussRat (re + i*im) / den."""
-    return _gauss(Fraction(re, den), Fraction(im, den) if im else ZERO.im)
+    return value.den, value.num_re, value.num_im or None
 
 
 def _complex_coeffs(den: int, re: list, im) -> list:
@@ -834,7 +855,7 @@ class BiPoly:
                 if self.im is not None:
                     row = [GaussRat(r, m) for r, m in zip(row, self.im[k])]
                 acc = acc + _horner(row, sub1)
-        return acc if self.den == 1 else acc * GaussRat(Fraction(1, self.den))
+        return acc if self.den == 1 else acc * _gauss_of(self.den, 1, 0)
 
     def compiled(self) -> Callable[[List[complex], List[complex]], List[complex]]:
         """Column evaluator: (v0s, v1s) -> the values at the points (v0s[k], v1s[k]).
@@ -871,9 +892,7 @@ class BiPoly:
         parts = []
         for (i, j), c in sorted(self.terms.items(), key=lambda kc: (sum(kc[0]), kc[0])):
             factors = []
-            cs = repr(c)
-            if ("+" in cs[1:]) or ("-" in cs[1:]):
-                cs = f"({cs})"
+            cs = _paren(c)
             if (i, j) == (0, 0):
                 factors.append(cs)
             else:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from .algebra import ZERO, BiPoly, GaussRat, UniPoly, _horner
+from .algebra import ZERO, GaussRat, UniPoly, _horner
 from .errors import InvalidFamily, NoCyclesError
 
 # Puncture kinds of the rectified fiber
@@ -207,7 +207,7 @@ def hamiltonian(nf: NormalForm, facts: FamilyFacts, x, y):
     G is the first component of the rectifying map: x for family three and
     x^q1 S^q otherwise.  The code is generic over the ring of x and y: it
     uses only ``type(x).const`` and ``+ - * **``.  On ``BiPoly.var(0),
-    BiPoly.var(1)`` it gives H as a polynomial in the plane (``expand``); on
+    BiPoly.var(1)`` it gives H as a polynomial in the plane; on
     the rectifier's ``RatFunc`` inverse it gives G and H composed with the
     inverse, which ``rectify`` checks against (t, c).
     """
@@ -224,8 +224,3 @@ def hamiltonian(nf: NormalForm, facts: FamilyFacts, x, y):
     for b, a in zip(nf.beta, nf.a):
         core = core * (const(b) - g) ** a
     return g, (g + core if nf.family == "F1" else core)
-
-
-def expand(nf: NormalForm) -> BiPoly:
-    """The explicit Hamiltonian as a bivariate polynomial in (x, y)."""
-    return hamiltonian(nf, validate(nf), BiPoly.var(0), BiPoly.var(1))[1]

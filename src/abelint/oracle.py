@@ -42,7 +42,7 @@ from operator import add, mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .abelian import IntegralReport
-from .algebra import BiPoly, RatFunc, TFactor, UniPoly, _horner_complex
+from .algebra import BiPoly, RatFunc, TFactor, UniPoly, _complex_coeffs, _horner_complex
 from .errors import NonConvergence
 from .rectify import CanonicalCycle, RectifyingMap, canonical_cycles
 from .transform import OneForm
@@ -309,7 +309,10 @@ def locate_roots(p: UniPoly) -> List[complex]:
     degree = int(p.degree)
     if degree == 0:
         return []
-    coeffs = p.complex_coeffs()
+    # Over a power of two near the leading coefficient, not the denominator
+    # (which moves no root), so that coefficient neither under- nor overflows.
+    top = max(abs(p.re[-1]), abs(p.im[-1]) if p.im else 0)
+    coeffs = _complex_coeffs(1 << top.bit_length(), p.re, p.im)
     monic = [c / coeffs[-1] for c in coeffs]
 
     def settled(z: complex) -> bool:

@@ -90,13 +90,6 @@ class OneForm:
         return cls(Q_poly.partial(0), Q_poly.partial(1))
 
 
-def pushforward_polynomial(H: BiPoly, aut: PolyAutomorphism) -> BiPoly:
-    """sigma(H(psi^{-1}(x, y))), fully expanded."""
-    g1, g2 = aut.inverse
-    composed = H.compose(g1, g2)
-    return composed.scale(aut.s1) + BiPoly.const(aut.s0)
-
-
 def pushforward_oneform(w: OneForm, aut: PolyAutomorphism) -> OneForm:
     """sigma' times the pushforward of w, computed as pullback by psi^{-1}."""
     g1, g2 = aut.inverse

@@ -7,11 +7,18 @@ routes here reach the same values another way and return unreduced
 two pairs by cross-multiplying, so a comparison runs no gcd.  ``CFrac``, a
 reduced fraction, serves only ``residue_at_infinity``, the route the
 residue theorem (criterion 7) is checked with.
+
+The package's scalar ``GaussRat`` is checked against ``FractionGaussRat``,
+the same element of Q(i) kept as two ``Fraction``s.  The package's
+polynomial routes are checked against ``expand`` and
+``pushforward_polynomial``, which fully expand a Hamiltonian and its
+pushforward by an automorphism.
 """
 
+from fractions import Fraction
 from itertools import repeat, zip_longest
 
-from abelint import RatFunc, UniPoly
+from abelint import BiPoly, NormalForm, PolyAutomorphism, RatFunc, UniPoly, hamiltonian, validate
 from abelint.algebra import (
     ONE,
     _bipoly,
@@ -21,6 +28,109 @@ from abelint.algebra import (
     _synthetic_division,
     power_table,
 )
+
+
+# ---------------------------------------------------------------------------
+# Gaussian rationals as two Fractions
+# ---------------------------------------------------------------------------
+
+class FractionGaussRat:
+    """An exact element of Q(i), stored as two reduced rationals.
+
+    A real value hashes like its rational; a complex one like the pair.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    def to_json(self):
+        if self.im == 0:
+            return str(self.re)
+        return {"re": str(self.re), "im": str(self.im)}
+
+    def __add__(self, other):
+        other = _coerce(other)
+        return FractionGaussRat(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = _coerce(other)
+        return FractionGaussRat(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other):
+        return _coerce(other) - self
+
+    def __mul__(self, other):
+        other = _coerce(other)
+        return FractionGaussRat(self.re * other.re - self.im * other.im,
+                                self.re * other.im + self.im * other.re)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "FractionGaussRat":
+        n = self.re * self.re + self.im * self.im
+        if n == 0:
+            raise ZeroDivisionError("inverse of zero Gaussian rational")
+        return FractionGaussRat(self.re / n, -self.im / n)
+
+    def __truediv__(self, other):
+        return self * _coerce(other).inverse()
+
+    def __rtruediv__(self, other):
+        return _coerce(other) * self.inverse()
+
+    def __neg__(self):
+        return FractionGaussRat(-self.re, -self.im)
+
+    def __pow__(self, n: int):
+        base, result = (self.inverse(), -n) if n < 0 else (self, n)
+        value = FractionGaussRat(1)
+        for _ in range(result):
+            value = value * base
+        return value
+
+    def __bool__(self):
+        return self.re != 0 or self.im != 0
+
+    def __eq__(self, other):
+        other = _coerce(other)
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash(self.re) if not self.im else hash((self.re, self.im))
+
+    def to_complex(self) -> complex:
+        return complex(float(self.re), float(self.im))
+
+    def __repr__(self):
+        if self.im == 0:
+            return str(self.re)
+        if self.re == 0:
+            return f"{self.im}i"
+        sign = "+" if self.im > 0 else "-"
+        return f"{self.re}{sign}{abs(self.im)}i"
+
+
+def _coerce(value) -> FractionGaussRat:
+    return value if isinstance(value, FractionGaussRat) else FractionGaussRat(value)
+
+
+# ---------------------------------------------------------------------------
+# Expanded Hamiltonians
+# ---------------------------------------------------------------------------
+
+def expand(nf: NormalForm) -> BiPoly:
+    """The explicit Hamiltonian as a bivariate polynomial in (x, y)."""
+    return hamiltonian(nf, validate(nf), BiPoly.var(0), BiPoly.var(1))[1]
+
+
+def pushforward_polynomial(H: BiPoly, aut: PolyAutomorphism) -> BiPoly:
+    """sigma(H(psi^{-1}(x, y))), fully expanded."""
+    g1, g2 = aut.inverse
+    return H.compose(g1, g2).scale(aut.s1) + BiPoly.const(aut.s0)
 
 
 # ---------------------------------------------------------------------------

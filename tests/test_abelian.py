@@ -19,7 +19,6 @@ from abelint import (
     canonical_cycles,
     count_zeros,
     degree_row_bound,
-    expand,
     full_report,
     integrate_cycle,
     reduce_to_nonexact_basis,
@@ -36,6 +35,7 @@ from conftest import (
     random_normal_form,
     random_oneform,
 )
+from reference import expand
 
 
 def form_dx(*terms):

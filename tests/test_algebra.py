@@ -1,6 +1,7 @@
 """Exact arithmetic, polynomials, rational functions and residues."""
 
 import random
+import sys
 from fractions import Fraction
 from math import factorial
 
@@ -15,9 +16,11 @@ from abelint import (
     OneForm,
     RatFunc,
     UniPoly,
+    build_rectifier,
     full_report,
     residue,
 )
+from abelint import algebra
 from abelint.algebra import (
     C_FACTOR,
     I,
@@ -25,8 +28,9 @@ from abelint.algebra import (
     t_factor,
 )
 
-from conftest import random_gauss, random_normal_form, cached_rectifier
+from conftest import random_gauss, random_normal_form, random_oneform, cached_rectifier
 from reference import (
+    FractionGaussRat,
     eval_at_t,
     fraction_sum,
     reference_residue,
@@ -106,13 +110,13 @@ class TestGaussRat:
 
     def test_hash_is_computed_once(self, monkeypatch):
         calls = []
-        original = Fraction.__hash__
+        original = algebra._rational_hash
 
-        def counting(self):
-            calls.append(self)
-            return original(self)
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
 
-        monkeypatch.setattr(Fraction, "__hash__", counting)
+        monkeypatch.setattr(algebra, "_rational_hash", counting)
         real, cplx = GaussRat(Fraction(7, 3)), GaussRat(Fraction(7, 3), 2)
         key = ("t", real, cplx)
         first = [hash(real), hash(cplx), hash(key)]
@@ -121,6 +125,12 @@ class TestGaussRat:
         assert [hash(real), hash(cplx), hash(key)] == first
         assert {key: 1}[key] == 1
         assert len(calls) == count
+        # Both branches return the stored hash: a complex value's hash does
+        # not go through _rational_hash, so plant a value and read it back.
+        assert (real._hash, cplx._hash) == (first[0], first[1])
+        for value in (real, cplx):
+            value._hash = 12345
+            assert hash(value) == 12345
 
     def test_results_hold_backend_rationals(self):
         real, other_real = GaussRat(Fraction(3, 4)), GaussRat(-5)
@@ -138,6 +148,95 @@ class TestGaussRat:
             assert type(value.re) is Fraction and type(value.im) is Fraction
             parsed = GaussRat.parse({"re": str(value.re), "im": str(value.im)})
             assert value == parsed and hash(value) == hash(parsed)
+
+
+# Parts of random Gaussian rationals: small ones, and denominators that are
+# multiples of the hash modulus or beyond the double range.
+_MODULUS = sys.hash_info.modulus
+PARTS = [0, 1, 2, -3, 7, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6), 10 ** 30 + 1,
+         Fraction(1, _MODULUS), Fraction(3, 2 * _MODULUS), Fraction(1, 2 ** 1100)]
+OPERANDS = [0, 1, -2, 5, Fraction(1, 3), Fraction(-7, 2), Fraction(2, _MODULUS)]
+
+
+def _outcome(op, *args):
+    try:
+        return op(*args)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+def _complex_bits(value):
+    try:
+        z = value.to_complex()
+    except OverflowError:
+        return OverflowError
+    return z.real.hex(), z.imag.hex()
+
+
+def _same_value(got, want):
+    """got, a GaussRat, equals want, a FractionGaussRat, in every view; a real
+    value hashes like the reference, a complex one like its parsed copy."""
+    if want is ZeroDivisionError:
+        return got is ZeroDivisionError
+    rehashed = hash(want) if not want.im else hash(GaussRat.parse(got.to_json()))
+    return ((got.re, got.im) == (want.re, want.im) and hash(got) == rehashed
+            and got.to_json() == want.to_json() and repr(got) == repr(want)
+            and _complex_bits(got) == _complex_bits(want))
+
+
+class TestGaussRatAgainstReference:
+    def test_every_operation_matches_two_fractions(self):
+        rng = random.Random(37)
+
+        def draw():
+            re, im = rng.choice(PARTS) * rng.choice((1, -1)), rng.choice(PARTS + [0, 0])
+            return GaussRat(re, im), FractionGaussRat(re, im)
+
+        for _ in range(300):
+            (a, ra), (b, rb), k = draw(), draw(), rng.choice(OPERANDS)
+            n = rng.randint(-3, 3)
+            pairs = [
+                (a, ra), (-a, -ra), (a + b, ra + rb), (a - b, ra - rb), (a * b, ra * rb),
+                (a + k, ra + k), (k + a, k + ra), (a - k, ra - k), (k - a, k - ra),
+                (a * k, ra * k), (k * a, k * ra),
+            ]
+            for op, args, ref_args in [
+                (lambda x, y: x / y, (a, b), (ra, rb)), (lambda x: x.inverse(), (a,), (ra,)),
+                (lambda x, y: x / y, (a, k), (ra, k)), (lambda x, y: y / x, (a, k), (ra, k)),
+                (lambda x, y: x ** y, (a, n), (ra, n)),
+            ]:
+                pairs.append((_outcome(op, *args), _outcome(op, *ref_args)))
+            for got, want in pairs:
+                assert _same_value(got, want), (got, want)
+            assert (a == b) == (ra == rb) and (a == k) == (ra == k)
+            assert bool(a) == bool(ra)
+
+    def test_real_value_hashes_like_its_rational_at_a_multiple_of_the_modulus(self):
+        for value in (Fraction(1, _MODULUS), Fraction(_MODULUS, 2), Fraction(-5, 7 * _MODULUS),
+                      Fraction(-1), Fraction(-_MODULUS - 1)):
+            assert hash(GaussRat(value)) == hash(value)
+
+
+def test_the_engine_builds_no_fraction(monkeypatch):
+    # Every scalar, polynomial and grid is ints over one denominator, so a
+    # Fraction is built only where a number is parsed or printed.  The
+    # random inputs, which are parsed from Fractions, are built first.
+    rng = random.Random(61)
+    problems = [random_normal_form(rng) for _ in range(40)]
+    problems = [(nf, random_oneform(rng, 5)) for nf in problems]
+    built = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    assert Fraction(1, 3) + 1 == Fraction(4, 3) and len(built) == 3  # the count sees them
+    del built[:]
+    for nf, w in problems:
+        full_report(nf, w, rectifier=build_rectifier(nf))
+    assert built == []
 
 
 @pytest.mark.parametrize("value", [

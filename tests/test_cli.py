@@ -25,7 +25,6 @@ from abelint.abelian import (
     zero_count_cap,
 )
 from abelint.errors import ConstructionFailure, NonPolynomialResidue
-from abelint.family import expand
 from abelint.transform import pushforward_oneform
 from abelint.cli import (
     EXAMPLE_NAMES,
@@ -43,6 +42,8 @@ from abelint.cli import (
     report_to_json,
     report_to_text,
 )
+
+from reference import expand
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "src/abelint/examples"
 GOLDEN_TEXT_DIR = Path(__file__).resolve().parent / "golden_text"
@@ -488,18 +489,34 @@ class TestExitCodes:
 
     def test_coefficient_beyond_double_range_writes_an_unfactored_report(
             self, tmp_path, capsys):
-        # -10^400 c cannot be sampled in double precision: the integral is
-        # shown unfactored with the reason, and both reports are written.
+        # c^2 - 10^400 c has the root 10^400, which no double holds: the
+        # integral is shown unfactored with the reason, and both reports
+        # are written.
+        config = minimal_config()
+        config["one_form"] = [{"i": 0, "j": 1, "coeff": "1e400"},
+                              {"i": 1, "j": 2, "coeff": "1"}]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["--config", str(path), "--out", str(tmp_path), "--no-oracle"]) == 0
+        assert capsys.readouterr().err == ""
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert payload["cycles"][0]["integral_2pii"] == ["0", str(-10 ** 400), "1"]
+        text = (tmp_path / "report.txt").read_text()
+        assert (f"I_1(c) = (2*pi*i) * c^2 - {10 ** 400}*c\n"
+                "  numeric zeros: not located (") in text
+
+    def test_coefficient_beyond_double_range_with_roots_in_range_is_factored(
+            self, tmp_path, capsys):
+        # -10^400 c: the root finder reads the integers over a power of two
+        # near the leading one, so the root 0 is located and split off.
         config = minimal_config()
         config["one_form"][0]["coeff"] = "1e400"
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         assert main(["--config", str(path), "--out", str(tmp_path), "--no-oracle"]) == 0
         assert capsys.readouterr().err == ""
-        payload = json.loads((tmp_path / "report.json").read_text())
-        assert payload["cycles"][0]["integral_2pii"] == ["0", str(-10 ** 400)]
         text = (tmp_path / "report.txt").read_text()
-        assert f"I_1(c) = (2*pi*i) * {-10 ** 400}*c\n  numeric zeros: not located (" in text
+        assert f"I_1(c) = (2*pi*i) * {-10 ** 400} * c\n  numeric zeros: +0+0i\n" in text
 
     @pytest.mark.parametrize("block, key, value", [("form", "coeff", "1e400"),
                                                     ("family", "beta", ["1e400"])])
@@ -515,6 +532,32 @@ class TestExitCodes:
         assert err.startswith("error: oracle cannot sample beyond the double range: ")
         assert err.count("\n") == 1
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("keys, value", [
+        (["one_form"], [{"i": 0, "j": 1, "coeff": "1e-400"}]),
+        (["automorphism", "sigma"], ["1e-400", "0"]),
+        (["one_form"], [{"i": 1, "j": 0, "coeff": "1e-400", "differential": "dy"}]),
+        (["family", "P"], ["1e-400"]),
+    ], ids=["dx_form", "sigma", "dy_form", "P"])
+    @pytest.mark.parametrize("flags", [[], ["--no-oracle"]], ids=["oracle", "no_oracle"])
+    def test_number_below_double_range_writes_both_reports(
+            self, tmp_path, capsys, keys, value, flags):
+        # A leading coefficient below the double range would round to 0, so
+        # the root finder reads the integrals' ints over a power of two near
+        # the leading one, and every numeric zero is located.
+        config = readme_config()
+        block = config
+        for key in keys[:-1]:
+            block = block[key]
+        block[keys[-1]] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["--config", str(path), "--out", str(tmp_path), *flags]) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads((tmp_path / "report.json").read_text())["cycles"]
+        text = (tmp_path / "report.txt").read_text()
+        assert "I_1(c) = (2*pi*i) * " in text
+        assert "numeric zeros: " in text and "not located" not in text
 
 
 def _slots(node):

@@ -11,13 +11,13 @@ from abelint import (
     NoCyclesError,
     NormalForm,
     UniPoly,
-    expand,
     synthesize_qq,
     validate,
 )
 from abelint.family import MOVING_PUNCTURE, ZERO_PUNCTURE
 
 from conftest import random_normal_form
+from reference import expand
 
 
 def oscillator_form():

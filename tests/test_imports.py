@@ -1,8 +1,11 @@
-"""Static check on the package source: every imported name is used.
+"""Static checks on the package source: every imported name is used, and
+only ``algebra`` imports ``fractions``.
 
 No linter ships with the test environment, so an import left behind by a
 refactor is caught here.  ``__init__.py`` is skipped, since its imports
-are the public API, and so is ``from __future__``.
+are the public API, and so is ``from __future__``.  Every exact number in
+the package is ints over one denominator; ``algebra`` alone turns strings
+into them and them into printed fractions.
 """
 
 import ast
@@ -37,3 +40,25 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def imported_modules(source: str) -> set:
+    """The top-level names of the modules a source imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_the_module_check_sees_an_import():
+    assert imported_modules("from fractions import Fraction\nfrom .algebra import ONE\n") \
+        == imported_modules("import fractions.x\n") == {"fractions"}
+
+
+def test_only_algebra_imports_fractions():
+    importers = [path.name for path in sorted(PACKAGE.glob("*.py"))
+                 if "fractions" in imported_modules(path.read_text(encoding="utf-8"))]
+    assert importers == ["algebra.py"]

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 from operator import mul
 
 import pytest
@@ -493,6 +494,19 @@ class TestRootFinder:
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
             locate_roots(UniPoly())
+
+    @pytest.mark.parametrize("coeffs, root", [
+        ([Fraction(1, 10 ** 400), 1], 0),  # a coefficient below the double range
+        ([0, -10 ** 400], 0),  # one beyond it
+        ([Fraction(1, 10 ** 400), Fraction(1, 10 ** 400)], -1),  # both below it
+        ([Fraction(-3, 10 ** 400), Fraction(2, 10 ** 400)], 1.5),
+    ])
+    def test_roots_in_range_are_located_whatever_the_coefficient_scale(self, coeffs, root):
+        assert locate_roots(UniPoly(coeffs)) == [pytest.approx(root, abs=1e-12)]
+
+    def test_root_beyond_the_double_range_is_an_overflow(self):
+        with pytest.raises(OverflowError):
+            locate_roots(UniPoly([-10 ** 400, 1]))
 
     def test_degenerate_contour_reports_nonconvergence(self, monkeypatch):
         # Pole directly on the contour: the doubling loop cannot settle
