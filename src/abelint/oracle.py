@@ -3,23 +3,22 @@
 Contour integrals are computed by the trapezoidal rule on circles with
 sample doubling (periodic integrands converge spectrally), capped at 2^14
 samples.  Sampling is by columns: a doubling level's new points, read off
-a table of roots of unity, form one list, and each integrand is evaluated
-on the whole list by a column evaluator (``RatFunc.at_c``,
-``BiPoly.compiled``) that converts its exact coefficients to complex once
-and runs each Horner step over the column.  The oracle integrates 1-forms
+a table of roots of unity, form one list, and the integrand is evaluated
+on the whole list by column evaluators (``RatFunc.at_c``,
+``BiPoly.compiled``) that convert their exact coefficients to complex once
+and run each Horner step over the column.  The oracle integrates 1-forms
 A dx + B dy along the fiber loop R^{-1}(circle) as A(x,y) dx/dt + B(x,y)
 dy/dt, with x, y, dx/dt and dy/dt sampled from the factored inverse and
-the trapezoid weights folded into dx/dt and dy/dt, so an integral's level
-total is one ``sum``.  ``check_report`` integrates the basis form (the
-t-route) and, when it differs, the report's own form (the fiber route) on
-one circle per (cycle, c).  Each integral stops doubling once it settles.
+the trapezoid weights folded into dx/dt and dy/dt, so a level's total is
+one ``sum``.  ``check_report`` integrates the report's own form on one
+circle per (cycle, c) and compares it with the exact integral.
 
 N trapezoid points on a circle integrate exactly every Laurent term but
 those of order -1 + m N, m != 0, which they fold onto the residue term.
 ``check_report`` therefore starts each circle at the first level that
-folds none of its integrands' terms, or next to a neighbouring pole only
+folds none of the integrand's terms, or next to a neighbouring pole only
 terms below double precision; it reads that level off exact bounds on the
-integrands' pole order at the puncture and degree at infinity.  The
+integrand's pole order at the puncture and degree at infinity.  The
 second level then only confirms the first.  ``_contour_around`` is the
 one place that chooses a circle and its first level: ``check_report``
 and the one-integral routes ``contour_integral_t`` (an eta_t, with its
@@ -42,7 +41,7 @@ from operator import add, mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .abelian import IntegralReport
-from .algebra import BiPoly, RatFunc, TFactor, UniPoly, _complex_coeffs, _horner_complex
+from .algebra import RatFunc, TFactor, UniPoly, _complex_coeffs, _horner_complex
 from .errors import NonConvergence
 from .rectify import CanonicalCycle, RectifyingMap, canonical_cycles
 from .transform import OneForm
@@ -56,9 +55,9 @@ ROOT_TOL = 1e-10
 ROOT_MAX_ITERATIONS = 1000
 
 Column = List[complex]
-# values(points, weights, live): for each integral numbered in live, its
-# integrand at every point times that point's trapezoid weight
-Sampler = Callable[[Column, Column, Sequence[int]], List[Column]]
+# values(points, weights): the integrand at every point times that point's
+# trapezoid weight
+Sampler = Callable[[Column, Column], Column]
 
 
 @dataclass(frozen=True)
@@ -132,38 +131,26 @@ def _roots_of_unity(samples: int) -> Tuple[complex, ...]:
     return tuple(cmath.exp(1j * step * idx) for idx in range(samples))
 
 
-def _integrate_circle_many(values: Sampler, count: int,
-                           spec: ContourSpec) -> List[complex]:
-    """Trapezoidal contour integrals of ``count`` integrands on one circle.
+def _integrate_circle(values: Sampler, spec: ContourSpec) -> complex:
+    """Trapezoidal contour integral of one integrand on one circle.
 
-    ``values(points, weights, live)`` returns, for each integral numbered
-    in ``live`` and in that order, its integrand times the trapezoid weight
-    dt/d(angle) at every point, so what the integrands share is evaluated
-    once per level.  Each integral keeps its own running sum; a doubling
-    evaluates only the new, odd-indexed points.  An integral stops at the
-    first level whose estimate is within 1e-10 relative of the level
-    before, and is not sampled after that.
+    ``values(points, weights)`` returns the integrand times the trapezoid
+    weight dt/d(angle) at every point.  A doubling evaluates only the new,
+    odd-indexed points and adds them to the running sum.  The integral
+    stops at the first level whose estimate is within 1e-10 relative of
+    the level before.
     """
-    totals, estimates = [0j] * count, [None] * count
-    live = list(range(count))
+    total, estimate = 0j, None
     samples, first, stride = spec.samples, 0, 1
     while samples <= MAX_SAMPLES:
         roots = _roots_of_unity(samples)[first::stride]
         rotations = list(map(mul, roots, repeat(spec.radius, len(roots))))
         points = list(map(add, rotations, repeat(spec.center, len(roots))))
         weights = list(map(mul, rotations, repeat(1j, len(roots))))  # dt / d(angle)
-        for k, column in zip(live, values(points, weights, live)):
-            totals[k] = sum(column, totals[k])
-        step = 2 * math.pi / samples
-        unsettled = []
-        for k in live:
-            estimate = totals[k] * step
-            last, estimates[k] = estimates[k], estimate
-            if last is None or not abs(estimate - last) <= REL_TOL * (1 + abs(estimate)):
-                unsettled.append(k)
-        live = unsettled
-        if not live:
-            return estimates
+        total = sum(values(points, weights), total)
+        last, estimate = estimate, total * (2 * math.pi / samples)
+        if last is not None and abs(estimate - last) <= REL_TOL * (1 + abs(estimate)):
+            return estimate
         samples, first, stride = samples * 2, 1, 2
     raise NonConvergence(
         f"contour integral did not converge within {MAX_SAMPLES} samples "
@@ -172,30 +159,25 @@ def _integrate_circle_many(values: Sampler, count: int,
 
 
 def _loop_sampler(rm: RectifyingMap, c_value: complex,
-                  forms: Sequence[Tuple[Callable, Optional[Callable]]]) -> Sampler:
-    """values(points, weights, live) at one c: each live form's fiber integrand.
+                  form: Tuple[Callable, Optional[Callable]]) -> Sampler:
+    """values(points, weights) at one c: the fiber integrand of one form.
 
-    forms[k] = (A, B) holds the column evaluators of a 1-form A dx + B dy,
-    B None for a dx-only form; integrand k is A(x,y) dx/dt + B(x,y) dy/dt.
-    x, y and dx/dt (and dy/dt, if some form has a B) are compiled here and
-    sampled once per level, dy/dt only while such a form is live.  The
-    weights multiply dx/dt and dy/dt, so every integrand comes out weighted.
+    form = (A, B) holds the column evaluators of a 1-form A dx + B dy, B
+    None for a dx-only form; the integrand is A(x,y) dx/dt + B(x,y) dy/dt.
+    x, y, dx/dt and, when B is given, dy/dt are compiled here.  The
+    weights multiply dx/dt and dy/dt, so the integrand comes out weighted.
     """
+    a_xy, b_xy = form
     inverse_x, inverse_y = rm.inverse_x.at_c(c_value), rm.inverse_y.at_c(c_value)
     dx_dt = rm.dx_dt.at_c(c_value)
-    dy_dt = rm.dy_dt.at_c(c_value) if any(b_xy for _, b_xy in forms) else None
+    dy_dt = None if b_xy is None else rm.dy_dt.at_c(c_value)
 
-    def values(points: Column, weights: Column, live: Sequence[int]) -> List[Column]:
+    def values(points: Column, weights: Column) -> Column:
         xs, ys = inverse_x(points), inverse_y(points)
-        dx = list(map(mul, dx_dt(points), weights))
-        dy = list(map(mul, dy_dt(points), weights)) if any(forms[k][1] for k in live) else None
-        columns = []
-        for a_xy, b_xy in (forms[k] for k in live):
-            column = map(mul, a_xy(xs, ys), dx)
-            if b_xy is not None:
-                column = map(add, column, map(mul, b_xy(xs, ys), dy))
-            columns.append(list(column))
-        return columns
+        column = map(mul, a_xy(xs, ys), map(mul, dx_dt(points), weights))
+        if b_xy is not None:
+            column = map(add, column, map(mul, b_xy(xs, ys), map(mul, dy_dt(points), weights)))
+        return list(column)
 
     return values
 
@@ -206,21 +188,19 @@ def _orders(f: RatFunc, factor: TFactor) -> Tuple[int, int]:
     return f.pole_order(factor), len(f.grid.re) - 1 - poles
 
 
-def _order_bounds(rm: RectifyingMap, factor: TFactor,
-                  forms: Sequence[OneForm]) -> Tuple[int, int]:
+def _order_bounds(rm: RectifyingMap, factor: TFactor, w: OneForm) -> Tuple[int, int]:
     """(p, d): bounds on the pole order at ``factor`` and on the degree at
-    infinity of the fiber integrands of ``forms``: each A term's
-    x^i y^j dx/dt and each B term's x^i y^j dy/dt (dy/dt is read only when
-    some B != 0).
+    infinity of w's fiber integrand: each A term's x^i y^j dx/dt and each
+    B term's x^i y^j dy/dt (dy/dt is read only when B != 0).
 
     A product's pole order is at most the sum of its factors' and its
     degree is the sum of theirs, so both bounds come from the signed
     exponents in ``.exps`` and the t-degree of the grid, not from
-    ``monomial_pushforward``, which the t-route checks.
+    ``monomial_pushforward``, which the oracle checks.
     """
-    integrands = [(rm.dx_dt, [ij for form in forms for ij in form.A.terms])]
-    if any(not form.B.is_zero() for form in forms):
-        integrands.append((rm.dy_dt, [ij for form in forms for ij in form.B.terms]))
+    integrands = [(rm.dx_dt, w.A.terms)]
+    if not w.B.is_zero():
+        integrands.append((rm.dy_dt, w.B.terms))
     (px, dx), (py, dy) = _orders(rm.inverse_x, factor), _orders(rm.inverse_y, factor)
     pole_order = degree = 0
     for derivative, exponents in integrands:
@@ -241,9 +221,8 @@ def contour_integral_t(eta_t: RatFunc, rm: RectifyingMap, cycle: CanonicalCycle,
     punctures = _punctures(rm, c_value)
     orders = _orders(eta_t, punctures[cycle.puncture][0])
     integrand = eta_t.at_c(c_value)
-    return _integrate_circle_many(
-        lambda points, weights, live: [list(map(mul, integrand(points), weights))],
-        1, _contour_around(punctures, cycle.puncture, orders))[0] / TWO_PI_I
+    return _integrate_circle(lambda points, weights: list(map(mul, integrand(points), weights)),
+                             _contour_around(punctures, cycle.puncture, orders)) / TWO_PI_I
 
 
 def contour_integral_fiber(w: OneForm, rm: RectifyingMap, cycle: CanonicalCycle,
@@ -253,53 +232,46 @@ def contour_integral_fiber(w: OneForm, rm: RectifyingMap, cycle: CanonicalCycle,
     The loop is parametrized through the inverse map: for t on the circle,
     (x, y) = (inverse_x, inverse_y)(t, c) and dx = (d inverse_x / dt) dt,
     dy likewise.  The circle starts where ``check_report``'s would for a
-    report whose form is w and has no basis monomials.
+    report whose form is w.
     """
     punctures = _punctures(rm, c_value)
-    orders = _order_bounds(rm, punctures[cycle.puncture][0], [w])
-    compiled = [(w.A.compiled(), None if w.B.is_zero() else w.B.compiled())]
-    return _integrate_circle_many(
-        _loop_sampler(rm, c_value, compiled), 1, _contour_around(punctures, cycle.puncture, orders))[0] / TWO_PI_I
+    orders = _order_bounds(rm, punctures[cycle.puncture][0], w)
+    values = _loop_sampler(rm, c_value, (w.A.compiled(), None if w.B.is_zero() else w.B.compiled()))
+    return _integrate_circle(values, _contour_around(punctures, cycle.puncture, orders)) / TWO_PI_I
 
 
-def check_report(report: IntegralReport,
-                 c_values: Sequence[complex]) -> Tuple[List[float], List[float]]:
-    """Relative errors (t-route vs exact, fiber vs t-route) per (cycle, c).
+def check_report(report: IntegralReport, c_values: Sequence[complex]) -> List[float]:
+    """Relative error of the loop integral of ``report.form`` against the
+    exact integral, per (cycle, c).
 
-    The t-route integrates the basis form sum c_ij x^i y^j dx along the
-    fiber loop, with x, y and dx/dt sampled from the factored inverse, not
-    read off ``monomial_pushforward``, so it checks the pushforward and
-    the residues.  The fiber route integrates ``report.form`` and so
-    checks ``reduce_to_nonexact_basis``; when that form is its basis form
-    the two integrals are bit-identical, so only one runs and the fiber
-    error is 0.0.  The forms are compiled once per call, the inverse and
-    the punctures once per c, and each (cycle, c) runs one sample loop.
+    The form is integrated along the fiber loop with x, y, dx/dt and dy/dt
+    sampled from the factored inverse, not read off
+    ``monomial_pushforward``.  It differs from its basis form by an exact
+    form, whose loop integrals vanish, so one integral per (cycle, c)
+    checks the reduction, the pushforward and the residues.  The form is
+    compiled once per call, the inverse and the punctures once per c.
 
     Each circle starts at the ``_first_level`` of the exact bounds that
-    ``_order_bounds`` puts on its integrands: exact for a lone puncture and
+    ``_order_bounds`` puts on the integrand: exact for a lone puncture and
     within roundoff next to a neighbour, so the second level confirms the
     first.  A contour unsettled at 2^14 samples raises NonConvergence.
     """
-    rm = report.rectifier
-    basis = OneForm(BiPoly(report.basis_coeffs), BiPoly())
-    forms = [basis] if report.form == basis else [basis, report.form]
-    compiled = [(w.A.compiled(), None if w.B.is_zero() else w.B.compiled()) for w in forms]
-    per_c = [(c_value, _punctures(rm, c_value), _loop_sampler(rm, c_value, compiled))
+    rm, w = report.rectifier, report.form
+    form = (w.A.compiled(), None if w.B.is_zero() else w.B.compiled())
+    per_c = [(c_value, _punctures(rm, c_value), _loop_sampler(rm, c_value, form))
              for c_value in c_values]
     bounds: Dict[TFactor, Tuple[int, int]] = {}
-    errors_t, errors_f = [], []
+    errors = []
     for cycle, ai in zip(canonical_cycles(report.facts), report.integrals):
         for c_value, punctures, values in per_c:
             factor = punctures[cycle.puncture][0]
             if factor not in bounds:
-                bounds[factor] = _order_bounds(rm, factor, forms)
+                bounds[factor] = _order_bounds(rm, factor, w)
             spec = _contour_around(punctures, cycle.puncture, bounds[factor])
-            numeric, *fiber = [v / TWO_PI_I for v in
-                               _integrate_circle_many(values, len(forms), spec)]
+            numeric = _integrate_circle(values, spec) / TWO_PI_I
             exact = ai.value.evaluate_complex(c_value)
-            errors_t.append(abs(numeric - exact) / (1 + abs(exact)))
-            errors_f.append(abs(fiber[0] - numeric) / (1 + abs(numeric)) if fiber else 0.0)
-    return errors_t, errors_f
+            errors.append(abs(numeric - exact) / (1 + abs(exact)))
+    return errors
 
 
 def locate_roots(p: UniPoly) -> List[complex]:

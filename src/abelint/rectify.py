@@ -78,7 +78,7 @@ class RectifyingMap:
 
     @cached_property
     def dy_dt(self) -> RatFunc:
-        """d inverse_y / dt; only the oracle's fiber route reads it."""
+        """d inverse_y / dt; only the oracle reads it, for a form with a dy part."""
         return self.inverse_y.derivative(0)
 
     def puncture_factor(self, puncture: str) -> TFactor:

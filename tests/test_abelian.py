@@ -1,6 +1,9 @@
 """Cycle integrals, zero counting, bounds and the end-to-end report."""
 
+import contextlib
+import io
 import random
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +39,8 @@ from conftest import (
     random_oneform,
 )
 from reference import expand
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def form_dx(*terms):
@@ -287,3 +292,21 @@ def test_tame_automorphisms_metamorphic_identity():
     # Compositions of affine and triangular maps, forward and inverse both
     # written through BiPoly.compose.
     assert_metamorphic_identity(random.Random(13), random_tame_automorphism, 60)
+
+
+def test_readme_library_use_block_runs_as_written():
+    # Each print whose line carries a "# value" comment prints that value.
+    text = README.read_text(encoding="utf-8")
+    start = text.index("```python\n", text.index("## Library use")) + len("```python\n")
+    block = text[start:text.index("```", start)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    printed = out.getvalue().splitlines()
+    prints = [line for line in block.splitlines() if line.startswith("print(")]
+    assert len(printed) == len(prints)  # one line per print
+    commented = [(line.split("#", 1)[1].strip(), shown)
+                 for line, shown in zip(prints, printed) if "#" in line]
+    assert commented
+    for value, shown in commented:
+        assert shown == value

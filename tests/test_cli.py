@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -334,8 +335,18 @@ class TestExitCodes:
         assert main([]) == 1
         assert "exactly one of" in capsys.readouterr().err
 
-    def test_unknown_example_is_one(self, tmp_path):
-        assert main(["--example", "nope", "--out", str(tmp_path)]) == 1
+    @pytest.mark.parametrize("name, content", [
+        ("nope", None), ("../examples/oscillator", None), ("outside", "{}"),
+        ("outside", "not json")],
+        ids=["unknown", "bundled_by_path", "json_without_config", "not_json"])
+    def test_unknown_example_is_one(self, tmp_path, capsys, name, content):
+        # Only bundled names are examples, not relative paths to .json files.
+        if content is not None:
+            (tmp_path / f"{name}.json").write_text(content)
+            name = os.path.relpath(tmp_path / name, resources.files("abelint") / "examples")
+        assert main(["--example", name, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown example") and err.count("\n") == 1
 
     @pytest.mark.parametrize("block, key, value, where", [
         ("family", "p", 1.7, "family.p"),

@@ -24,13 +24,13 @@ from abelint import (
     validate,
 )
 from abelint.algebra import RatFunc, t_factor
-from abelint import algebra, cli, oracle
+from abelint import abelian, algebra, cli, oracle
 from abelint.oracle import (
     TWO_PI_I,
     ContourSpec,
     _contour_around,
     _first_level,
-    _integrate_circle_many,
+    _integrate_circle,
     _loop_sampler,
     _punctures,
 )
@@ -41,12 +41,14 @@ from test_cli import load_bundle, readme_config
 
 from conftest import cached_rectifier, random_normal_form, random_oneform
 
+# dQ for Q = x^2 y - 2 y^2 + 3 x: its integral over every loop is zero
+EXACT_PART = OneForm.d(BiPoly({(2, 1): GaussRat(1), (0, 2): GaussRat(-2), (1, 0): GaussRat(3)}))
+
 
 def _circle(integrand, spec: ContourSpec) -> complex:
     """One trapezoidal contour integral of a column evaluator, from spec.samples."""
-    return _integrate_circle_many(
-        lambda points, weights, live: [list(map(mul, integrand(points), weights))],
-        1, spec)[0]
+    return _integrate_circle(
+        lambda points, weights: list(map(mul, integrand(points), weights)), spec)
 
 
 class TestContourSpec:
@@ -124,40 +126,6 @@ class TestContourIntegrals:
         assert abs(value - 2j * math.pi) < 1e-10
         assert len(calls) == 256
 
-    def test_shared_loop_returns_each_lone_integral_exactly(self):
-        # Poles of order 1, 3 and 6 settle at different levels; in one
-        # shared loop each integral is still bit for bit the float of the
-        # one-integrand loop.
-        integrands = [
-            lambda z: 1 / (z - 0.1),
-            lambda z: cmath.exp(z) / (z - 0.1) ** 3,
-            lambda z: 1 / ((z - 0.1) ** 6 * (z - 0.9)),
-        ]
-        spec = ContourSpec(0.1 + 0j, 0.5, samples=4)
-        shared = _integrate_circle_many(
-            lambda points, weights, live: [[integrands[k](t) * w for t, w in zip(points, weights)]
-                                           for k in live],
-            3, spec)
-        assert shared == [_circle(lambda points, f=f: [f(t) for t in points], spec)
-                          for f in integrands]
-
-    def test_settled_integral_is_not_sampled_again(self):
-        # On the unit circle from 64 samples, 1/z settles at 128 samples and
-        # 1/z + z^63 at 256: the first is evaluated 64 + 64 times, not 256.
-        integrands = [lambda z: 1 / z, lambda z: 1 / z + z ** 63]
-        calls = [0, 0]
-
-        def values(points, weights, live):
-            for k in live:
-                calls[k] += len(points)
-            return [[integrands[k](t) * w for t, w in zip(points, weights)] for k in live]
-
-        first, second = _integrate_circle_many(
-            values, 2, ContourSpec(0j, 1.0, samples=64))
-        assert abs(first - 2j * math.pi) < 1e-10
-        assert abs(second - 2j * math.pi) < 1e-10
-        assert calls == [128, 256]
-
     def test_inverse_compiled_once_per_c_value(self, monkeypatch):
         # check_report compiles x, y and dx/dt (and dy/dt, for a form with
         # a dy part) and locates the punctures once per c-value, whatever
@@ -193,8 +161,8 @@ class TestContourIntegrals:
 
     def test_t_route_checks_the_pushforward(self, monkeypatch):
         # A wrong eta_t for one monomial makes the exact integral wrong;
-        # the product-form t-route does not read monomial_pushforward, so
-        # it disagrees with the exact value and still agrees with the fiber.
+        # the oracle does not read monomial_pushforward, so its loop
+        # integral disagrees with the exact value.
         original = RectifyingMap.monomial_pushforward
 
         def doubled(self, i, j):
@@ -204,10 +172,8 @@ class TestContourIntegrals:
         monkeypatch.setattr(RectifyingMap, "monomial_pushforward", doubled)
         report = full_report(septic_f2(), SEPTIC_F2_FORM)
         assert (0, 1) in report.basis_coeffs
-        errors_t, errors_f = check_report(
-            report, (2.0 + 0.5j, -1.7 + 1.3j, 3.1 - 0.2j))
-        assert max(errors_t) > 1e-8
-        assert max(errors_f) < 1e-8
+        errors = check_report(report, (2.0 + 0.5j, -1.7 + 1.3j, 3.1 - 0.2j))
+        assert max(errors) > 1e-8
 
     def test_dx_only_form_leaves_dy_dt_unbuilt(self):
         nf = septic_f2()
@@ -225,31 +191,46 @@ class TestContourIntegrals:
         assert not report.basis_coeffs
         assert "dx_dt" not in rm.__dict__
 
-    def test_report_integrates_the_form_only_when_it_is_not_its_basis_form(
-            self, monkeypatch):
-        # A form equal to its basis form is integrated once per circle and
-        # its fiber error is exactly 0.0; a form with an exact part adds
-        # the fiber integral, which checks reduce_to_nonexact_basis.
+    def test_report_integrates_its_own_form_once_per_circle(self, monkeypatch):
+        # A form equal to its basis form and the same form plus an exact
+        # part are each integrated once per (cycle, c), and both agree
+        # with the exact integrals.
         c_values = (2.0 + 0.5j, -1.7 + 1.3j)
-        counts = []
+        circles = []
 
-        def recording(values, count, spec):
-            counts.append(count)
-            return _integrate_circle_many(values, count, spec)
+        def recording(values, spec):
+            circles.append(spec)
+            return _integrate_circle(values, spec)
 
-        monkeypatch.setattr(oracle, "_integrate_circle_many", recording)
-        exact_part = OneForm.d(BiPoly({(2, 1): GaussRat(1), (0, 2): GaussRat(-2),
-                                       (1, 0): GaussRat(3)}))
-        for form, count in ((SEPTIC_F2_FORM, 1), (SEPTIC_F2_FORM + exact_part, 2)):
-            del counts[:]
+        monkeypatch.setattr(oracle, "_integrate_circle", recording)
+        for form in (SEPTIC_F2_FORM, SEPTIC_F2_FORM + EXACT_PART):
+            del circles[:]
             report = full_report(septic_f2(), form)
-            errors_t, errors_f = check_report(report, c_values)
-            assert counts == [count] * len(errors_t)
-            assert max(errors_t) < 1e-8
-            if count == 1:
-                assert max(errors_f) == 0.0
-            else:
-                assert 0.0 < max(errors_f) < 1e-8
+            errors = check_report(report, c_values)
+            assert len(circles) == len(errors) == len(report.integrals) * len(c_values)
+            assert max(errors) < 1e-8
+
+    def test_reduction_fault_fails_the_oracle(self, monkeypatch):
+        # The exact integrals are built from the basis coefficients, so a
+        # wrong reduction makes them wrong; the oracle integrates the form
+        # itself and disagrees, and the CLI exits 4.
+        original = abelian.reduce_to_nonexact_basis
+
+        def shifted(w):
+            coeffs, q = original(w)
+            first = min(coeffs)
+            return {**coeffs, first: coeffs[first] + 1}, q
+
+        monkeypatch.setattr(abelian, "reduce_to_nonexact_basis", shifted)
+        report = full_report(septic_f2(), SEPTIC_F2_FORM + EXACT_PART)
+        assert max(check_report(report, (2.0 + 0.5j, -1.7 + 1.3j))) > 1e-8
+        config = {"family": readme_config()["family"], "one_form": [
+            {"i": i, "j": j, "coeff": coeff.to_json(), "differential": differential}
+            for differential, part in (("dx", report.form.A), ("dy", report.form.B))
+            for (i, j), coeff in part.terms.items()]}
+        code, payload, _ = cli.execute(config)
+        assert code == 4
+        assert payload["oracle"]["passed"] is False
 
     def test_coefficients_converted_once_per_call(self, monkeypatch):
         # Both routes' samplers convert each exact coefficient to complex
@@ -279,19 +260,16 @@ class TestContourIntegrals:
             _circle(eta_t.at_c(c0), fixed)
             t_calls = len(calls)
             del calls[:]
-            values = _loop_sampler(rm, c0, [(w.A.compiled(), w.B.compiled())])
-            _integrate_circle_many(values, 1, fixed)
+            _integrate_circle(_loop_sampler(rm, c0, (w.A.compiled(), w.B.compiled())), fixed)
             counts[samples] = (t_calls, len(calls))
         assert counts[64] == counts[1024]
         assert min(counts[64]) > 0
 
     def test_exact_engine_agrees_with_contours(self):
         report = full_report(septic_f2(), SEPTIC_F2_FORM)
-        errors_t, errors_f = check_report(
-            report, (2.0 + 0.5j, -1.7 + 1.3j, 3.1 - 0.2j))
-        assert len(errors_t) == 6
-        assert max(errors_t) < 1e-8
-        assert max(errors_f) < 1e-8
+        errors = check_report(report, (2.0 + 0.5j, -1.7 + 1.3j, 3.1 - 0.2j))
+        assert len(errors) == 6
+        assert max(errors) < 1e-8
 
     def test_value_line_reparametrization_equivalence(self):
         # If sigma(c) = 2c + 1 carries H to H' = 2H + 1, integrals satisfy
@@ -316,19 +294,19 @@ def _oracle_circles(monkeypatch, config: dict):
     """(starting samples, samples evaluated) of every circle the CLI's oracle runs."""
     circles = []
 
-    def counting(values, count, spec):
+    def counting(values, spec):
         evaluated = [0]
 
-        def counted(points, weights, live):
+        def counted(points, weights):
             evaluated[0] += len(points)
-            return values(points, weights, live)
+            return values(points, weights)
 
-        result = _integrate_circle_many(counted, count, spec)
+        result = _integrate_circle(counted, spec)
         circles.append((spec.samples, evaluated[0]))
         return result
 
     with monkeypatch.context() as patch:
-        patch.setattr(oracle, "_integrate_circle_many", counting)
+        patch.setattr(oracle, "_integrate_circle", counting)
         code, payload, _ = cli.execute(config)
     assert code == 0 and payload["oracle"]["passed"]
     return circles
@@ -371,11 +349,11 @@ class TestStartLevel:
         cycle = canonical_cycles(rm.facts)[0]
         starts = []
 
-        def recording(values, count, spec):
+        def recording(values, spec):
             starts.append(spec.samples)
-            return _integrate_circle_many(values, count, spec)
+            return _integrate_circle(values, spec)
 
-        monkeypatch.setattr(oracle, "_integrate_circle_many", recording)
+        monkeypatch.setattr(oracle, "_integrate_circle", recording)
         y_dx = OneForm(BiPoly({(0, 1): GaussRat(1)}), BiPoly())
         t_route = contour_integral_t(rm.monomial_pushforward(0, 1), rm, cycle, 3.0 + 0j)
         fiber = contour_integral_fiber(y_dx, rm, cycle, 3.0 + 0j)
@@ -407,14 +385,14 @@ class TestStartLevel:
                 continue
             checked += 1
             try:
-                errors_t, errors_f = check_report(
-                    report, cli._generic_c_values(report, []))
+                errors = check_report(report, cli._generic_c_values(report, []))
             except NonConvergence:
                 outcomes["unsettled"] += 1
                 continue
-            outcomes["pass" if max(errors_t + errors_f) <= 1e-8 else "fail"] += 1
+            outcomes["pass" if max(errors) <= 1e-8 else "fail"] += 1
         assert outcomes["fail"] == 0
         assert outcomes["pass"] > outcomes["unsettled"]
+        assert outcomes["pass"] >= 70
 
 
 class TestOriginalCoordinates:
