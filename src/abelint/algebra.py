@@ -228,7 +228,6 @@ def _coerce(value) -> GaussRat:
 
 ZERO = GaussRat(0)
 ONE = GaussRat(1)
-I = GaussRat(0, 1)
 
 
 class UniPoly:

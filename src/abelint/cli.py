@@ -166,10 +166,10 @@ def parse_automorphism(block, key: str = "automorphism") -> PolyAutomorphism:
         maps.append(tuple(_parse_bipoly(poly, f"{key}.{name}[{pos}]")
                           for pos, poly in enumerate(components)))
     sigma = _read_exacts(block.get("sigma", ["1", "0"]), f"{key}.sigma")
-    if len(sigma) != 2:
-        raise ConfigError(f"{key}.sigma: expected [s1, s0]")
+    if len(sigma) != 2 or sigma[1]:  # a shift s0 of c changes no report
+        raise ConfigError(f"{key}.sigma: expected [s1, s0] with s0 = 0")
     try:
-        return PolyAutomorphism(*maps, *sigma)
+        return PolyAutomorphism(*maps, sigma[0])
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
 

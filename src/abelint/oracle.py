@@ -8,10 +8,10 @@ on the whole list by column evaluators (``RatFunc.at_c``,
 ``BiPoly.compiled``) that convert their exact coefficients to complex once
 and run each Horner step over the column.  The oracle integrates 1-forms
 A dx + B dy along the fiber loop R^{-1}(circle) as A(x,y) dx/dt + B(x,y)
-dy/dt, with x, y, dx/dt and dy/dt sampled from the factored inverse and
-the trapezoid weights folded into dx/dt and dy/dt, so a level's total is
-one ``sum``.  ``check_report`` integrates the report's own form on one
-circle per (cycle, c) and compares it with the exact integral.
+dy/dt, with x, y, dx/dt and dy/dt sampled from the factored inverse.  An
+integrand is a plain column function of t; the circle applies the weights
+and returns the integral over 2*pi*i.  ``check_report`` integrates the
+report's own form on one circle per (cycle, c) against the exact integral.
 
 N trapezoid points on a circle integrate exactly every Laurent term but
 those of order -1 + m N, m != 0, which they fold onto the residue term.
@@ -43,7 +43,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .abelian import IntegralReport
 from .algebra import RatFunc, TFactor, UniPoly, _complex_coeffs, _horner_complex
 from .errors import NonConvergence
-from .rectify import CanonicalCycle, RectifyingMap, canonical_cycles
+from .rectify import CanonicalCycle, RectifyingMap
 from .transform import OneForm
 
 TWO_PI_I = 2j * math.pi
@@ -55,9 +55,7 @@ ROOT_TOL = 1e-10
 ROOT_MAX_ITERATIONS = 1000
 
 Column = List[complex]
-# values(points, weights): the integrand at every point times that point's
-# trapezoid weight
-Sampler = Callable[[Column, Column], Column]
+Integrand = Callable[[Column], Column]  # f(t) at every point t of a column
 
 
 @dataclass(frozen=True)
@@ -67,12 +65,6 @@ class ContourSpec:
     center: complex
     radius: float
     samples: int
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("contour radius must be positive")
-        if self.samples < 4 or self.samples & (self.samples - 1):
-            raise ValueError("sample count must be a power of two >= 4")
 
 
 def _punctures(rm: RectifyingMap, c_value: complex) -> Dict[str, Tuple[TFactor, complex]]:
@@ -131,12 +123,12 @@ def _roots_of_unity(samples: int) -> Tuple[complex, ...]:
     return tuple(cmath.exp(1j * step * idx) for idx in range(samples))
 
 
-def _integrate_circle(values: Sampler, spec: ContourSpec) -> complex:
-    """Trapezoidal contour integral of one integrand on one circle.
+def _integrate_circle(integrand: Integrand, spec: ContourSpec) -> complex:
+    """Trapezoidal integral of f(t) dt on one circle, over 2*pi*i.
 
-    ``values(points, weights)`` returns the integrand times the trapezoid
-    weight dt/d(angle) at every point.  A doubling evaluates only the new,
-    odd-indexed points and adds them to the running sum.  The integral
+    Each value of ``integrand`` is multiplied by its point's trapezoid
+    weight dt/d(angle) = i (t - center).  A doubling evaluates only the
+    new, odd-indexed points and adds them to the running sum.  The integral
     stops at the first level whose estimate is within 1e-10 relative of
     the level before.
     """
@@ -146,11 +138,11 @@ def _integrate_circle(values: Sampler, spec: ContourSpec) -> complex:
         roots = _roots_of_unity(samples)[first::stride]
         rotations = list(map(mul, roots, repeat(spec.radius, len(roots))))
         points = list(map(add, rotations, repeat(spec.center, len(roots))))
-        weights = list(map(mul, rotations, repeat(1j, len(roots))))  # dt / d(angle)
-        total = sum(values(points, weights), total)
+        weights = map(mul, rotations, repeat(1j))  # dt / d(angle)
+        total = sum(map(mul, integrand(points), weights), total)
         last, estimate = estimate, total * (2 * math.pi / samples)
         if last is not None and abs(estimate - last) <= REL_TOL * (1 + abs(estimate)):
-            return estimate
+            return estimate / TWO_PI_I
         samples, first, stride = samples * 2, 1, 2
     raise NonConvergence(
         f"contour integral did not converge within {MAX_SAMPLES} samples "
@@ -159,27 +151,26 @@ def _integrate_circle(values: Sampler, spec: ContourSpec) -> complex:
 
 
 def _loop_sampler(rm: RectifyingMap, c_value: complex,
-                  form: Tuple[Callable, Optional[Callable]]) -> Sampler:
-    """values(points, weights) at one c: the fiber integrand of one form.
+                  form: Tuple[Callable, Optional[Callable]]) -> Integrand:
+    """The fiber integrand of one form at one c, as a function of t.
 
     form = (A, B) holds the column evaluators of a 1-form A dx + B dy, B
     None for a dx-only form; the integrand is A(x,y) dx/dt + B(x,y) dy/dt.
-    x, y, dx/dt and, when B is given, dy/dt are compiled here.  The
-    weights multiply dx/dt and dy/dt, so the integrand comes out weighted.
+    x, y, dx/dt and, when B is given, dy/dt are compiled here.
     """
     a_xy, b_xy = form
     inverse_x, inverse_y = rm.inverse_x.at_c(c_value), rm.inverse_y.at_c(c_value)
     dx_dt = rm.dx_dt.at_c(c_value)
     dy_dt = None if b_xy is None else rm.dy_dt.at_c(c_value)
 
-    def values(points: Column, weights: Column) -> Column:
+    def integrand(points: Column) -> Column:
         xs, ys = inverse_x(points), inverse_y(points)
-        column = map(mul, a_xy(xs, ys), map(mul, dx_dt(points), weights))
+        column = map(mul, a_xy(xs, ys), dx_dt(points))
         if b_xy is not None:
-            column = map(add, column, map(mul, b_xy(xs, ys), map(mul, dy_dt(points), weights)))
+            column = map(add, column, map(mul, b_xy(xs, ys), dy_dt(points)))
         return list(column)
 
-    return values
+    return integrand
 
 
 def _orders(f: RatFunc, factor: TFactor) -> Tuple[int, int]:
@@ -220,9 +211,8 @@ def contour_integral_t(eta_t: RatFunc, rm: RectifyingMap, cycle: CanonicalCycle,
     """
     punctures = _punctures(rm, c_value)
     orders = _orders(eta_t, punctures[cycle.puncture][0])
-    integrand = eta_t.at_c(c_value)
-    return _integrate_circle(lambda points, weights: list(map(mul, integrand(points), weights)),
-                             _contour_around(punctures, cycle.puncture, orders)) / TWO_PI_I
+    return _integrate_circle(eta_t.at_c(c_value),
+                             _contour_around(punctures, cycle.puncture, orders))
 
 
 def contour_integral_fiber(w: OneForm, rm: RectifyingMap, cycle: CanonicalCycle,
@@ -236,8 +226,8 @@ def contour_integral_fiber(w: OneForm, rm: RectifyingMap, cycle: CanonicalCycle,
     """
     punctures = _punctures(rm, c_value)
     orders = _order_bounds(rm, punctures[cycle.puncture][0], w)
-    values = _loop_sampler(rm, c_value, (w.A.compiled(), None if w.B.is_zero() else w.B.compiled()))
-    return _integrate_circle(values, _contour_around(punctures, cycle.puncture, orders)) / TWO_PI_I
+    integrand = _loop_sampler(rm, c_value, (w.A.compiled(), None if w.B.is_zero() else w.B.compiled()))
+    return _integrate_circle(integrand, _contour_around(punctures, cycle.puncture, orders))
 
 
 def check_report(report: IntegralReport, c_values: Sequence[complex]) -> List[float]:
@@ -262,13 +252,13 @@ def check_report(report: IntegralReport, c_values: Sequence[complex]) -> List[fl
              for c_value in c_values]
     bounds: Dict[TFactor, Tuple[int, int]] = {}
     errors = []
-    for cycle, ai in zip(canonical_cycles(report.facts), report.integrals):
-        for c_value, punctures, values in per_c:
-            factor = punctures[cycle.puncture][0]
+    for ai in report.integrals:
+        for c_value, punctures, integrand in per_c:
+            factor = punctures[ai.cycle.puncture][0]
             if factor not in bounds:
                 bounds[factor] = _order_bounds(rm, factor, w)
-            spec = _contour_around(punctures, cycle.puncture, bounds[factor])
-            numeric = _integrate_circle(values, spec) / TWO_PI_I
+            spec = _contour_around(punctures, ai.cycle.puncture, bounds[factor])
+            numeric = _integrate_circle(integrand, spec)
             exact = ai.value.evaluate_complex(c_value)
             errors.append(abs(numeric - exact) / (1 + abs(exact)))
     return errors

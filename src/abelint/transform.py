@@ -1,7 +1,7 @@
 """Algebraic equivalences and reduction to the non-exact 1-form basis.
 
-A pair (psi, sigma) of a polynomial automorphism of the plane and an
-affine reparametrization of the value line carries a Hamiltonian and a
+A pair (psi, sigma) of a polynomial automorphism of the plane and a
+rescaling sigma(c) = s1*c of the value line carries a Hamiltonian and a
 1-form into normal-form coordinates.  Any polynomial 1-form decomposes as
 an exact part dQ plus a combination of the basis monomials x^i y^j dx
 with j >= 1, which is the shape the residue machinery consumes.
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from .algebra import ONE, ZERO, BiPoly, GaussRat, _bipoly, _grid_integral
+from .algebra import ONE, BiPoly, GaussRat, _bipoly, _grid_integral
 
 
 # The cap on deg f * deg g for the compositions a pair is checked by.  A
@@ -27,9 +27,9 @@ class AutomorphismError(ValueError):
 
 @dataclass(frozen=True)
 class PolyAutomorphism:
-    """Plane automorphism with explicit inverse, plus an affine value map.
+    """Plane automorphism with explicit inverse, plus a value-line scale.
 
-    forward = (psi1, psi2), inverse = (phi1, phi2), sigma(c) = s1*c + s0.
+    forward = (psi1, psi2), inverse = (phi1, phi2), sigma(c) = s1*c.
     forward(inverse) = id is verified symbolically at construction, and
     that alone makes the pair inverse to each other: it makes ``inverse``
     injective, an injective polynomial map of C^2 is bijective
@@ -44,7 +44,6 @@ class PolyAutomorphism:
     forward: Tuple[BiPoly, BiPoly]
     inverse: Tuple[BiPoly, BiPoly]
     s1: GaussRat = ONE
-    s0: GaussRat = ZERO
 
     def __post_init__(self):
         if not self.s1:

@@ -130,7 +130,7 @@ def expand(nf: NormalForm) -> BiPoly:
 def pushforward_polynomial(H: BiPoly, aut: PolyAutomorphism) -> BiPoly:
     """sigma(H(psi^{-1}(x, y))), fully expanded."""
     g1, g2 = aut.inverse
-    return H.compose(g1, g2).scale(aut.s1) + BiPoly.const(aut.s0)
+    return H.compose(g1, g2).scale(aut.s1)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from abelint import (
 from abelint import algebra
 from abelint.algebra import (
     C_FACTOR,
-    I,
     power_table,
     t_factor,
 )
@@ -299,7 +298,7 @@ class TestUniPoly:
 # ---------------------------------------------------------------------------
 
 def _random_point(rng):
-    return random_gauss(rng) + random_gauss(rng) * I
+    return random_gauss(rng) + random_gauss(rng) * GaussRat(0, 1)
 
 
 class TestBiPoly:

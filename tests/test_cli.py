@@ -384,6 +384,19 @@ class TestExitCodes:
         assert err.startswith(f"error: invalid configuration: {where}: ")
         assert err.count("\n") == 1
 
+    def test_sigma_shift_is_one_line_config_error(self, tmp_path, capsys):
+        # The report is in the normal form's value coordinate, which a shift
+        # s0 of c cannot change, so a nonzero s0 is refused, not ignored.
+        config = readme_config()
+        config["automorphism"]["sigma"] = ["1", "5"]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration: automorphism.sigma: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize("block, key", [
         ("family", "k"),
         ("automorphism", "sigma0"),

@@ -1,11 +1,13 @@
-"""Static checks on the package source: every imported name is used, and
-only ``algebra`` imports ``fractions``.
+"""Static checks on the package source: every imported name is used, every
+module-level definition is read, and only ``algebra`` imports ``fractions``.
 
-No linter ships with the test environment, so an import left behind by a
-refactor is caught here.  ``__init__.py`` is skipped, since its imports
-are the public API, and so is ``from __future__``.  Every exact number in
-the package is ints over one denominator; ``algebra`` alone turns strings
-into them and them into printed fractions.
+No linter ships with the test environment, so an import or a helper left
+behind by a refactor is caught here.  ``__init__.py`` is skipped, since its
+imports are the public API, and so is ``from __future__``.  A function,
+class or constant counts as read when some module of the package, not of
+its tests, names it, reads it as an attribute or imports it.  Every exact
+number in the package is ints over one denominator; ``algebra`` alone
+turns strings into them and them into printed fractions.
 """
 
 import ast
@@ -40,6 +42,51 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_definitions(sources: dict) -> list:
+    """(module, name) of every module-level function, class and constant of
+    ``sources`` ({module name: source}, ``__init__`` included) that no
+    module reads as a name or an attribute or imports."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unread = []
+    for module, tree in trees.items():
+        if module == "__init__":
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [target.id for target in targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            unread += [(module, name) for name in names
+                       if name not in read and not name.startswith("__")]
+    return sorted(unread)
+
+
+def test_the_check_sees_an_unread_definition():
+    sources = {
+        "__init__": "from .a import public\n",
+        "a": "LIMIT = 3\nUNREAD = 4\ndef public(): return b.helper(LIMIT)\nclass Ghost: pass\n",
+        "b": "from .a import LIMIT\ndef helper(n): return n\n",
+    }
+    assert unread_definitions(sources) == [("a", "Ghost"), ("a", "UNREAD")]
+
+
+def test_every_definition_is_read():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert unread_definitions(sources) == []
 
 
 def imported_modules(source: str) -> set:

@@ -4,7 +4,6 @@ import cmath
 import math
 import random
 from fractions import Fraction
-from operator import mul
 
 import pytest
 
@@ -45,21 +44,7 @@ from conftest import cached_rectifier, random_normal_form, random_oneform
 EXACT_PART = OneForm.d(BiPoly({(2, 1): GaussRat(1), (0, 2): GaussRat(-2), (1, 0): GaussRat(3)}))
 
 
-def _circle(integrand, spec: ContourSpec) -> complex:
-    """One trapezoidal contour integral of a column evaluator, from spec.samples."""
-    return _integrate_circle(
-        lambda points, weights: list(map(mul, integrand(points), weights)), spec)
-
-
 class TestContourSpec:
-    def test_radius_positive(self):
-        with pytest.raises(ValueError):
-            ContourSpec(0j, 0.0, 4)
-
-    def test_samples_power_of_two(self):
-        with pytest.raises(ValueError):
-            ContourSpec(0j, 1.0, samples=48)
-
     def test_default_radius_quarter_gap(self):
         rm = build_rectifier(septic_f2())
         cycles = canonical_cycles(validate(septic_f2()))
@@ -81,12 +66,12 @@ class TestContourIntegrals:
     def test_simple_pole_unit_residue(self):
         f = RatFunc(BiPoly.const(GaussRat(1)),
                     {t_factor(GaussRat(0), GaussRat(0)): 1})
-        value = _circle(f.at_c(1.0 + 0j), ContourSpec(0j, 0.5, 64)) / TWO_PI_I
+        value = _integrate_circle(f.at_c(1.0 + 0j), ContourSpec(0j, 0.5, 64))
         assert abs(value - 1) < 1e-10
 
     def test_pole_free_integrand_vanishes(self):
         f = RatFunc(BiPoly({(2, 0): GaussRat(1)}))
-        value = _circle(f.at_c(1.0 + 0j), ContourSpec(0j, 0.5, 64)) / TWO_PI_I
+        value = _integrate_circle(f.at_c(1.0 + 0j), ContourSpec(0j, 0.5, 64))
         assert abs(value) < 1e-10
 
     def test_oscillator_known_value(self):
@@ -121,9 +106,9 @@ class TestContourIntegrals:
             calls.append(z)
             return 1 / z + z ** 63
 
-        value = _circle(lambda points: [integrand(z) for z in points],
-                        ContourSpec(0j, 1.0, samples=64))
-        assert abs(value - 2j * math.pi) < 1e-10
+        value = _integrate_circle(lambda points: [integrand(z) for z in points],
+                                  ContourSpec(0j, 1.0, samples=64))
+        assert abs(value - 1) < 1e-10
         assert len(calls) == 256
 
     def test_inverse_compiled_once_per_c_value(self, monkeypatch):
@@ -198,9 +183,9 @@ class TestContourIntegrals:
         c_values = (2.0 + 0.5j, -1.7 + 1.3j)
         circles = []
 
-        def recording(values, spec):
+        def recording(integrand, spec):
             circles.append(spec)
-            return _integrate_circle(values, spec)
+            return _integrate_circle(integrand, spec)
 
         monkeypatch.setattr(oracle, "_integrate_circle", recording)
         for form in (SEPTIC_F2_FORM, SEPTIC_F2_FORM + EXACT_PART):
@@ -257,7 +242,7 @@ class TestContourIntegrals:
         for samples in (64, 1024):
             fixed = ContourSpec(spec.center, spec.radius, samples=samples)
             del calls[:]
-            _circle(eta_t.at_c(c0), fixed)
+            _integrate_circle(eta_t.at_c(c0), fixed)
             t_calls = len(calls)
             del calls[:]
             _integrate_circle(_loop_sampler(rm, c0, (w.A.compiled(), w.B.compiled())), fixed)
@@ -272,34 +257,35 @@ class TestContourIntegrals:
         assert max(errors) < 1e-8
 
     def test_value_line_reparametrization_equivalence(self):
-        # If sigma(c) = 2c + 1 carries H to H' = 2H + 1, integrals satisfy
-        # I(c) = (1/sigma') I'(sigma(c)).
-        nf = oscillator_form()
-        rm = build_rectifier(nf)
-        cycle = canonical_cycles(validate(nf))[0]
-        w = form_dx((0, 2, 1), (1, 2, -1))  # H y dx
-        report = full_report(nf, w)
-        rng = random.Random(97)
-        for _ in range(10):
-            c0 = complex(rng.uniform(1, 3), rng.uniform(-1, 1))
-            direct = contour_integral_fiber(w, rm, cycle, c0)
-            exact = report.integrals[0].value.evaluate_complex(c0)
-            assert abs(direct - exact) < 1e-8 * (1 + abs(exact))
-            # reparametrized value line: evaluate at sigma(c), divide by sigma'
-            scaled = report.integrals[0].value.scale(GaussRat(2))
-            assert abs(scaled.evaluate_complex(c0) / 2 - exact) < 1e-12
+        # sigma(c) = 2c carries H to 2 (H o psi^{-1}), so the normal form's
+        # value coordinate is 2c and every exact integral doubles; the zero
+        # counts, bounds and N_BC stay, and the oracle agrees on both.
+        payloads = []
+        for s1 in ("1", "2"):
+            config = readme_config()
+            config["automorphism"]["sigma"] = [s1, "0"]
+            code, payload, _ = cli.execute(config)
+            assert code == 0 and payload["oracle"]["passed"]
+            payloads.append(payload)
+        plain, doubled = payloads
+        assert len(plain["cycles"]) == len(doubled["cycles"]) == 2
+        for one, two in zip(plain["cycles"], doubled["cycles"]):
+            assert UniPoly(two["integral_2pii"]) == UniPoly(one["integral_2pii"]).scale(2)
+            assert two["zero_count"] == one["zero_count"]
+        assert doubled["bounds"] == plain["bounds"]
+        assert doubled["n_bc"] == plain["n_bc"]
 
 
 def _oracle_circles(monkeypatch, config: dict):
     """(starting samples, samples evaluated) of every circle the CLI's oracle runs."""
     circles = []
 
-    def counting(values, spec):
+    def counting(integrand, spec):
         evaluated = [0]
 
-        def counted(points, weights):
+        def counted(points):
             evaluated[0] += len(points)
-            return values(points, weights)
+            return integrand(points)
 
         result = _integrate_circle(counted, spec)
         circles.append((spec.samples, evaluated[0]))
@@ -315,18 +301,18 @@ def _oracle_circles(monkeypatch, config: dict):
 class TestStartLevel:
     def test_fixed_start_settles_on_an_aliased_value(self):
         # 1/z + z^127 on the unit circle: 64 and 128 samples both fold z^127
-        # onto the residue term, agree, and settle on 4 pi i.  A lone
+        # onto the residue term, agree, and settle on 2.  A lone
         # puncture with pole order 1 and degree 127 starts at 256, which
         # aliases no term.
         def integrand(points):
             return [1 / z + z ** 127 for z in points]
 
-        fixed = _circle(integrand, ContourSpec(0j, 1.0, samples=64))
-        assert abs(fixed - 4j * math.pi) < 1e-10
+        fixed = _integrate_circle(integrand, ContourSpec(0j, 1.0, samples=64))
+        assert abs(fixed - 2) < 1e-10
         start = _first_level(1, 127, None)
         assert start == 256
-        derived = _circle(integrand, ContourSpec(0j, 1.0, samples=start))
-        assert abs(derived - 2j * math.pi) < 1e-10
+        derived = _integrate_circle(integrand, ContourSpec(0j, 1.0, samples=start))
+        assert abs(derived - 1) < 1e-10
 
     def test_start_rule(self, monkeypatch):
         # Next to a neighbour at r = R/4 the floor is 32 and N0 > p; a lone
@@ -349,9 +335,9 @@ class TestStartLevel:
         cycle = canonical_cycles(rm.facts)[0]
         starts = []
 
-        def recording(values, spec):
+        def recording(integrand, spec):
             starts.append(spec.samples)
-            return _integrate_circle(values, spec)
+            return _integrate_circle(integrand, spec)
 
         monkeypatch.setattr(oracle, "_integrate_circle", recording)
         y_dx = OneForm(BiPoly({(0, 1): GaussRat(1)}), BiPoly())
@@ -493,4 +479,4 @@ class TestRootFinder:
         f = RatFunc(BiPoly.const(GaussRat(1)),
                     {t_factor(GaussRat(0), GaussRat(0)): 1})
         with pytest.raises(NonConvergence):
-            _circle(f.at_c(1.0 + 0j), ContourSpec(1.0 + 0j, 1.0, 64))
+            _integrate_circle(f.at_c(1.0 + 0j), ContourSpec(1.0 + 0j, 1.0, 64))

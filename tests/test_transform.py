@@ -89,7 +89,7 @@ class TestAutomorphism:
     def test_sigma_must_be_invertible(self):
         x, y = BiPoly.var(0), BiPoly.var(1)
         with pytest.raises(AutomorphismError):
-            PolyAutomorphism((x, y), (x, y), GaussRat(0), GaussRat(1))
+            PolyAutomorphism((x, y), (x, y), GaussRat(0))
 
     def test_oscillator_pair_rectifies_hamiltonian(self):
         # (u^2 + v^2)/2 becomes y(1 - x) in the new coordinates
