@@ -324,11 +324,12 @@ class UniPoly:
         return _poly(self.den, [k * v for k, v in enumerate(self.re)][1:], im)
 
     def evaluate(self, point: GaussRat) -> GaussRat:
-        """The value at a GaussRat or int point: the remainder of ``_root_horner``."""
+        """The value at a GaussRat or int point: the remainder of the division
+        by c - point, with self as one-entry rows."""
         if not self.re:
             return ZERO
-        _, _, _, (den, re, im) = _root_horner(self, point)
-        return _gauss_of(den, re, im)
+        _, (den, (re,), im) = _root_division(self, point)
+        return _gauss_of(den, re, im[0] if im else 0)
 
     def evaluate_complex(self, point: complex) -> complex:
         return _horner_complex(self.complex_coeffs(), point)
@@ -368,14 +369,14 @@ class UniPoly:
         return quot * inv, _poly(den, rr[:m], ri[:m])
 
     def divide_by_root(self, root: GaussRat):
-        """self / (x - root) when the division is exact, else None."""
+        """self / (x - root) when the division is exact, else None; self is
+        divided as one-entry rows."""
         if not self.re:
             return self
-        d, qr, qi, (den, cr, ci) = _root_horner(self, root)
-        if cr or ci:
+        (den, qr, qi), (_, (cr,), ci) = _root_division(self, root)
+        if cr or ci and ci[0]:
             return None
-        qr, qi = [v * d ** k for k, v in enumerate(qr)], [v * d ** k for k, v in enumerate(qi)]
-        return _poly(den // d, qr, qi)
+        return _poly(den, [row[0] for row in qr], qi and [row[0] if row else 0 for row in qi])
 
     def root_multiplicity(self, root: GaussRat) -> int:
         """Multiplicity of (x - root) in self."""
@@ -424,27 +425,6 @@ class UniPoly:
 
     def __repr__(self):
         return self.to_string()
-
-
-def _root_horner(p: UniPoly, root):
-    """Horner on the integers for a nonzero p and x - root, root = (a + bi) / d.
-
-    The carries C_(n-1) = N_(n-1) and C_k = d^(n-1-k) N_k + (a + bi) C_(k+1)
-    are den d^(n-1-k) times the exact ones, as in ``_carries``: quotient
-    coefficient k is d^k C_(k+1) over den d^(n-2), and p(root) is C_0 over
-    den d^(n-1).  Returns d, the carries C_(k+1) by k (real and imaginary
-    lists), and (den d^(n-1), C_0) as three ints.
-    """
-    re, n = p.re, len(p.re)
-    d, a, b = _scalar(root)
-    b, im = b or 0, p.im or [0] * n
-    qr, qi = [0] * (n - 1), [0] * (n - 1)
-    cr, ci, scale = re[-1], im[-1], 1
-    for k in range(n - 2, -1, -1):
-        qr[k], qi[k] = cr, ci
-        scale *= d
-        cr, ci = scale * re[k] + a * cr - b * ci, scale * im[k] + a * ci + b * cr
-    return d, qr, qi, (p.den * scale, cr, ci)
 
 
 def _scalar(value):
@@ -1008,7 +988,8 @@ def _carries(p: BiPoly, pi: UniPoly):
     P C_(k+1) are den d^(n-1-k) times the exact ones, so quotient row k is
     d^k C_(k+1) over den d^(n-2) and the remainder is C_0 over den d^(n-1).
     Returns the parts unnormalised: (den, re, im) of the quotient, then of
-    the remainder.
+    the remainder.  A ``UniPoly`` is divided as one-entry rows by a constant
+    pi, so the same carries serve polynomials in c alone.
     """
     re, im, n = p.re, p.im, len(p.re)
     d, pr, pim = pi.den, pi.re, pi.im
@@ -1039,11 +1020,18 @@ def _carries(p: BiPoly, pi: UniPoly):
 def _synthetic_division(p: BiPoly, pi: UniPoly):
     """(quotient, remainder) of a nonzero p by t - pi, as the unnormalised
     parts (den, re, im) of a grid and of a c-polynomial.  For pi = 0 this is
-    a shift, and both share p's rows."""
+    a shift, and both share p's rows.  ``UniPoly.divide_by_root`` and
+    ``UniPoly.evaluate`` pass their polynomial as one-entry rows."""
     re, im = p.re, p.im
     if not pi:
         return (p.den, re[1:], im and im[1:]), (p.den, re[0], im and im[0])
     return _carries(p, pi)
+
+
+def _root_division(p: UniPoly, root):
+    """``_synthetic_division`` of a nonzero p, as one-entry rows, by c - root."""
+    rows = _raw_bipoly(p.den, [[v] for v in p.re], p.im and [[v] for v in p.im])
+    return _synthetic_division(rows, UniPoly.const(root))
 
 
 def _divide_factor(p: BiPoly, factor: TFactor):

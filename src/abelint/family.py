@@ -35,7 +35,8 @@ class NormalForm:
     family: "F1", "F2" or "F3".
     F1/F2 use (p1, p, q1, q, k, P, a, beta); F3 uses (a, beta, h).
     For F2 with an empty beta list (rank one) the pair (q1, q) is
-    synthesized during validation and the supplied values are ignored.
+    synthesized during validation; a supplied pair other than (0, 0), the
+    default, must equal it.
     """
 
     family: str
@@ -144,6 +145,9 @@ def validate(nf: NormalForm) -> FamilyFacts:
             if math.gcd(nf.p1, nf.p) != 1:
                 raise InvalidFamily("rank-one family two requires gcd(p1, p) = 1")
             q1, q = synthesize_qq(nf.p1, nf.p)
+            if (nf.q1, nf.q) not in ((0, 0), (q1, q)):
+                raise InvalidFamily(f"rank-one family two synthesizes (q1, q) = ({q1}, {q}); "
+                                    f"the supplied ({nf.q1}, {nf.q}) differs")
             sign = 1
             p1, p = nf.p1, nf.p
         else:

@@ -29,7 +29,7 @@ from abelint import (
     zero_count_cap,
 )
 from abelint.algebra import C_FACTOR
-from test_family import cubic_form, oscillator_form, septic_f1, septic_f2
+from test_family import oscillator_form, septic_f1, septic_f2
 
 from conftest import (
     cached_rectifier,

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from abelint import (
@@ -21,11 +21,7 @@ from abelint import (
     residue,
 )
 from abelint import algebra
-from abelint.algebra import (
-    C_FACTOR,
-    power_table,
-    t_factor,
-)
+from abelint.algebra import C_FACTOR, t_factor
 
 from conftest import random_gauss, random_normal_form, random_oneform, cached_rectifier
 from reference import (

@@ -35,7 +35,6 @@ from abelint.cli import (
     _factored_string,
     _numeric_zeros,
     canonical_json,
-    compare_golden,
     execute,
     main,
     parse_family,
@@ -272,6 +271,47 @@ class TestExitCodes:
         path.write_text(json.dumps(config))
         assert main(["--config", str(path), "--out", str(tmp_path)]) == 2
 
+    def test_rank_one_pair_other_than_the_synthesized_is_two(self, tmp_path, capsys):
+        # p1 = 1, p = 2 synthesizes (q1, q) = (2, 3); (5, 7) is not dropped.
+        config = minimal_config()
+        config["family"] = {"type": "F2", "p1": 1, "p": 2, "q1": 5, "q": 7,
+                            "k": 1, "P": ["3"], "a": [], "beta": []}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: invalid family: rank-one family two synthesizes "
+                       "(q1, q) = (2, 3); the supplied (5, 7) differs\n")
+        assert not (tmp_path / "report.json").exists()
+
+    def test_rank_one_synthesized_pair_runs_as_absent_keys(self, tmp_path):
+        reports = []
+        for pair in ({"q1": 2, "q": 3}, {}):
+            config = minimal_config()
+            config["family"] = {"type": "F2", "p1": 1, "p": 2, "k": 1, "P": ["3"],
+                                "a": [], "beta": [], **pair}
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            assert main(["--config", str(path), "--out", str(tmp_path), "--no-oracle"]) == 0
+            reports.append((tmp_path / "report.json").read_text())
+        assert reports[0] == reports[1]
+
+    def test_bound_violation_is_three(self, tmp_path, capsys, monkeypatch):
+        # Every observed zero count exceeds a cap of -1: both reports are
+        # written, the text marks the violation, and the run exits 3.
+        monkeypatch.setattr("abelint.abelian.zero_count_cap", lambda m, n, rank: -1)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(load_bundle("oscillator")["config"]))
+        assert main(["--config", str(path), "--out", str(tmp_path), "--no-oracle"]) == 3
+        assert capsys.readouterr().err == "error: bound violation recorded in report\n"
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert not all(entry["satisfied"] for entry in payload["bounds"])
+        assert "[VIOLATED]" in (tmp_path / "report.txt").read_text()
+
+    def test_list_examples_prints_the_names(self, capsys):
+        assert main(["--list-examples"]) == 0
+        assert capsys.readouterr().out.split() == list(EXAMPLE_NAMES)
+
     def test_golden_mismatch_is_three(self, tmp_path):
         bundle = load_bundle("oscillator")
         bundle["golden"]["n_bc"] = 42
@@ -456,7 +496,7 @@ class TestExitCodes:
         # x y dx - x y dx is the zero form: its degree is 0, also when an
         # automorphism asks for the original degrees.
         config = {
-            "family": {"type": "F2", "p1": 1, "p": 2, "q1": 1, "q": 1,
+            "family": {"type": "F2", "p1": 1, "p": 2,
                        "k": 1, "P": ["3"], "a": [], "beta": []},
             "one_form": [{"i": 1, "j": 1, "coeff": "1"},
                          {"i": 1, "j": 1, "coeff": "-1"}],
@@ -710,6 +750,21 @@ class TestEndToEnd:
         report = dataclasses.replace(report, integrals=(integral,))
         text = report_to_text(report, {"enabled": False})
         assert f"I_1(c) = (2*pi*i) * {factored}\n" in text
+
+    def test_complex_integral_is_printed_unfactored(self, tmp_path):
+        # beta = i makes the integrals complex; only real ones are factored.
+        config = {
+            "family": {"type": "F2", "p1": 0, "p": 1, "q1": 1, "q": 2, "k": 1,
+                       "P": ["1"], "a": [1], "beta": [{"re": "0", "im": "1"}]},
+            "one_form": [{"i": 1, "j": 1, "coeff": "1"}, {"i": 0, "j": 2, "coeff": "1"}],
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "report.txt").read_text()
+        assert ("I_1(c) = (2*pi*i) * -2i*c^4 - 2*c^3\n"
+                "  numeric zeros: +0+1i, +0+0i (multiplicity 3)\n") in text
+        assert json.loads((tmp_path / "report.json").read_text())["oracle"]["passed"]
 
     def test_factored_output_shape(self, tmp_path):
         main(["--example", "f2_type03", "--out", str(tmp_path), "--no-oracle"])

@@ -1,5 +1,6 @@
-"""Static checks on the package source: every imported name is used, every
-module-level definition is read, and only ``algebra`` imports ``fractions``.
+"""Static checks on the source: every imported name is used, in the package
+and in its tests, every module-level definition of the package is read, and
+only ``algebra`` imports ``fractions``.
 
 No linter ships with the test environment, so an import or a helper left
 behind by a refactor is caught here.  ``__init__.py`` is skipped, since its
@@ -15,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "abelint"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "abelint"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 
 
@@ -39,7 +41,7 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports(source) == [(1, "lru_cache")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES + sorted(TESTS.glob("*.py")), ids=lambda path: path.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -34,7 +34,7 @@ from abelint.oracle import (
     _punctures,
 )
 from abelint.rectify import RectifyingMap
-from test_family import cubic_form, oscillator_form, septic_f2
+from test_family import oscillator_form, septic_f2
 from test_abelian import SEPTIC_F2_FORM, form_dx
 from test_cli import load_bundle, readme_config
 
