@@ -42,7 +42,7 @@ def integrate_cycle(rm: RectifyingMap, coeffs: Dict[Tuple[int, int], GaussRat],
 
     Each basis form's integral, so each residue, is a polynomial in c.
     """
-    factor = rm.puncture_factor(cycle.puncture)
+    factor = rm.factors[cycle.puncture]
     total = UniPoly()
     for (i, j), weight in coeffs.items():
         eta_t = rm.monomial_pushforward(i, j)

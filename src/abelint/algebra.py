@@ -1238,7 +1238,7 @@ class RatFunc:
         return _ratfunc(numerator, {k: e + 1 for k, e in self.exps.items() if e != -1},
                         constant)
 
-    def at_c(self, c_value: complex) -> Callable[[List[complex]], List[complex]]:
+    def at_c(self, c_value: complex, slopes: bool = False) -> Callable[[List[complex]], list]:
         """Column evaluator at fixed c: a list of t values -> the values there.
 
         Every coefficient is converted once, here: the grid's t-coefficients
@@ -1248,12 +1248,17 @@ class RatFunc:
         division (a pole) or one product (a numerator factor) per point.  At
         c_value = 0 a pole c makes every t a pole, so any point raises
         ZeroDivisionError on evaluation, as a t-pole does.
+
+        With ``slopes`` it returns (values, t-derivatives), the derivatives
+        from the same factors, not from ``derivative``: for G F, G the grid's
+        Horner and F = prod (t - pi_k)^-e_k, the slope is G' F + G F sum_k
+        -e_k / (t - pi_k), with F its own product (G may vanish at a point).
         """
         if self.exps.get(C_FACTOR, 0) > 0 and not c_value:
-            def nowhere(points: List[complex]) -> List[complex]:
+            def nowhere(points: List[complex]) -> list:
                 if points:
                     raise ZeroDivisionError("c = 0 is a pole at every t")
-                return []
+                return ([], []) if slopes else []
 
             return nowhere
         scale = 1
@@ -1261,19 +1266,31 @@ class RatFunc:
         for key, e in self.exps.items():
             if key[0] == "t":
                 factors.append((key[1].evaluate_complex(c_value), abs(e),
-                                truediv if e > 0 else mul))
+                                truediv if e > 0 else mul, complex(-e)))
             else:
                 scale = c_value ** -e
         grid = self.grid
         coeffs = [_horner_complex(_complex_coeffs(grid.den, r, m), c_value) * scale
                   for r, m in zip(reversed(grid.re), reversed(grid.im or [None] * len(grid.re)))]
+        slope_coeffs = slopes and [k * v for k, v in zip(range(len(coeffs) - 1, 0, -1), coeffs)]
 
-        def values(points: List[complex]) -> List[complex]:
+        def values(points: List[complex]) -> list:
             acc, n = _horner_column(coeffs, points), len(points)
-            for pole, e, op in factors:
-                base = map(sub, points, repeat(pole, n))
-                acc = list(map(op, acc, base if e == 1 else map(pow, base, repeat(e, n))))
-            return acc
+            logs, shape = None, slope_coeffs and [1.0] * n  # sum_k -e_k / (t - pi_k), and F
+            for pole, e, op, weight in factors:
+                base = list(map(sub, points, repeat(pole, n)))
+                power = base if e == 1 else list(map(pow, base, repeat(e, n)))
+                acc = list(map(op, acc, power))
+                if slopes:  # F only when G depends on t
+                    shape = list(map(op, shape, power)) if slope_coeffs else shape
+                    terms = map(truediv, repeat(weight, n), base)
+                    logs = list(terms if logs is None else map(add, logs, terms))
+            if not slopes:
+                return acc
+            slope = repeat(0j, n) if logs is None else map(mul, acc, logs)
+            if slope_coeffs:
+                slope = map(add, map(mul, _horner_column(slope_coeffs, points), shape), slope)
+            return acc, list(slope)
 
         return values
 

@@ -8,7 +8,8 @@ on the whole list by column evaluators (``RatFunc.at_c``,
 ``BiPoly.compiled``) that convert their exact coefficients to complex once
 and run each Horner step over the column.  The oracle integrates 1-forms
 A dx + B dy along the fiber loop R^{-1}(circle) as A(x,y) dx/dt + B(x,y)
-dy/dt, with x, y, dx/dt and dy/dt sampled from the factored inverse.  An
+dy/dt, with x, y and their t-derivatives sampled together from the
+factored inverse, not from the engine's ``RatFunc.derivative``.  An
 integrand is a plain column function of t; the circle applies the weights
 and returns the integral over 2*pi*i.  ``check_report`` integrates the
 report's own form on one circle per (cycle, c) against the exact integral.
@@ -67,13 +68,9 @@ class ContourSpec:
     samples: int
 
 
-def _punctures(rm: RectifyingMap, c_value: complex) -> Dict[str, Tuple[TFactor, complex]]:
-    """Every finite puncture's factor t - pi(c) and its position pi(c_value)."""
-    punctures = {}
-    for kind in rm.facts.puncture_kinds:
-        factor = rm.puncture_factor(kind)
-        punctures[kind] = factor, factor[1].evaluate_complex(c_value)
-    return punctures
+def _punctures(rm: RectifyingMap, c_value: complex) -> Dict[str, complex]:
+    """Every finite puncture's position pi(c_value), its factor being t - pi(c)."""
+    return {kind: factor[1].evaluate_complex(c_value) for kind, factor in rm.factors.items()}
 
 
 def _first_level(pole_order: int, degree: int, ratio: Optional[float]) -> int:
@@ -100,16 +97,15 @@ def _first_level(pole_order: int, degree: int, ratio: Optional[float]) -> int:
     return samples
 
 
-def _contour_around(punctures: Dict[str, Tuple[TFactor, complex]], puncture: str,
+def _contour_around(punctures: Dict[str, complex], puncture: str,
                     orders: Tuple[int, int]) -> ContourSpec:
     """Circle around one puncture, radius a quarter of the nearest gap.
 
     It starts at the ``_first_level`` of ``orders`` = (pole order bound,
     degree bound) of the integrands.
     """
-    center = punctures[puncture][1]
-    gaps = [abs(center - other) for _, other in punctures.values()
-            if abs(center - other) > 0]
+    center = punctures[puncture]
+    gaps = [abs(center - other) for other in punctures.values() if abs(center - other) > 0]
     nearest = min(gaps, default=None)
     radius = 1.0 if nearest is None else nearest / 4
     ratio = None if nearest is None else radius / nearest
@@ -156,19 +152,18 @@ def _loop_sampler(rm: RectifyingMap, c_value: complex,
 
     form = (A, B) holds the column evaluators of a 1-form A dx + B dy, B
     None for a dx-only form; the integrand is A(x,y) dx/dt + B(x,y) dy/dt.
-    x, y, dx/dt and, when B is given, dy/dt are compiled here.
+    x with dx/dt, and y with dy/dt when B is given, are compiled here.
     """
     a_xy, b_xy = form
-    inverse_x, inverse_y = rm.inverse_x.at_c(c_value), rm.inverse_y.at_c(c_value)
-    dx_dt = rm.dx_dt.at_c(c_value)
-    dy_dt = None if b_xy is None else rm.dy_dt.at_c(c_value)
+    inverse_x = rm.inverse_x.at_c(c_value, slopes=True)
+    inverse_y = rm.inverse_y.at_c(c_value, slopes=b_xy is not None)
 
     def integrand(points: Column) -> Column:
-        xs, ys = inverse_x(points), inverse_y(points)
-        column = map(mul, a_xy(xs, ys), dx_dt(points))
-        if b_xy is not None:
-            column = map(add, column, map(mul, b_xy(xs, ys), dy_dt(points)))
-        return list(column)
+        xs, dxs = inverse_x(points)
+        if b_xy is None:
+            return list(map(mul, a_xy(xs, inverse_y(points)), dxs))
+        ys, dys = inverse_y(points)
+        return list(map(add, map(mul, a_xy(xs, ys), dxs), map(mul, b_xy(xs, ys), dys)))
 
     return integrand
 
@@ -182,20 +177,18 @@ def _orders(f: RatFunc, factor: TFactor) -> Tuple[int, int]:
 def _order_bounds(rm: RectifyingMap, factor: TFactor, w: OneForm) -> Tuple[int, int]:
     """(p, d): bounds on the pole order at ``factor`` and on the degree at
     infinity of w's fiber integrand: each A term's x^i y^j dx/dt and each
-    B term's x^i y^j dy/dt (dy/dt is read only when B != 0).
+    B term's x^i y^j dy/dt.
 
     A product's pole order is at most the sum of its factors' and its
-    degree is the sum of theirs, so both bounds come from the signed
-    exponents in ``.exps`` and the t-degree of the grid, not from
-    ``monomial_pushforward``, which the oracle checks.
+    degree is the sum of theirs, so both bounds come from x's and y's
+    signed exponents in ``.exps`` and the t-degrees of their grids, not
+    from ``monomial_pushforward``, which the oracle checks.  A derivative's
+    pole order is p + 1 where p > 0, its degree d - 1 where d != 0, else <= -2.
     """
-    integrands = [(rm.dx_dt, w.A.terms)]
-    if not w.B.is_zero():
-        integrands.append((rm.dy_dt, w.B.terms))
     (px, dx), (py, dy) = _orders(rm.inverse_x, factor), _orders(rm.inverse_y, factor)
     pole_order = degree = 0
-    for derivative, exponents in integrands:
-        pd, dd = _orders(derivative, factor)
+    for p, d, exponents in ((px, dx, w.A.terms), (py, dy, w.B.terms)):
+        pd, dd = p + 1 if p else 0, d - 1 if d else -2
         for i, j in exponents:
             pole_order = max(pole_order, i * px + j * py + pd)
             degree = max(degree, i * dx + j * dy + dd)
@@ -209,10 +202,9 @@ def contour_integral_t(eta_t: RatFunc, rm: RectifyingMap, cycle: CanonicalCycle,
     The circle starts at the first level of eta_t's own pole order at the
     puncture and degree at infinity.
     """
-    punctures = _punctures(rm, c_value)
-    orders = _orders(eta_t, punctures[cycle.puncture][0])
+    orders = _orders(eta_t, rm.factors[cycle.puncture])
     return _integrate_circle(eta_t.at_c(c_value),
-                             _contour_around(punctures, cycle.puncture, orders))
+                             _contour_around(_punctures(rm, c_value), cycle.puncture, orders))
 
 
 def contour_integral_fiber(w: OneForm, rm: RectifyingMap, cycle: CanonicalCycle,
@@ -224,40 +216,38 @@ def contour_integral_fiber(w: OneForm, rm: RectifyingMap, cycle: CanonicalCycle,
     dy likewise.  The circle starts where ``check_report``'s would for a
     report whose form is w.
     """
-    punctures = _punctures(rm, c_value)
-    orders = _order_bounds(rm, punctures[cycle.puncture][0], w)
+    orders = _order_bounds(rm, rm.factors[cycle.puncture], w)
     integrand = _loop_sampler(rm, c_value, (w.A.compiled(), None if w.B.is_zero() else w.B.compiled()))
-    return _integrate_circle(integrand, _contour_around(punctures, cycle.puncture, orders))
+    return _integrate_circle(integrand,
+                             _contour_around(_punctures(rm, c_value), cycle.puncture, orders))
 
 
 def check_report(report: IntegralReport, c_values: Sequence[complex]) -> List[float]:
     """Relative error of the loop integral of ``report.form`` against the
     exact integral, per (cycle, c).
 
-    The form is integrated along the fiber loop with x, y, dx/dt and dy/dt
-    sampled from the factored inverse, not read off
-    ``monomial_pushforward``.  It differs from its basis form by an exact
-    form, whose loop integrals vanish, so one integral per (cycle, c)
-    checks the reduction, the pushforward and the residues.  The form is
+    The form is integrated along the fiber loop with x, y and their slopes
+    sampled from the factored inverse, not read off ``monomial_pushforward``
+    or ``derivative``.  It differs from its basis form by an exact form,
+    whose loop integrals vanish, so one integral per (cycle, c) checks the
+    reduction, the pushforward, dx/dt and the residues.  The form is
     compiled once per call, the inverse and the punctures once per c.
 
-    Each circle starts at the ``_first_level`` of the exact bounds that
-    ``_order_bounds`` puts on the integrand: exact for a lone puncture and
-    within roundoff next to a neighbour, so the second level confirms the
-    first.  A contour unsettled at 2^14 samples raises NonConvergence.
+    Each circle starts at the ``_first_level`` of the bounds that
+    ``_order_bounds`` puts on the integrand, once per cycle: exact for a
+    lone puncture and within roundoff next to a neighbour, so the second
+    level confirms the first.  A contour unsettled at 2^14 samples raises
+    NonConvergence.
     """
     rm, w = report.rectifier, report.form
     form = (w.A.compiled(), None if w.B.is_zero() else w.B.compiled())
     per_c = [(c_value, _punctures(rm, c_value), _loop_sampler(rm, c_value, form))
              for c_value in c_values]
-    bounds: Dict[TFactor, Tuple[int, int]] = {}
     errors = []
     for ai in report.integrals:
+        orders = _order_bounds(rm, rm.factors[ai.cycle.puncture], w)
         for c_value, punctures, integrand in per_c:
-            factor = punctures[ai.cycle.puncture][0]
-            if factor not in bounds:
-                bounds[factor] = _order_bounds(rm, factor, w)
-            spec = _contour_around(punctures, ai.cycle.puncture, bounds[factor])
+            spec = _contour_around(punctures, ai.cycle.puncture, orders)
             numeric = _integrate_circle(integrand, spec)
             exact = ai.value.evaluate_complex(c_value)
             errors.append(abs(numeric - exact) / (1 + abs(exact)))

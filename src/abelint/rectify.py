@@ -73,18 +73,9 @@ class RectifyingMap:
 
     @cached_property
     def dx_dt(self) -> RatFunc:
-        """d inverse_x / dt; only ``monomial_pushforward`` and the oracle read it."""
+        """d inverse_x / dt; only ``monomial_pushforward`` reads it (the oracle
+        samples its slopes from ``inverse_x.at_c``)."""
         return self.inverse_x.derivative(0)
-
-    @cached_property
-    def dy_dt(self) -> RatFunc:
-        """d inverse_y / dt; only the oracle reads it, for a form with a dy part."""
-        return self.inverse_y.derivative(0)
-
-    def puncture_factor(self, puncture: str) -> TFactor:
-        """The linear denominator factor t - pi(c) of a puncture: the very key
-        that the inverse's exponents hold it under."""
-        return self.factors[puncture]
 
     def monomial_pushforward(self, i: int, j: int) -> RatFunc:
         """eta_t: x^i y^j evaluated on the inverse, times dx/dt; memoised."""

@@ -24,6 +24,7 @@ from abelint import algebra
 from abelint.algebra import C_FACTOR, t_factor
 
 from conftest import random_gauss, random_normal_form, random_oneform, cached_rectifier
+from test_family import septic_f1
 from reference import (
     FractionGaussRat,
     eval_at_t,
@@ -417,8 +418,27 @@ class TestRatFunc:
                     {C_FACTOR: 1, t_factor(GaussRat(0), GaussRat(0)): 1})
         column = f.at_c(0j)
         assert column([]) == []
+        assert f.at_c(0j, slopes=True)([]) == ([], [])
         with pytest.raises(ZeroDivisionError):
             column([1 + 0j])
+
+    def test_at_c_slopes_match_the_exact_derivative(self):
+        # The slopes come from the grid and the factors, not from
+        # derivative(0), and the values are the plain evaluator's, bit for
+        # bit.  Poles, numerator factors, the factor c and the constant grid
+        # of a rectifier's x all occur.
+        rng = random.Random(61)
+        numerator = RatFunc.factor_product({t_factor(GaussRat(1), GaussRat(0)): 2,
+                                            t_factor(GaussRat(0), GaussRat(-3)): 1}, 1)
+        rm = build_rectifier(septic_f1())
+        functions = [_sample_ratfuncs(rng) * numerator for _ in range(10)]
+        functions += [_sample_ratfuncs(rng) for _ in range(10)] + [rm.inverse_x, rm.inverse_y]
+        points, c0 = [0.37 + 0.21j, -1.3 + 0.8j, 2.2 - 0.5j], 1.9 - 0.4j
+        for f in functions:
+            values, slopes = f.at_c(c0, slopes=True)(points)
+            assert values == f.at_c(c0)(points)
+            for slope, exact in zip(slopes, f.derivative(0).at_c(c0)(points)):
+                assert abs(slope - exact) <= 1e-9 * (1 + abs(exact))
 
     def test_at_c_matches_exact_value(self):
         # Constant, complex and moving poles plus the factor c, at rational
@@ -721,7 +741,7 @@ def test_ladder_integrals_equal_the_reference_residues(n):
     rm = report.rectifier
     assert len(report.integrals) == 2
     for ai in report.integrals:
-        factor = rm.puncture_factor(ai.cycle.puncture)
+        factor = rm.factors[ai.cycle.puncture]
         total = UniPoly()
         for (i, j), weight in report.basis_coeffs.items():
             num, den = reference_residue(rm.monomial_pushforward(i, j), factor)

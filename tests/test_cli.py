@@ -246,6 +246,25 @@ class TestGoldenComparison:
             execute(bundle["config"], no_oracle=True,
                     golden=bundle["golden"], example_name="broughton")
 
+    def test_missing_cycle_raises(self):
+        bundle = load_bundle("f1_type04")
+        n_cycles = len(bundle["golden"]["cycles"])
+        del bundle["golden"]["cycles"][-1]
+        with pytest.raises(GoldenMismatch,
+                           match=f"cycle count: expected {n_cycles - 1}, got {n_cycles}"):
+            execute(bundle["config"], no_oracle=True,
+                    golden=bundle["golden"], example_name="f1_type04")
+
+    def test_tampered_zero_count_raises(self):
+        bundle = load_bundle("f2_type03")
+        cycle = bundle["golden"]["cycles"][0]
+        got = cycle["zero_count"]
+        cycle["zero_count"] = got + 1
+        with pytest.raises(GoldenMismatch, match=f"cycle {cycle['index']} zero count: "
+                           f"expected {got + 1}, got {got}"):
+            execute(bundle["config"], no_oracle=True,
+                    golden=bundle["golden"], example_name="f2_type03")
+
 
 class TestExitCodes:
     def test_parse_error_is_one(self, tmp_path):

@@ -119,6 +119,12 @@ class TestSynthesis:
         with pytest.raises(InvalidFamily):
             synthesize_qq(2, 4)
 
+    def test_p1_zero_requires_p_one(self):
+        # validate's gcd(p1, p) = 1 check rejects p1 = 0, p = 2 first, so
+        # only a direct call reaches this branch.
+        with pytest.raises(InvalidFamily, match="requires p = 1 when p1 = 0"):
+            synthesize_qq(0, 2)
+
     def test_rank_one_family_uses_synthesis(self):
         nf = NormalForm("F2", p1=1, p=2, k=1, P=UniPoly([1]))
         facts = validate(nf)

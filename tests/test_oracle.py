@@ -112,36 +112,38 @@ class TestContourIntegrals:
         assert len(calls) == 256
 
     def test_inverse_compiled_once_per_c_value(self, monkeypatch):
-        # check_report compiles x, y and dx/dt (and dy/dt, for a form with
-        # a dy part) and locates the punctures once per c-value, whatever
-        # the number of cycles and basis monomials.
+        # check_report compiles x with its slopes and y (with its slopes,
+        # for a form with a dy part) and locates the punctures once per
+        # c-value, whatever the number of cycles and basis monomials.
         nf = septic_f2()
         c_values = (2.0 + 0.5j, -1.7 + 1.3j)
         with_dy = OneForm(BiPoly({(0, 1): GaussRat(1)}), BiPoly({(1, 1): GaussRat(1)}))
         compiled, located = [], []
-        original_at_c = RatFunc.at_c
-        original_factor = RectifyingMap.puncture_factor
+        original_at_c, original_punctures = RatFunc.at_c, oracle._punctures
 
-        def counting_at_c(self, c_value):
-            compiled.append(self)
-            return original_at_c(self, c_value)
+        def counting_at_c(self, c_value, slopes=False):
+            compiled.append((self, slopes))
+            return original_at_c(self, c_value, slopes)
 
-        def counting_factor(self, puncture):
-            located.append(puncture)
-            return original_factor(self, puncture)
+        def counting_punctures(rm, c_value):
+            located.append(c_value)
+            return original_punctures(rm, c_value)
 
         sizes = set()
-        for form, per_c in ((form_dx((0, 1, 1)), 3), (SEPTIC_F2_FORM, 3), (with_dy, 4)):
+        for form, y_slopes in ((form_dx((0, 1, 1)), False), (SEPTIC_F2_FORM, False),
+                               (with_dy, True)):
             report = full_report(nf, form)
             sizes.add(len(report.basis_coeffs))
             monkeypatch.setattr(RatFunc, "at_c", counting_at_c)
-            monkeypatch.setattr(RectifyingMap, "puncture_factor", counting_factor)
+            monkeypatch.setattr(oracle, "_punctures", counting_punctures)
             del compiled[:], located[:]
             check_report(report, c_values)
             monkeypatch.undo()
             assert len(canonical_cycles(report.facts)) == 2
-            assert len(compiled) == per_c * len(c_values)
-            assert len(located) == len(report.facts.puncture_kinds) * len(c_values)
+            x, y = report.rectifier.inverse_x, report.rectifier.inverse_y
+            assert [(f is x, f is y, s) for f, s in compiled] == \
+                [(True, False, True), (False, True, y_slopes)] * len(c_values)
+            assert located == list(c_values)
         assert len(sizes) == 3
 
     def test_t_route_checks_the_pushforward(self, monkeypatch):
@@ -160,12 +162,35 @@ class TestContourIntegrals:
         errors = check_report(report, (2.0 + 0.5j, -1.7 + 1.3j, 3.1 - 0.2j))
         assert max(errors) > 1e-8
 
-    def test_dx_only_form_leaves_dy_dt_unbuilt(self):
-        nf = septic_f2()
-        rm = build_rectifier(nf)
-        cycle = canonical_cycles(rm.facts)[0]
-        contour_integral_fiber(SEPTIC_F2_FORM, rm, cycle, 2.0 + 0.5j)
-        assert "dy_dt" not in rm.__dict__
+    def test_check_report_builds_no_derivative(self, monkeypatch):
+        # The oracle's slopes come from x's and y's own factors, not from
+        # RatFunc.derivative, which the pushforward multiplies in.  The
+        # rectifier's cached dx/dt is dropped, so reading it would build it.
+        with_dy = OneForm(BiPoly({(0, 1): GaussRat(1)}), BiPoly({(1, 1): GaussRat(1)}))
+        for form in (SEPTIC_F2_FORM, with_dy):
+            report = full_report(septic_f2(), form)
+            del report.rectifier.__dict__["dx_dt"]
+
+            def refused(self, slot):
+                raise AssertionError("check_report built a derivative")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(RatFunc, "derivative", refused)
+                assert max(check_report(report, (2.0 + 0.5j, -1.7 + 1.3j))) < 1e-8
+
+    def test_derivative_fault_fails_every_bundled_example(self, monkeypatch):
+        # d/dt doubled doubles every exact integral; the oracle's slopes do
+        # not come from RatFunc.derivative, so it disagrees on every example.
+        original = RatFunc.derivative
+
+        def doubled(self, slot):
+            derivative = original(self, slot)
+            return derivative + derivative if slot == 0 else derivative
+
+        monkeypatch.setattr(RatFunc, "derivative", doubled)
+        for name in cli.EXAMPLE_NAMES:
+            code, payload, _ = cli.execute(load_bundle(name)["config"])
+            assert code == 4 and payload["oracle"]["passed"] is False, name
 
     def test_exact_form_leaves_dx_dt_unbuilt(self):
         # An exact form has an empty basis, so full_report pushes no
@@ -380,6 +405,23 @@ class TestStartLevel:
         assert outcomes["pass"] > outcomes["unsettled"]
         assert outcomes["pass"] >= 70
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "check_report evaluates the exact I(c) in doubles: the moving puncture's "
+        "degree-32 integral, coefficients up to 3e13, loses 4.6e-4 and 2.7e-4 "
+        "relative to cancellation at two of its c values, while the loop integrals "
+        "agree with a 60-digit evaluation of I(c) to 1e-12 relative"))
+    def test_correct_report_is_not_a_disagreement(self):
+        # -2 x y^3 dy + x^2 y^3 dx - 5/7 x^2 y^3 dy on an F1 with
+        # (p1, p, q1, q) = (1, 3, 0, 1): the exact integrals are right, and a
+        # 60-digit trapezoid sum on the oracle's circles matches them.
+        family = {"type": "F1", "p1": 1, "p": 3, "q1": 0, "q": 1, "k": 2,
+                  "P": ["1", "-3"], "a": [2], "beta": ["3"]}
+        form = [{"i": 1, "j": 3, "coeff": "-2", "differential": "dy"},
+                {"i": 2, "j": 3, "coeff": "1", "differential": "dx"},
+                {"i": 2, "j": 3, "coeff": "-5/7", "differential": "dy"}]
+        code, _, _ = cli.execute({"family": family, "one_form": form})
+        assert code != 4
+
 
 class TestOriginalCoordinates:
     def test_original_side_loop_matches_exact_integral(self):
@@ -409,8 +451,8 @@ class TestOriginalCoordinates:
             spec = _contour_around(_punctures(rm, c0), cycle.puncture, (0, 0))
             rotations = [spec.radius * cmath.exp(1j * step * idx) for idx in range(samples)]
             ts = [spec.center + rotation for rotation in rotations]
-            xs, ys = rm.inverse_x.at_c(c0)(ts), rm.inverse_y.at_c(c0)(ts)
-            dxs, dys = rm.dx_dt.at_c(c0)(ts), rm.dy_dt.at_c(c0)(ts)
+            xs, dxs = rm.inverse_x.at_c(c0, slopes=True)(ts)
+            ys, dys = rm.inverse_y.at_c(c0, slopes=True)(ts)
             us, vs = g1_xy(xs, ys), g2_xy(xs, ys)
             u_x, u_y, v_x, v_y = (p(xs, ys) for p in partials)
             a_values, b_values = a_uv(us, vs), b_uv(us, vs)

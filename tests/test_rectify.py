@@ -116,6 +116,14 @@ class TestExplicitInverses:
         with pytest.raises(ConstructionFailure):
             _verify(RectifyingMap(rm.nf, rm.facts, rm.factors, x, y))
 
+    def test_verify_rejects_g_that_is_not_t(self, monkeypatch):
+        # H composed with the inverse is c, G composed with it is not t.
+        rm = build_rectifier(septic_f2())
+        monkeypatch.setattr("abelint.rectify.hamiltonian",
+                            lambda *args: (RatFunc.c(), RatFunc.c()))
+        with pytest.raises(ConstructionFailure, match="G composed with the inverse is not t"):
+            _verify(rm)
+
 
 class TestPushforwards:
     def test_oscillator_eta(self):
@@ -138,7 +146,7 @@ class TestPushforwards:
         for _ in range(20):
             nf = random_normal_form(rng)
             rm = cached_rectifier(nf)
-            allowed = {rm.puncture_factor(kind) for kind in rm.facts.puncture_kinds}
+            allowed = {rm.factors[kind] for kind in rm.facts.puncture_kinds}
             allowed.add(C_FACTOR)
             i, j = rng.randint(0, 3), rng.randint(1, 3)
             eta_t = rm.monomial_pushforward(i, j)
@@ -215,7 +223,7 @@ class TestPunctureKeys:
         for i, j in ((0, 1), (1, 1), (2, 1), (0, 2), (1, 3)):
             eta_t = rm.monomial_pushforward(i, j)
             for kind in rm.facts.puncture_kinds:
-                residues += residue(eta_t, rm.puncture_factor(kind)) is not None
+                residues += residue(eta_t, rm.factors[kind]) is not None
         assert residues > 0
         assert calls == []
 
@@ -224,7 +232,7 @@ class TestPunctureKeys:
         # The rectifier builds one key per puncture, and every function it
         # holds or pushes forward keeps those very objects.
         rm = build_rectifier(make())
-        keys = [rm.puncture_factor(kind) for kind in rm.facts.puncture_kinds]
+        keys = [rm.factors[kind] for kind in rm.facts.puncture_kinds]
         seen = 0
         for f in (rm.inverse_x, rm.inverse_y, rm.dx_dt, rm.monomial_pushforward(1, 2)):
             for key in f.exps:
