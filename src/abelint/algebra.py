@@ -3,9 +3,9 @@
 Gaussian rationals, dense univariate polynomials, bivariate polynomials,
 and rational functions in a distinguished variable t and a parameter c
 whose denominators are products of linear factors.  Everything is exact
-except the complex evaluations that the oracle and the renderer read
-(``evaluate_complex`` and the column evaluators ``RatFunc.at_c`` and
-``BiPoly.compiled``).
+except the complex values that the oracle and the renderer read
+(``BiPoly.compiled``, and ``evaluate_complex`` and ``RatFunc.at_c``, which
+round a c-polynomial's exact value at a float c once).
 
 Every exact number is Gaussian integers over one positive denominator, on
 Python ints, canonical when that denominator is coprime to all of them.
@@ -273,10 +273,6 @@ class UniPoly:
     def coeffs(self) -> tuple:
         return tuple(self[k] for k in range(len(self.re)))
 
-    def complex_coeffs(self) -> list:
-        """The coefficients as complex numbers, rounded like float(Fraction)."""
-        return _complex_coeffs(self.den, self.re, self.im)
-
     def __eq__(self, other):
         if not isinstance(other, UniPoly):
             return NotImplemented
@@ -324,15 +320,12 @@ class UniPoly:
         return _poly(self.den, [k * v for k, v in enumerate(self.re)][1:], im)
 
     def evaluate(self, point: GaussRat) -> GaussRat:
-        """The value at a GaussRat or int point: the remainder of the division
-        by c - point, with self as one-entry rows."""
-        if not self.re:
-            return ZERO
-        _, (den, (re,), im) = _root_division(self, point)
-        return _gauss_of(den, re, im[0] if im else 0)
+        """The exact value at a GaussRat or int point."""
+        d, a, b = _scalar(point)
+        return _gauss_of(*_horner_exact(self.den, self.re, self.im, d, a, b or 0))
 
     def evaluate_complex(self, point: complex) -> complex:
-        return _horner_complex(self.complex_coeffs(), point)
+        return _rounded(*_horner_exact(self.den, self.re, self.im, *_binary(point)))
 
     def divmod(self, divisor: "UniPoly"):
         """Exact long division over Q(i), by pseudo-division on the integers.
@@ -369,11 +362,11 @@ class UniPoly:
         return quot * inv, _poly(den, rr[:m], ri[:m])
 
     def divide_by_root(self, root: GaussRat):
-        """self / (x - root) when the division is exact, else None; self is
-        divided as one-entry rows."""
+        """self / (x - root) when the division is exact, else None."""
         if not self.re:
             return self
-        (den, qr, qi), (_, (cr,), ci) = _root_division(self, root)
+        rows = _raw_bipoly(self.den, [[v] for v in self.re], self.im and [[v] for v in self.im])
+        (den, qr, qi), (_, (cr,), ci) = _synthetic_division(rows, UniPoly.const(root))
         if cr or ci and ci[0]:
             return None
         return _poly(den, [row[0] for row in qr], qi and [row[0] if row else 0 for row in qi])
@@ -437,9 +430,31 @@ def _scalar(value):
 def _complex_coeffs(den: int, re: list, im) -> list:
     """(re + i*im) / den as complex numbers; r / den is correctly rounded,
     so the values do not depend on the scale of den."""
-    if im is None:
-        return [complex(r / den, 0.0) for r in re]
-    return [complex(r / den, i / den) for r, i in zip(re, im)]
+    return [complex(r / den, i / den) for r, i in zip(re, im or repeat(0))]
+
+
+def _binary(z: complex):
+    """(d, a, b) with z = (a + i*b) / d exactly; for a float z, d is a power of two."""
+    (a, da), (b, db) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    d = max(da, db)
+    return d, a * (d // da), b * (d // db)
+
+
+def _horner_exact(den: int, re: list, im, d: int, a: int, b: int):
+    """(den d^(n-1), R, I): (re + i*im) / den, n coefficients low degree first,
+    is (R + i*I) / (den d^(n-1)) at (a + i*b) / d, d > 0, by Horner on the ints."""
+    if not re:
+        return 1, 0, 0
+    r, i, scale = re[-1], im[-1] if im else 0, 1
+    for k in range(len(re) - 2, -1, -1):
+        scale *= d
+        r, i = r * a - i * b + re[k] * scale, r * b + i * a + (im[k] * scale if im else 0)
+    return den * scale, r, i
+
+
+def _rounded(den: int, re: int, im: int) -> complex:
+    """(re + i*im) / den, each part correctly rounded or an OverflowError."""
+    return complex(re / den, im / den)
 
 
 def _horner_complex(coeffs: Sequence[complex], point: complex) -> complex:
@@ -807,7 +822,7 @@ class BiPoly:
     def __mul__(self, other):
         if isinstance(other, GaussRat):
             return self.scale(other)
-        if not isinstance(other, BiPoly):  # a RatFunc multiplies from the right
+        if not isinstance(other, BiPoly):  # not a RatFunc either: no mixed products
             return NotImplemented
         return _grid_mul(self, other)
 
@@ -1020,18 +1035,11 @@ def _carries(p: BiPoly, pi: UniPoly):
 def _synthetic_division(p: BiPoly, pi: UniPoly):
     """(quotient, remainder) of a nonzero p by t - pi, as the unnormalised
     parts (den, re, im) of a grid and of a c-polynomial.  For pi = 0 this is
-    a shift, and both share p's rows.  ``UniPoly.divide_by_root`` and
-    ``UniPoly.evaluate`` pass their polynomial as one-entry rows."""
+    a shift, and both share p's rows."""
     re, im = p.re, p.im
     if not pi:
         return (p.den, re[1:], im and im[1:]), (p.den, re[0], im and im[0])
     return _carries(p, pi)
-
-
-def _root_division(p: UniPoly, root):
-    """``_synthetic_division`` of a nonzero p, as one-entry rows, by c - root."""
-    rows = _raw_bipoly(p.den, [[v] for v in p.re], p.im and [[v] for v in p.im])
-    return _synthetic_division(rows, UniPoly.const(root))
 
 
 def _divide_factor(p: BiPoly, factor: TFactor):
@@ -1149,9 +1157,6 @@ class RatFunc:
     def __bool__(self):
         return bool(self.grid.re)
 
-    def is_polynomial(self) -> bool:
-        return all(e < 0 for e in self.exps.values())
-
     def pole_order(self, factor: TFactor) -> int:
         return max(self.exps.get(factor, 0), 0)
 
@@ -1183,8 +1188,6 @@ class RatFunc:
             if not other:
                 return _raw_ratfunc(_BZERO, {})
             return _raw_ratfunc(self.grid.scale(other), dict(self.exps))
-        if isinstance(other, BiPoly):
-            other = RatFunc(other)
         if not self.grid.re or not other.grid.re:
             return _raw_ratfunc(_BZERO, {})
         a, b, ea, eb = self.grid, other.grid, self.exps, other.exps
@@ -1205,8 +1208,6 @@ class RatFunc:
         return _pow(self, n, _raw_ratfunc(_BONE, {}))
 
     def __eq__(self, other):
-        if isinstance(other, BiPoly):
-            other = RatFunc(other)
         if not isinstance(other, RatFunc):
             return NotImplemented
         return self.num == other.num and self.fac == other.fac  # the pair is canonical
@@ -1242,7 +1243,7 @@ class RatFunc:
         """Column evaluator at fixed c: a list of t values -> the values there.
 
         Every coefficient is converted once, here: the grid's t-coefficients
-        are its c-rows evaluated at c_value, with the factor c^-e folded in,
+        are its c-rows' exact values at c_value rounded once, times c^-e,
         and each "t" factor becomes a complex (pole, exponent) pair.  Each
         Horner step runs over the whole column, and each factor is one
         division (a pole) or one product (a numerator factor) per point.  At
@@ -1261,21 +1262,23 @@ class RatFunc:
                 return ([], []) if slopes else []
 
             return nowhere
-        scale = 1
+        scale, point = 1, _binary(c_value)
         factors = []
         for key, e in self.exps.items():
             if key[0] == "t":
-                factors.append((key[1].evaluate_complex(c_value), abs(e),
-                                truediv if e > 0 else mul, complex(-e)))
+                pole = _rounded(*_horner_exact(key[1].den, key[1].re, key[1].im, *point))
+                factors.append((pole, abs(e), truediv if e > 0 else mul, complex(-e)))
             else:
                 scale = c_value ** -e
         grid = self.grid
-        coeffs = [_horner_complex(_complex_coeffs(grid.den, r, m), c_value) * scale
+        coeffs = [_rounded(*_horner_exact(grid.den, r, m, *point)) * scale
                   for r, m in zip(reversed(grid.re), reversed(grid.im or [None] * len(grid.re)))]
         slope_coeffs = slopes and [k * v for k, v in zip(range(len(coeffs) - 1, 0, -1), coeffs)]
 
         def values(points: List[complex]) -> list:
             acc, n = _horner_column(coeffs, points), len(points)
+            if not factors:  # F = 1: the slope is G' alone
+                return (acc, _horner_column(slope_coeffs, points)) if slopes else acc
             logs, shape = None, slope_coeffs and [1.0] * n  # sum_k -e_k / (t - pi_k), and F
             for pole, e, op, weight in factors:
                 base = list(map(sub, points, repeat(pole, n)))
@@ -1287,7 +1290,7 @@ class RatFunc:
                     logs = list(terms if logs is None else map(add, logs, terms))
             if not slopes:
                 return acc
-            slope = repeat(0j, n) if logs is None else map(mul, acc, logs)
+            slope = map(mul, acc, logs)
             if slope_coeffs:
                 slope = map(add, map(mul, _horner_column(slope_coeffs, points), shape), slope)
             return acc, list(slope)
@@ -1299,7 +1302,7 @@ class RatFunc:
 
     def __repr__(self):
         num = self.num.to_string(("t", "c"))
-        if self.is_polynomial():
+        if not self.fac:
             return num
         den = self.denominator.to_string(("t", "c"))
         return f"({num})/({den})"

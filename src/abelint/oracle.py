@@ -224,7 +224,7 @@ def contour_integral_fiber(w: OneForm, rm: RectifyingMap, cycle: CanonicalCycle,
 
 def check_report(report: IntegralReport, c_values: Sequence[complex]) -> List[float]:
     """Relative error of the loop integral of ``report.form`` against the
-    exact integral, per (cycle, c).
+    exact integral I(c), evaluated exactly and rounded once, per (cycle, c).
 
     The form is integrated along the fiber loop with x, y and their slopes
     sampled from the factored inverse, not read off ``monomial_pushforward``

@@ -80,9 +80,6 @@ class OneForm:
     def __add__(self, other: "OneForm") -> "OneForm":
         return OneForm(self.A + other.A, self.B + other.B)
 
-    def __sub__(self, other: "OneForm") -> "OneForm":
-        return OneForm(self.A - other.A, self.B - other.B)
-
     @classmethod
     def d(cls, Q_poly: BiPoly) -> "OneForm":
         """The exact form dQ."""

@@ -12,7 +12,8 @@ numerators.
 from fractions import Fraction
 from math import comb, gcd
 
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from abelint import BiPoly, GaussRat, NormalForm, RatFunc, UniPoly, algebra, build_rectifier
@@ -22,6 +23,7 @@ from abelint.algebra import (
     ZERO,
     _binomial_grid,
     _bipoly,
+    _complex_coeffs,
     _divide_factor,
     _grid_integral,
     _grid_mul,
@@ -129,7 +131,7 @@ class TestUniPolyAgainstReference:
         p = UniPoly(a)
         assert_canonical(p)
         assert list(p.coeffs) == ref_trim(a)
-        assert p.complex_coeffs() == [c.to_complex() for c in p.coeffs]
+        assert _complex_coeffs(p.den, p.re, p.im) == [c.to_complex() for c in p.coeffs]
         assert UniPoly(p.coeffs) == p
 
     @PROPERTY
@@ -166,6 +168,27 @@ class TestUniPolyAgainstReference:
         for cs in (a, [], [point], a[:1]):
             assert UniPoly(cs).evaluate(point) == ref_evaluate(ref_trim(cs), point)
         assert UniPoly(a).evaluate(2) == ref_evaluate(ref_trim(a), GaussRat(2))
+
+    @PROPERTY
+    @given(coeff_lists, st.complex_numbers(allow_nan=False, allow_infinity=False))
+    @example([GaussRat(1, -3), GaussRat(Fraction(2, 7)), GaussRat(-5)], 1e-300 + 3j)
+    @example([GaussRat(Fraction(1, 3)), GaussRat(-1), GaussRat(0, 2)], 2.0 ** 60 + 0.5j)
+    @example([], 2.0 ** 60 + 0.5j)
+    def test_evaluate_complex_is_the_exact_value_rounded_once(self, a, z):
+        # The float z is the binary fraction Fraction(z.real) + i Fraction(z.imag);
+        # the value there, computed in Fractions, rounds once per part, bit for
+        # bit, or overflows the double range for both.
+        x, y = Fraction(z.real), Fraction(z.imag)
+        re, im = Fraction(0), Fraction(0)
+        for c in reversed(ref_trim(a)):
+            re, im = re * x - im * y + c.re, re * y + im * x + c.im
+        try:
+            want = complex(float(re), float(im))
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                UniPoly(a).evaluate_complex(z)
+            return
+        assert repr(UniPoly(a).evaluate_complex(z)) == repr(want)
 
     @PROPERTY
     @given(coeff_lists, nonzero_lists)
