@@ -372,12 +372,13 @@ class UniPoly:
         return _poly(den, [row[0] for row in qr], qi and [row[0] if row else 0 for row in qi])
 
     def root_multiplicity(self, root: GaussRat) -> int:
-        """Multiplicity of (x - root) in self."""
+        """Multiplicity of (x - root) in self: over Q(i), how many derivatives,
+        self first, vanish at root; a nonzero constant ends the count."""
         if self.is_zero():
             raise ValueError("zero polynomial has no well-defined multiplicity")
-        count, current = -1, self
-        while current is not None:
-            count, current = count + 1, current.divide_by_root(root)
+        count, current = 0, self
+        while not current.evaluate(root):
+            count, current = count + 1, current.derivative()
         return count
 
     def monic(self) -> "UniPoly":
@@ -1170,6 +1171,8 @@ class RatFunc:
         # A pole with unequal exponents in the two reduced operands divides
         # exactly one rewritten grid, so only poles with equal exponents can
         # cancel from the sum.
+        if not isinstance(other, RatFunc):
+            return NotImplemented
         n1, n2, exps = self._common(other)
         shared = [k for k, e in self.exps.items() if e > 0 and other.exps.get(k) == e]
         return _ratfunc(_grid_sum(n1, n2, sign), exps, shared)
@@ -1188,6 +1191,8 @@ class RatFunc:
             if not other:
                 return _raw_ratfunc(_BZERO, {})
             return _raw_ratfunc(self.grid.scale(other), dict(self.exps))
+        if not isinstance(other, RatFunc):
+            return NotImplemented
         if not self.grid.re or not other.grid.re:
             return _raw_ratfunc(_BZERO, {})
         a, b, ea, eb = self.grid, other.grid, self.exps, other.exps
@@ -1215,29 +1220,20 @@ class RatFunc:
     def __hash__(self):
         return hash((self.num, frozenset(self.fac.items())))
 
-    def derivative(self, slot: int) -> "RatFunc":
-        """Partial derivative; slot 0 is t, slot 1 is c."""
+    def derivative(self) -> "RatFunc":
+        """The derivative in t."""
         # d(N prod F^-e) = (N' prod F - N sum e_i F_i' prod_{j != i} F_j) prod F^-(e+1)
-        # A pole with F_k' != 0 leaves N e_k F_k' prod_{j != k} F_j, which it
-        # does not divide, in the numerator; only a pole with F_k' = 0 can cancel.
-        correction, constant = _BZERO, []
-        for k, e in self.exps.items():  # F_k' is 1 or -pi1 for "t", 0 or 1 for "c"
-            if k[0] == "c":
-                d, r, i = 1, slot, None
-            elif slot:
-                d, r, i = _scalar(-k[1][1])
-            else:
-                d, r, i = 1, 1, None
-            if r or i:
+        # A "t" factor has F' = 1 and leaves N e_k prod_{j != k} F_j, which it
+        # does not divide, in the numerator; only a pole c (F' = 0) can cancel.
+        correction = _BZERO
+        for k, e in self.exps.items():
+            if k[0] == "t":
                 rest = {other: 1 for other in self.exps if other != k}
-                term = _bipoly(d, [[e * r]], i and [[e * i]])  # e F_k'
-                correction = _grid_sum(correction, _over(term, {}, rest))
-            elif e > 0:
-                constant.append(k)
-        partial = _over(_grid_partial(self.grid, slot), {}, {k: 1 for k in self.exps})
+                correction = _grid_sum(correction, _over(_const(e), {}, rest))
+        partial = _over(_grid_partial(self.grid, 0), {}, {k: 1 for k in self.exps})
         numerator = _grid_sum(partial, _grid_mul(self.grid, correction), -1)
         return _ratfunc(numerator, {k: e + 1 for k, e in self.exps.items() if e != -1},
-                        constant)
+                        [C_FACTOR] if self.exps.get(C_FACTOR, 0) > 0 else [])
 
     def at_c(self, c_value: complex, slopes: bool = False) -> Callable[[List[complex]], list]:
         """Column evaluator at fixed c: a list of t values -> the values there.

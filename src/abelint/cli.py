@@ -301,7 +301,7 @@ def _factored_string(poly: UniPoly,
 
     ``zeros`` is ``_numeric_zeros(poly)``.  A rational root of a_k has a
     denominator dividing the leading coefficient L of a_k's primitive integer
-    form, so round(Re z * L) / L is kept when a_k vanishes there exactly.
+    form, so round(Re z * L) / L is split off when a_k's exact value there is 0.
     """
     if poly.im is not None:
         return poly.to_string("c")
@@ -312,7 +312,7 @@ def _factored_string(poly: UniPoly,
             root = GaussRat(round(z.real * lead)) / lead
         except OverflowError:  # Re z * L beyond the double range: left unsplit
             continue
-        if factor.divide_by_root(root) is not None:
+        if not factor.evaluate(root):
             roots[root] = k  # a complex pair may round to a real root too
     if not roots:
         return poly.to_string("c")

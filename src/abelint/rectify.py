@@ -75,7 +75,7 @@ class RectifyingMap:
     def dx_dt(self) -> RatFunc:
         """d inverse_x / dt; only ``monomial_pushforward`` reads it (the oracle
         samples its slopes from ``inverse_x.at_c``)."""
-        return self.inverse_x.derivative(0)
+        return self.inverse_x.derivative()
 
     def monomial_pushforward(self, i: int, j: int) -> RatFunc:
         """eta_t: x^i y^j evaluated on the inverse, times dx/dt; memoised."""

@@ -4,6 +4,7 @@ import random
 import sys
 from fractions import Fraction
 from math import factorial
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import given
@@ -411,6 +412,16 @@ class TestRatFunc:
             assert abs((f * g).evaluate(t0, c0) - fv * gv) < 1e-8
             assert abs((f - g).evaluate(t0, c0) - (fv - gv)) < 1e-8
 
+    @pytest.mark.parametrize("op, other", [(mul, BiPoly.var(0)), (mul, 3),
+                                           (add, GaussRat(1)), (sub, 3)])
+    @pytest.mark.parametrize("rational_first", [True, False])
+    def test_unsupported_operand_raises_type_error(self, op, other, rational_first):
+        # A RatFunc combines with a RatFunc (and multiplies by a GaussRat);
+        # any other operand is refused in either order.
+        operands = (RatFunc.t(), other) if rational_first else (other, RatFunc.t())
+        with pytest.raises(TypeError):
+            op(*operands)
+
     def test_at_c_compiles_at_a_pole_in_c(self):
         # 1 / (t c) at c = 0 has a pole at every t: the evaluator compiles,
         # takes an empty column, and raises on any point.
@@ -424,7 +435,7 @@ class TestRatFunc:
 
     def test_at_c_slopes_match_the_exact_derivative(self):
         # The slopes come from the grid and the factors, not from
-        # derivative(0), and the values are the plain evaluator's, bit for
+        # derivative(), and the values are the plain evaluator's, bit for
         # bit.  Poles, numerator factors, the factor c and the constant grid
         # of a rectifier's x all occur.
         rng = random.Random(61)
@@ -437,7 +448,7 @@ class TestRatFunc:
         for f in functions:
             values, slopes = f.at_c(c0, slopes=True)(points)
             assert values == f.at_c(c0)(points)
-            for slope, exact in zip(slopes, f.derivative(0).at_c(c0)(points)):
+            for slope, exact in zip(slopes, f.derivative().at_c(c0)(points)):
                 assert abs(slope - exact) <= 1e-9 * (1 + abs(exact))
 
     def test_at_c_matches_exact_value(self):
@@ -480,14 +491,10 @@ class TestRatFunc:
         eps = 1e-6
         for _ in range(15):
             f = _sample_ratfuncs(rng)
-            for slot in (0, 1):
-                t0, c0 = 0.31 + 0.77j, 2.3 + 0.5j
-                df = f.derivative(slot)
-                if slot == 0:
-                    numeric = (f.evaluate(t0 + eps, c0) - f.evaluate(t0 - eps, c0)) / (2 * eps)
-                else:
-                    numeric = (f.evaluate(t0, c0 + eps) - f.evaluate(t0, c0 - eps)) / (2 * eps)
-                assert abs(df.evaluate(t0, c0) - numeric) < 1e-4 * (1 + abs(numeric))
+            t0, c0 = 0.31 + 0.77j, 2.3 + 0.5j
+            df = f.derivative()
+            numeric = (f.evaluate(t0 + eps, c0) - f.evaluate(t0 - eps, c0)) / (2 * eps)
+            assert abs(df.evaluate(t0, c0) - numeric) < 1e-4 * (1 + abs(numeric))
 
     def test_compose_into_ratfuncs_is_ring_homomorphism(self):
         rng = random.Random(29)
@@ -530,7 +537,7 @@ def residue_via_derivative(f: RatFunc, factor, depth: int) -> tuple:
         return UniPoly(), UniPoly.const(1)
     cleared = f * RatFunc.factor_product({factor: depth}, 1)
     for _ in range(depth - 1):
-        cleared = cleared.derivative(0)
+        cleared = cleared.derivative()
     num, den = eval_at_t(cleared, factor[1])
     return num.scale(GaussRat(Fraction(1, factorial(depth - 1)))), den
 

@@ -6,10 +6,12 @@ import dataclasses
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
@@ -43,6 +45,7 @@ from abelint.cli import (
     report_to_text,
 )
 
+from conftest import random_normal_form, random_oneform
 from reference import expand
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "src/abelint/examples"
@@ -828,3 +831,38 @@ class TestFactoredString:
         start = time.perf_counter()
         assert render(poly) == "720720*c^3 + c + 720720"
         assert time.perf_counter() - start < 0.5
+
+    def test_only_quotients_that_are_read_are_built(self, monkeypatch):
+        # A root test is a value: count_zeros' multiplicities divide
+        # nothing, and _factored_string divides each confirmed root out as
+        # often as its multiplicity, reading every quotient.
+        original, original_render = UniPoly.divide_by_root, abelint.cli._factored_string
+        calls, renders = [], []
+
+        def divide_by_root(poly, root):
+            quotient = original(poly, root)
+            calls.append((sys._getframe(1).f_code.co_name, root, quotient))
+            return quotient
+
+        def factored_string(poly, zeros):
+            start = len(calls)
+            text = original_render(poly, zeros)
+            renders.append((poly, calls[start:]))
+            return text
+
+        monkeypatch.setattr(UniPoly, "divide_by_root", divide_by_root)
+        monkeypatch.setattr(abelint.cli, "_factored_string", factored_string)
+        rng = random.Random(47)
+        for _ in range(20):
+            full_report(random_normal_form(rng), random_oneform(rng, 4))
+        for name in EXAMPLE_NAMES:
+            execute(load_bundle(name)["config"], no_oracle=True)
+        assert {caller for caller, _, _ in calls} <= {"residue", "_factored_string"}
+        monkeypatch.undo()
+        split = 0
+        for poly, made in renders:
+            assert all(quotient is not None for _, _, quotient in made)
+            roots = Counter(root for _, root, _ in made)
+            assert roots == {root: poly.root_multiplicity(root) for root in roots}
+            split += len(made)
+        assert split

@@ -164,7 +164,7 @@ class TestPushforwards:
             t0, c0 = 0.456 + 0.789j, 2.1 + 0.9j
             x0 = rm.inverse_x.evaluate(t0, c0)
             y0 = rm.inverse_y.evaluate(t0, c0)
-            dx = rm.inverse_x.derivative(0).evaluate(t0, c0)
+            dx = rm.inverse_x.derivative().evaluate(t0, c0)
             direct = (x0 ** i) * (y0 ** j) * dx
             assert abs(eta_t.evaluate(t0, c0) - direct) < 1e-8 * (1 + abs(direct))
 
