@@ -128,7 +128,10 @@ class GaussRat:
         return _coerce(other).__sub__(self)
 
     def __mul__(self, other):
-        other = _coerce(other)
+        try:
+            other = _coerce(other)
+        except TypeError:  # a polynomial or RatFunc scales itself by self
+            return NotImplemented
         a, b, c, d = self.num_re, self.num_im, other.num_re, other.num_im
         return _gauss_of(self.den * other.den, a * c - b * d, a * d + b * c)
 
@@ -218,6 +221,30 @@ def _paren(c: GaussRat) -> str:
     return f"({text})" if "+" in text[1:] or "-" in text[1:] else text
 
 
+def _power(var: str, e: int) -> str:
+    """The monomial var^e: "" for e = 0 and var for e = 1."""
+    return "" if not e else var if e == 1 else f"{var}^{e}"
+
+
+def _polynomial_string(terms: Iterable) -> str:
+    """The sum of (coefficient, monomial) terms, zero coefficients skipped:
+    a constant prints bare, a coefficient 1 or -1 as the monomial or its
+    negation, any other times the monomial, and "+ -" reads "- "."""
+    parts = []
+    for c, monomial in terms:
+        if not c:
+            continue
+        if not monomial:
+            parts.append(repr(c))
+        elif c == ONE:
+            parts.append(monomial)
+        elif c == -ONE:
+            parts.append(f"-{monomial}")
+        else:
+            parts.append(f"{_paren(c)}*{monomial}")
+    return " + ".join(parts).replace("+ -", "- ") or "0"
+
+
 def _coerce(value) -> GaussRat:
     if isinstance(value, GaussRat):
         return value
@@ -286,10 +313,10 @@ class UniPoly:
             return self._hash
 
     def __add__(self, other):
-        return _combine(self, other, 1)
+        return _combine(self, other, 1) if isinstance(other, UniPoly) else NotImplemented
 
     def __sub__(self, other):
-        return _combine(self, other, -1)
+        return _combine(self, other, -1) if isinstance(other, UniPoly) else NotImplemented
 
     def __neg__(self):
         return _raw_poly(self.den, [-v for v in self.re],
@@ -297,7 +324,7 @@ class UniPoly:
 
     def __mul__(self, other):
         if not isinstance(other, UniPoly):
-            return self.scale(other)
+            return self.scale(other) if isinstance(other, (GaussRat, int)) else NotImplemented
         if not self.re or not other.re:
             return _PZERO
         if self.im is None and other.im is None:
@@ -387,35 +414,18 @@ class UniPoly:
         return self * _lead_inverse(self)
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
-        """Monic gcd by Euclid on primitive remainders (content divided out)."""
+        """Monic gcd by Euclid on primitive remainders (content divided out);
+        a nonzero constant remainder divides everything, so the gcd is 1."""
         a, b = self, other
-        while b.re:
+        while len(b.re) > 1:
             r = a.divmod(b)[1]
             a, b = b, _poly(gcd(*r.re, *(r.im or ())), list(r.re), r.im and list(r.im))
-        return a.monic()
+        return _PONE if b.re else a.monic()
 
-    def to_string(self, var: str = "c") -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        coeffs = self.coeffs
-        for k in range(len(coeffs) - 1, -1, -1):
-            c = coeffs[k]
-            if not c:
-                continue
-            if k == 0:
-                term = repr(c)
-            else:
-                base = var if k == 1 else f"{var}^{k}"
-                if c == ONE:
-                    term = base
-                elif c == -ONE:
-                    term = f"-{base}"
-                else:
-                    term = f"{_paren(c)}*{base}"
-            parts.append(term)
-        text = " + ".join(parts)
-        return text.replace("+ -", "- ")
+    def to_string(self) -> str:
+        """The polynomial in c, top degree first."""
+        return _polynomial_string((self[k], _power("c", k))
+                                  for k in range(len(self.re) - 1, -1, -1))
 
     def __repr__(self):
         return self.to_string()
@@ -811,10 +821,10 @@ class BiPoly:
                    default=NEG_INF)
 
     def __add__(self, other):
-        return _grid_sum(self, other)
+        return _grid_sum(self, other) if isinstance(other, BiPoly) else NotImplemented
 
     def __sub__(self, other):
-        return _grid_sum(self, other, -1)
+        return _grid_sum(self, other, -1) if isinstance(other, BiPoly) else NotImplemented
 
     def __neg__(self):
         return _raw_bipoly(self.den, [[-v for v in row] for row in self.re],
@@ -882,24 +892,10 @@ class BiPoly:
         return self.compiled()([v0], [v1])[0]
 
     def to_string(self, vars=("x", "y")) -> str:
-        if not self.re:
-            return "0"
-        parts = []
-        for (i, j), c in sorted(self.terms.items(), key=lambda kc: (sum(kc[0]), kc[0])):
-            factors = []
-            cs = _paren(c)
-            if (i, j) == (0, 0):
-                factors.append(cs)
-            else:
-                if c != ONE:
-                    factors.append(cs if c != -ONE else "-1")
-                for var, e in zip(vars, (i, j)):
-                    if e == 1:
-                        factors.append(var)
-                    elif e > 1:
-                        factors.append(f"{var}^{e}")
-            parts.append("*".join(factors))
-        return " + ".join(parts).replace("+ -", "- ")
+        """The polynomial in the two named variables, by total degree, then v0-degree."""
+        terms = sorted(self.terms.items(), key=lambda kc: (sum(kc[0]), kc[0]))
+        return _polynomial_string((c, "*".join(filter(None, map(_power, vars, ij))))
+                                  for ij, c in terms)
 
     def __repr__(self):
         return self.to_string()

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from .abelian import IntegralReport, full_report
-from .algebra import BiPoly, GaussRat, UniPoly
+from .algebra import ONE, BiPoly, GaussRat, UniPoly, _polynomial_string
 from .errors import (
     ConstructionFailure,
     GoldenMismatch,
@@ -304,7 +304,7 @@ def _factored_string(poly: UniPoly,
     form, so round(Re z * L) / L is split off when a_k's exact value there is 0.
     """
     if poly.im is not None:
-        return poly.to_string("c")
+        return poly.to_string()
     roots: Dict[GaussRat, int] = {}
     for z, k, factor in zeros:  # each a_k of a real poly is real
         lead = abs(factor.re[-1]) // math.gcd(*factor.re)
@@ -315,7 +315,7 @@ def _factored_string(poly: UniPoly,
         if not factor.evaluate(root):
             roots[root] = k  # a complex pair may round to a real root too
     if not roots:
-        return poly.to_string("c")
+        return poly.to_string()
     current = poly
     for root, mult in roots.items():
         for _ in range(mult):
@@ -325,20 +325,16 @@ def _factored_string(poly: UniPoly,
         parts.append(repr(current.coeffs[0]))
     else:
         content = _rational_content(current)
-        if content != GaussRat(1):
+        if content != ONE:
             current = current.scale(content.inverse())
             parts.append(repr(content))
     for root, mult in sorted(roots.items(),
                              key=lambda item: (abs(item[0].re), item[0].re < 0)):
-        if not root:
-            factor = "c"
-        elif root.re < 0:
-            factor = f"(c + {repr(-root)})"
-        else:
-            factor = f"(c - {repr(root)})"
+        factor = _polynomial_string([(ONE, "c"), (-root, "")])
+        factor = f"({factor})" if root else factor
         parts.append(factor if mult == 1 else f"{factor}^{mult}")
     if current.degree != 0:
-        parts.append(f"({current.to_string('c')})")
+        parts.append(f"({current.to_string()})")
     return " * ".join(parts)
 
 
@@ -352,16 +348,17 @@ def _numeric_zeros(poly: UniPoly) -> List[Tuple[complex, int, UniPoly]]:
     """(z, k, a_k) for each numeric root z of each square-free part a_k.
 
     The a_k are pairwise coprime with poly = const * prod a_k^k, exactly.
-    The numeric root finder converges only on simple roots, so it is run on
-    each a_k, whose roots all have multiplicity k in poly.  A square-free
-    poly has the one part a_1 = poly, its coefficients untouched.
+    The gcd chain ends at the constant 1, so the last entry of each quotient
+    chain is its dividend, taken as it is.  The numeric root finder
+    converges only on simple roots, so it is run on each a_k, whose roots
+    all have multiplicity k in poly.  A square-free poly has the one part
+    a_1 = poly, its coefficients untouched.
     """
     gcds = [poly]  # gcds[k] has the roots of poly of multiplicity > k
     while gcds[-1].degree >= 1:
         gcds.append(gcds[-1].gcd(gcds[-1].derivative()))
-    at_least = [high.divmod(low)[0] for high, low in zip(gcds, gcds[1:])]
-    at_least.append(UniPoly.const(GaussRat(1)))
-    parts = [high.divmod(low)[0] for high, low in zip(at_least, at_least[1:])]
+    at_least = [high.divmod(low)[0] for high, low in zip(gcds, gcds[1:-1])] + gcds[-2:-1]
+    parts = [high.divmod(low)[0] for high, low in zip(at_least, at_least[1:])] + at_least[-1:]
     return [(z, k, a_k) for k, a_k in enumerate(parts, 1) for z in locate_roots(a_k)]
 
 
@@ -383,7 +380,7 @@ def report_to_text(report: IntegralReport, oracle_result: dict) -> str:
         try:
             zeros = _numeric_zeros(ai.value)
         except (NonConvergence, OverflowError) as exc:  # the exact integral stands unfactored
-            shown, located = ai.value.to_string("c"), f"not located ({exc})"
+            shown, located = ai.value.to_string(), f"not located ({exc})"
         else:
             shown = _factored_string(ai.value, zeros)
             located = ", ".join(f"{r.real:+.6g}{r.imag:+.6g}i"
@@ -443,9 +440,9 @@ def compare_golden(report_json: dict, golden: dict, name: str) -> None:
             exp_poly = UniPoly(expected["integral_2pii"])
             diffs.append(
                 f"cycle {got['index']} integral differs:\n"
-                f"    expected: {exp_poly.to_string('c')}\n"
-                f"    got:      {got_poly.to_string('c')}\n"
-                f"    delta:    {(got_poly - exp_poly).to_string('c')}")
+                f"    expected: {exp_poly.to_string()}\n"
+                f"    got:      {got_poly.to_string()}\n"
+                f"    delta:    {(got_poly - exp_poly).to_string()}")
         if got["zero_count"] != expected["zero_count"]:
             diffs.append(f"cycle {got['index']} zero count: expected "
                          f"{expected['zero_count']}, got {got['zero_count']}")

@@ -385,6 +385,21 @@ class TestBiPoly:
             assert BiPoly(poly.terms) == poly
 
 
+@pytest.mark.parametrize("value, printed", [
+    (BiPoly({(0, 1): -1}), "-y"),
+    (BiPoly({(1, 1): 1, (0, 0): -1}), "-1 + x*y"),
+    (BiPoly({(1, 0): GaussRat(1, 2), (0, 2): GaussRat(-1, 2)}), "(1+2i)*x + (-1+2i)*y^2"),
+    (-RatFunc.t() * RatFunc.c(), "-t*c"),
+    (UniPoly([Fraction(-5, 2), 1]), "c - 5/2"),
+    (BiPoly(), "0"),
+    (UniPoly(), "0"),
+])
+def test_one_term_rule_prints_every_polynomial(value, printed):
+    # A constant prints bare, a coefficient -1 as a sign, a sum coefficient
+    # in parentheses, and "+ -" as "- ", in one and in two variables.
+    assert repr(value) == printed
+
+
 # ---------------------------------------------------------------------------
 # RatFunc and composition
 # ---------------------------------------------------------------------------
@@ -421,6 +436,22 @@ class TestRatFunc:
         operands = (RatFunc.t(), other) if rational_first else (other, RatFunc.t())
         with pytest.raises(TypeError):
             op(*operands)
+
+    @pytest.mark.parametrize("op, left, right", [
+        (add, UniPoly([1, 2]), 3),
+        (mul, UniPoly([1, 2]), Fraction(1, 2)),
+        (add, BiPoly.var(0), 3),
+        (add, BiPoly.var(0), RatFunc.t()),
+    ])
+    def test_mixed_exact_operands_raise_type_error(self, op, left, right):
+        # A polynomial adds only its own type and scales only by a GaussRat
+        # or an int.
+        with pytest.raises(TypeError):
+            op(left, right)
+
+    @pytest.mark.parametrize("value", [UniPoly([1, 2]), BiPoly({(1, 2): 3}), RatFunc.t()])
+    def test_a_gauss_rat_scales_from_either_side(self, value):
+        assert GaussRat(2) * value == value * GaussRat(2) != value
 
     def test_at_c_compiles_at_a_pole_in_c(self):
         # 1 / (t c) at c = 0 has a pole at every t: the evaluator compiles,

@@ -551,7 +551,7 @@ class TestExitCodes:
         payload = json.loads((tmp_path / "report.json").read_text())
         second = UniPoly([GaussRat.parse(v) for v in payload["cycles"][1]["integral_2pii"]])
         text = (tmp_path / "report.txt").read_text()
-        assert f"I_2(c) = (2*pi*i) * {second.to_string('c')}\n" \
+        assert f"I_2(c) = (2*pi*i) * {second.to_string()}\n" \
             "  numeric zeros: not located (root finder did not reach residual" in text
         assert "I_1(c) = (2*pi*i) * 1/328256967394537077627 * c^5 * (c - 3) * (" in text
 
@@ -866,3 +866,16 @@ class TestFactoredString:
             assert roots == {root: poly.root_multiplicity(root) for root in roots}
             split += len(made)
         assert split
+
+    def test_square_free_split_divides_by_no_constant(self, monkeypatch):
+        # The gcd chain ends at the constant 1 and Euclid stops at a nonzero
+        # constant remainder, so no division is by a constant.
+        original = UniPoly.divmod
+
+        def divmod_by_a_polynomial(poly, divisor):
+            assert divisor.degree >= 1
+            return original(poly, divisor)
+
+        monkeypatch.setattr(UniPoly, "divmod", divmod_by_a_polynomial)
+        for name in EXAMPLE_NAMES:
+            assert "(2*pi*i) * " in execute(load_bundle(name)["config"], no_oracle=True)[2]
